@@ -13,22 +13,15 @@ import argparse
 from collections import Counter
 
 from rootstrings.cartan import Parity, b_closed, pair_datum
-from rootstrings.selfcheck import field_for
+from rootstrings.selfcheck import bound_ceiling, field_for, sweep_pairs
 
 
-def survey(spec, parity: Parity) -> Counter:
-    counts: Counter = Counter()
-    for a_kk in spec.elements():
-        for a_kj in spec.elements():
-            datum = pair_datum(spec, a_kk, a_kj, parity)
-            counts[int(b_closed(datum, 1, 2))] += 1
+def survey(spec) -> dict[Parity, Counter]:
+    counts = {parity: Counter() for parity in Parity}
+    for parity, a_kk, a_kj in sweep_pairs(spec):
+        datum = pair_datum(spec, a_kk, a_kj, parity)
+        counts[parity][int(b_closed(datum, 1, 2))] += 1
     return counts
-
-
-def ceiling(p: int, parity: Parity) -> int:
-    if parity is Parity.ODD:
-        return 2 * p - 1
-    return 3 if p == 2 else p - 1
 
 
 def main() -> None:
@@ -47,11 +40,10 @@ def main() -> None:
     for p in primes:
         for degree in degrees:
             spec = field_for(p, degree)
-            for parity in (Parity.EVEN, Parity.ODD):
-                counts = survey(spec, parity)
+            for parity, counts in survey(spec).items():
                 dist = "  ".join(f"{b}:{n}" for b, n in sorted(counts.items()))
                 print(f"{str(spec):>10}  {parity.value:>6}  {sum(counts.values()):>6}"
-                      f"  {max(counts):>4}  {ceiling(p, parity):>4}  {dist}")
+                      f"  {max(counts):>4}  {bound_ceiling(p, parity):>4}  {dist}")
 
 
 if __name__ == "__main__":

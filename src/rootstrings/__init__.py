@@ -34,6 +34,7 @@ from .field import (
     FieldElement,
     FieldMismatchError,
     FieldSpec,
+    FieldSpecError,
     check_irreducible,
     is_prime,
     lift,
@@ -59,6 +60,7 @@ __all__ = [
     "FieldElement",
     "FieldMismatchError",
     "FieldSpec",
+    "FieldSpecError",
     "INFINITY",
     "MAX_EXTENSION_DEGREE",
     "Parity",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import total_ordering
 from typing import Optional, Union
 
 from .field import FieldElement, FieldSpec, lift
@@ -50,6 +51,7 @@ class Parity(Enum):
         return 1 if self is Parity.EVEN else -1
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class BValue:
     """A root-string bound: a non-negative integer, or +infinity.
@@ -91,29 +93,11 @@ class BValue:
     def __hash__(self):
         return hash(self.value)
 
-    def __le__(self, other):
-        num = self._other_number(other)
-        if num is None:
-            return NotImplemented
-        return self._as_number() <= num
-
     def __lt__(self, other):
         num = self._other_number(other)
         if num is None:
             return NotImplemented
         return self._as_number() < num
-
-    def __ge__(self, other):
-        num = self._other_number(other)
-        if num is None:
-            return NotImplemented
-        return self._as_number() >= num
-
-    def __gt__(self, other):
-        num = self._other_number(other)
-        if num is None:
-            return NotImplemented
-        return self._as_number() > num
 
     def __int__(self) -> int:
         if self.value is None:

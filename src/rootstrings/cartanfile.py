@@ -28,13 +28,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .cartan import BValue, CartanDatum, Parity
-from .field import (
-    MAX_EXTENSION_DEGREE,
-    FieldElement,
-    FieldSpec,
-    check_irreducible,
-    is_prime,
-)
+from .field import FieldElement, FieldSpec, FieldSpecError, _is_int
 
 _TOP_KEYS = {"characteristic", "extension", "matrix", "parities"}
 
@@ -45,10 +39,6 @@ class CartanFileError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
@@ -71,13 +61,7 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
         if key not in raw:
             raise CartanFileError("missing-key", f"missing key: {key}")
 
-    characteristic = raw["characteristic"]
-    if not _is_int(characteristic) or characteristic < 0:
-        raise CartanFileError(
-            "bad-characteristic", "characteristic must be a non-negative integer")
-    if characteristic > 0 and not is_prime(characteristic):
-        raise CartanFileError("bad-characteristic", "characteristic must be 0 or prime")
-    spec = _parse_field(characteristic, raw.get("extension"))
+    spec = _parse_field(raw["characteristic"], raw.get("extension"))
 
     matrix = raw["matrix"]
     if not isinstance(matrix, list) or not matrix or not all(isinstance(r, list) for r in matrix):
@@ -104,32 +88,23 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
     return CartanDatum(spec, entries, tuple(parsed_parities))
 
 
-def _parse_field(characteristic: int, extension) -> FieldSpec:
+def _parse_field(characteristic, extension) -> FieldSpec:
+    # Only the JSON shape is checked here; FieldSpec decides everything else.
+    # The modulus must be a list because FieldSpec reads a null as "absent".
     if extension is None:
-        return FieldSpec(characteristic)
-    if characteristic == 0:
-        raise CartanFileError("bad-extension", "characteristic 0 takes no extension")
-    if not isinstance(extension, dict) or set(extension) != {"degree", "modulus"}:
-        raise CartanFileError(
-            "bad-extension", 'extension needs exactly the keys "degree" and "modulus"')
-    degree = extension["degree"]
-    modulus = extension["modulus"]
-    if not _is_int(degree) or not 2 <= degree <= MAX_EXTENSION_DEGREE:
+        args = (characteristic,)
+    elif (isinstance(extension, dict) and set(extension) == {"degree", "modulus"}
+          and isinstance(extension["modulus"], list)):
+        args = (characteristic, extension["degree"], extension["modulus"])
+    else:
         raise CartanFileError(
             "bad-extension",
-            f"degree must be an integer in [2, {MAX_EXTENSION_DEGREE}]")
-    if (not isinstance(modulus, list) or len(modulus) != degree + 1
-            or not all(_is_int(c) for c in modulus)):
-        raise CartanFileError(
-            "bad-extension",
-            "modulus must list degree + 1 integer coefficients, low degree first")
-    if any(not 0 <= c < characteristic for c in modulus) or modulus[-1] != 1:
-        raise CartanFileError(
-            "bad-extension", "modulus must be monic with coefficients reduced mod p")
-    if not check_irreducible(modulus, characteristic):
-        raise CartanFileError(
-            "reducible-modulus", "modulus must be irreducible over GF(p)")
-    return FieldSpec(characteristic, degree, tuple(modulus))
+            'extension needs exactly the keys "degree" and "modulus", '
+            "the modulus a list of coefficients")
+    try:
+        return FieldSpec(*args)
+    except FieldSpecError as exc:
+        raise CartanFileError(exc.code, str(exc)) from exc
 
 
 def _parse_entry(spec: FieldSpec, value, strict: bool, row: int, col: int) -> FieldElement:

@@ -113,6 +113,7 @@ def cmd_table(args) -> tuple[dict, int]:
 def cmd_reflect(args) -> tuple[dict, int]:
     datum = _load_datum(args)
     result = reflect(datum, args.k)
+    determinant = basis_determinant(result.basis_matrix)
     doc = {
         "command": "reflect",
         "field": field_doc(datum.spec),
@@ -120,8 +121,8 @@ def cmd_reflect(args) -> tuple[dict, int]:
         "b_row": [encode_bvalue(b) for b in result.b_row],
         "sigma": [list(v.coords) for v in result.sigma],
         "basis_matrix": [list(row) for row in result.basis_matrix],
-        "determinant": basis_determinant(result.basis_matrix),
-        "unimodular": basis_determinant(result.basis_matrix) == -1,
+        "determinant": determinant,
+        "unimodular": determinant == -1,
     }
     return doc, EXIT_OK
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-#: Largest supported extension degree.  Keeps the trial-division
-#: irreducibility test instantaneous; the bound computations only ever
-#: inspect a single ratio, so large fields add nothing.
+#: Largest supported extension degree.  The bound computations only ever
+#: inspect a single ratio, so large fields add nothing.  The cost of the
+#: trial-division irreducibility test grows as p^(degree/2): at degree 8 it
+#: already takes seconds over GF(31).
 MAX_EXTENSION_DEGREE = 8
 
 EntryLike = Union[int, Fraction, Sequence[int], "FieldElement"]
@@ -26,6 +27,19 @@ EntryLike = Union[int, Fraction, Sequence[int], "FieldElement"]
 
 class FieldMismatchError(ValueError):
     """Operands belong to two different fields."""
+
+
+class FieldSpecError(ValueError):
+    """Invalid field description; ``code`` is a stable diagnostic identifier
+    ("bad-characteristic", "bad-extension" or "reducible-modulus")."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_prime(n: int) -> bool:
@@ -145,31 +159,30 @@ class FieldSpec:
     modulus: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.modulus is not None:
-            object.__setattr__(self, "modulus", tuple(int(c) for c in self.modulus))
         p, k = self.characteristic, self.degree
-        if p == 0:
-            if k != 1:
-                raise ValueError("characteristic 0 only supports degree 1")
-            if self.modulus is not None:
-                raise ValueError("characteristic 0 takes no modulus")
-            return
-        if not is_prime(p):
-            raise ValueError("characteristic must be 0 or a prime")
-        if not 1 <= k <= MAX_EXTENSION_DEGREE:
-            raise ValueError(f"extension degree must lie in [1, {MAX_EXTENSION_DEGREE}]")
+        if not _is_int(p) or (p != 0 and not is_prime(p)):
+            raise FieldSpecError("bad-characteristic", "characteristic must be 0 or a prime")
+        if not _is_int(k) or not 1 <= k <= MAX_EXTENSION_DEGREE:
+            raise FieldSpecError(
+                "bad-extension", f"extension degree must lie in [1, {MAX_EXTENSION_DEGREE}]")
+        if p == 0 and k != 1:
+            raise FieldSpecError("bad-extension", "characteristic 0 only supports degree 1")
         if k == 1:
             if self.modulus is not None:
-                raise ValueError("degree-1 fields take no modulus")
+                raise FieldSpecError("bad-extension", "degree-1 fields take no modulus")
             return
-        if self.modulus is None:
-            raise ValueError("extension fields need a modulus polynomial")
-        if len(self.modulus) != k + 1:
-            raise ValueError("modulus must have exactly degree + 1 coefficients")
-        if any(not 0 <= c < p for c in self.modulus):
-            raise ValueError("modulus coefficients must be reduced mod p")
-        if not check_irreducible(self.modulus, p):
-            raise ValueError("modulus must be irreducible over GF(p)")
+        modulus = self.modulus
+        if (not isinstance(modulus, (list, tuple)) or len(modulus) != k + 1
+                or not all(_is_int(c) for c in modulus)):
+            raise FieldSpecError(
+                "bad-extension", "the modulus must list degree + 1 integer coefficients")
+        modulus = tuple(modulus)
+        object.__setattr__(self, "modulus", modulus)
+        if any(not 0 <= c < p for c in modulus) or modulus[-1] != 1:
+            raise FieldSpecError(
+                "bad-extension", "modulus must be monic with coefficients reduced mod p")
+        if not check_irreducible(modulus, p):
+            raise FieldSpecError("reducible-modulus", "modulus must be irreducible over GF(p)")
 
     @property
     def order(self) -> int:
@@ -203,7 +216,7 @@ class FieldSpec:
         if isinstance(value, (list, tuple)):
             if len(value) > k:
                 raise ValueError(f"coefficient list longer than degree {k}")
-            if not all(isinstance(c, int) and not isinstance(c, bool) for c in value):
+            if not all(_is_int(c) for c in value):
                 raise TypeError("coefficient lists must contain integers")
             coeffs = tuple(c % p for c in value) + (0,) * (k - len(value))
             return FieldElement(self, coeffs)

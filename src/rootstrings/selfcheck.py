@@ -10,9 +10,16 @@ clean sweep is strong evidence both are implemented correctly.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from .cartan import Parity, b_closed, b_recursive, pair_datum
-from .field import MAX_EXTENSION_DEGREE, FieldSpec, check_irreducible, is_prime
+from .field import (
+    MAX_EXTENSION_DEGREE,
+    FieldElement,
+    FieldSpec,
+    check_irreducible,
+    is_prime,
+)
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
@@ -30,37 +37,54 @@ def field_for(p: int, degree: int) -> FieldSpec:
     return FieldSpec(p, degree, find_irreducible(p, degree))
 
 
+def sweep_pairs(spec: FieldSpec) -> Iterator[tuple[Parity, FieldElement, FieldElement]]:
+    """Every rank-2 configuration (parity, A_kk, A_kj) over a finite field.
+
+    Parity varies slowest, then A_kk, then A_kj, each in ``spec.elements()``
+    order; the elements are enumerated once.
+    """
+    elements = list(spec.elements())
+    return itertools.product((Parity.EVEN, Parity.ODD), elements, elements)
+
+
+def bound_ceiling(p: int, parity: Parity) -> int:
+    """Largest bound B_kj possible in characteristic p > 0: the d-sequence
+    vanishes by m = p - 1 for an even generator (m = 3 when p = 2) and by
+    m = 2p - 1 for an odd one."""
+    if parity is Parity.ODD:
+        return 2 * p - 1
+    return 3 if p == 2 else p - 1
+
+
 def check_field(spec: FieldSpec) -> dict:
     """Sweep all (parity, A_kk, A_kj) cases over one field.
 
-    Returns a report dict with the case count, any mismatches, and the
-    distribution of bounds seen.  A mismatch records both routes' answers.
+    Returns a report dict with the case count, any failures, and the
+    distribution of bounds seen.  A failure -- the routes disagree, or the
+    bound exceeds ``bound_ceiling`` -- records both routes' answers and the
+    ceiling.
     """
     p = spec.characteristic
     cases = 0
     mismatches = []
     b_counts: dict[int, int] = {}
-    for parity in (Parity.EVEN, Parity.ODD):
-        for a_kk in spec.elements():
-            for a_kj in spec.elements():
-                datum = pair_datum(spec, a_kk, a_kj, parity)
-                closed = b_closed(datum, 1, 2)
-                recursive = b_recursive(datum, 1, 2)
-                cases += 1
-                if closed != recursive:
-                    mismatches.append({
-                        "parity": parity.value,
-                        "a_kk": list(a_kk.coeffs),
-                        "a_kj": list(a_kj.coeffs),
-                        "closed": closed.value,
-                        "recursive": recursive.value,
-                    })
-                else:
-                    b_counts[int(closed)] = b_counts.get(int(closed), 0) + 1
-                # Scan-derived ceilings, valid in any characteristic-p field.
-                assert recursive <= 2 * p - 1
-                if parity is Parity.EVEN and bool(a_kk):
-                    assert recursive <= (3 if p == 2 else p - 1)
+    for parity, a_kk, a_kj in sweep_pairs(spec):
+        datum = pair_datum(spec, a_kk, a_kj, parity)
+        closed = b_closed(datum, 1, 2)
+        recursive = b_recursive(datum, 1, 2)
+        ceiling = bound_ceiling(p, parity)
+        cases += 1
+        if closed != recursive or recursive > ceiling:
+            mismatches.append({
+                "parity": parity.value,
+                "a_kk": list(a_kk.coeffs),
+                "a_kj": list(a_kj.coeffs),
+                "closed": closed.value,
+                "recursive": recursive.value,
+                "ceiling": ceiling,
+            })
+        else:
+            b_counts[int(closed)] = b_counts.get(int(closed), 0) + 1
     report = {
         "characteristic": p,
         "degree": spec.degree,

@@ -20,6 +20,7 @@ from rootstrings.cartanfile import parse_cartan, serialize_cartan
 from rootstrings.cli import main
 from rootstrings.field import FieldSpec
 from rootstrings.reflection import RootVector, basis_determinant, reflect
+from rootstrings.selfcheck import sweep_pairs
 
 from conftest import FIXTURES, GOLDEN
 
@@ -37,10 +38,8 @@ def _report(num: int, title: str, ok: bool, detail: str = "") -> None:
 
 
 def _sweep(spec):
-    for parity in (Parity.EVEN, Parity.ODD):
-        for a_kk in spec.elements():
-            for a_kj in spec.elements():
-                yield pair_datum(spec, a_kk, a_kj, parity)
+    for parity, a_kk, a_kj in sweep_pairs(spec):
+        yield pair_datum(spec, a_kk, a_kj, parity)
 
 
 def test_criterion_1_prime_field_oracle_equivalence(capsys):

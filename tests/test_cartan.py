@@ -20,6 +20,7 @@ from rootstrings.cartan import (
     pair_datum,
 )
 from rootstrings.field import FieldSpec
+from rootstrings.selfcheck import sweep_pairs
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -30,14 +31,6 @@ GF9 = FieldSpec(3, 2, (1, 0, 1))
 Q = FieldSpec(0)
 
 SWEEP_FIELDS = [GF2, GF3, GF5, GF7, GF4, GF9]
-
-
-def pair_cases(spec):
-    """Every (parity, A_kk, A_kj) configuration over one field."""
-    for parity in (Parity.EVEN, Parity.ODD):
-        for a_kk in spec.elements():
-            for a_kj in spec.elements():
-                yield parity, a_kk, a_kj
 
 
 # --- BValue ----------------------------------------------------------------
@@ -185,7 +178,7 @@ def test_d_closed_odd_worked_values():
 @pytest.mark.parametrize("spec", SWEEP_FIELDS, ids=str)
 def test_closed_form_d_matches_recursion_everywhere(spec):
     p = spec.characteristic
-    for parity, a_kk, a_kj in pair_cases(spec):
+    for parity, a_kk, a_kj in sweep_pairs(spec):
         datum = pair_datum(spec, a_kk, a_kj, parity)
         seq = d_sequence(datum, 1, 2, 2 * p)
         closed = d_closed_even if parity is Parity.EVEN else d_closed_odd
@@ -195,7 +188,7 @@ def test_closed_form_d_matches_recursion_everywhere(spec):
 
 @pytest.mark.parametrize("spec", SWEEP_FIELDS, ids=str)
 def test_b_closed_matches_b_recursive_everywhere(spec):
-    for parity, a_kk, a_kj in pair_cases(spec):
+    for parity, a_kk, a_kj in sweep_pairs(spec):
         datum = pair_datum(spec, a_kk, a_kj, parity)
         assert b_closed(datum, 1, 2) == b_recursive(datum, 1, 2), \
             (spec, parity, str(a_kk), str(a_kj))
@@ -204,7 +197,7 @@ def test_b_closed_matches_b_recursive_everywhere(spec):
 @pytest.mark.parametrize("spec", SWEEP_FIELDS, ids=str)
 def test_guaranteed_zeros(spec):
     p = spec.characteristic
-    for parity, a_kk, a_kj in pair_cases(spec):
+    for parity, a_kk, a_kj in sweep_pairs(spec):
         datum = pair_datum(spec, a_kk, a_kj, parity)
         seq = d_sequence(datum, 1, 2, 2 * p - 1)
         if parity is Parity.ODD:
@@ -218,7 +211,7 @@ def test_guaranteed_zeros(spec):
 def test_odd_sequence_structure():
     # at odd indices the sequence forgets A_kj entirely: d_{2l-1} = l * A_kk
     for spec in (GF5, GF9):
-        for _, a_kk, a_kj in pair_cases(spec):
+        for _, a_kk, a_kj in sweep_pairs(spec):
             datum = pair_datum(spec, a_kk, a_kj, Parity.ODD)
             seq = d_sequence(datum, 1, 2, 9)
             for l in range(1, 5):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from rootstrings.cartanfile import (
     render_document,
     serialize_cartan,
 )
+from rootstrings import field
 from rootstrings.field import FieldSpec
 
 GF3 = FieldSpec(3)
@@ -125,6 +127,25 @@ def test_bad_json_reports_position():
 ])
 def test_rejection_codes(text, code):
     assert error_code(text) == code
+
+
+@pytest.mark.parametrize("fixture,check", [("prime.json", "is_prime"),
+                                           ("extension.json", "check_irreducible")])
+def test_field_validated_once_per_parse(fixtures_dir, monkeypatch, fixture, check):
+    original = getattr(field, check)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rootstrings" or name.startswith("rootstrings."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    parse_cartan((fixtures_dir / fixture).read_text())
+    assert len(calls) == 1
 
 
 def test_extension_entry_lists():

@@ -180,6 +180,18 @@ def test_selfcheck_mismatch_exits_2(run_cli, monkeypatch):
     assert report["fields"][0]["mismatches"]
 
 
+def test_selfcheck_ceiling_violation_exits_2(run_cli, monkeypatch):
+    # both routes agree, on a bound above every ceiling of the field
+    too_big = lambda datum, k, j, **kw: BValue(2 * datum.spec.characteristic)
+    monkeypatch.setattr(rootstrings.selfcheck, "b_closed", too_big)
+    monkeypatch.setattr(rootstrings.selfcheck, "b_recursive", too_big)
+    code, out, _ = run_cli("selfcheck", "--primes", "2", "--degrees", "1")
+    assert code == 2
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["fields"][0]["failures"] == report["fields"][0]["cases"] == 8
+
+
 def test_infinite_bound_reflection_exits_3(run_cli, tmp_path):
     inf = tmp_path / "inf.json"
     inf.write_text(json.dumps({

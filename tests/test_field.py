@@ -9,6 +9,7 @@ from rootstrings.field import (
     FieldElement,
     FieldMismatchError,
     FieldSpec,
+    FieldSpecError,
     check_irreducible,
     is_prime,
     lift,
@@ -57,9 +58,17 @@ def test_lift_needs_positive_characteristic(p):
     dict(characteristic=3, degree=2, modulus=(1, 0, 2)),     # not monic
     dict(characteristic=3, degree=2, modulus=(1, 3, 1)),     # unreduced coeff
     dict(characteristic=2, degree=2, modulus=(1, 0, 1)),     # (t+1)^2, reducible
+    dict(characteristic=3.0),                           # not an integer
+    dict(characteristic="3"),
+    dict(characteristic=True),
+    dict(characteristic=3, degree=2.0, modulus=(1, 0, 1)),
+    dict(characteristic=3, degree=2, modulus=(1.5, 0, 1)),   # non-integer coeffs
+    dict(characteristic=3, degree=2, modulus=("1", 0, 1)),
+    dict(characteristic=3, degree=2, modulus=(True, 0, 1)),
+    dict(characteristic=3, degree=2, modulus=5),
 ])
 def test_bad_specs_rejected(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldSpecError):
         FieldSpec(**kwargs)
 
 

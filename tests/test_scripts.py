@@ -1,0 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bvalue_survey_stays_under_the_ceilings():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bvalue_survey.py"),
+         "--primes", "2,3", "--degrees", "1,2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert len(rows) == 8          # 2 primes x 2 degrees x 2 parities
+    for field, parity, cases, top, cap, *dist in rows:
+        assert int(top) <= int(cap), (field, parity)
+        assert sum(int(entry.split(":")[1]) for entry in dist) == int(cases)
