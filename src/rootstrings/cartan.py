@@ -282,64 +282,49 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *, scan_cap: int = 1000) -> 
 
 
 def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
-    """Closed-form case ladder for the bound B_kj.
+    """Closed-form case ladder for the bound B_kj, one ladder for every
+    characteristic p (p = 0 for the rationals).
 
-    Branches, in order, for characteristic p > 0:
+    With c the prime-field scalar such that A_kj = c * A_kk, when there is
+    one (``FieldElement.prime_ratio``), the branches in order are:
 
-    1. A_kj = 0                                   -> 0
-    2. even, A_kk = 0                             -> p - 1
-    3. even, p != 2, A_kk != 0: A_kj/A_kk in GF(p) -> lift(-2*A_kj/A_kk),
-       otherwise                                   -> p - 1
-    4. even, p = 2, A_kk != 0: A_kj = A_kk         -> 2, otherwise -> 3
-    5. odd, A_kk = 0                               -> 1
-    6. odd, A_kk != 0: A_kj/A_kk in GF(p)          -> 2*lift(-A_kj/A_kk),
-       otherwise                                   -> 2p - 1
+    1. A_kj = 0                                  -> 0
+    2. A_kk = 0: even                            -> p - 1 (infinity at p = 0)
+                 odd                             -> 1
+    3. even, p = 2: A_kj = A_kk                  -> 2, otherwise -> 3
+    4. no such c: even                           -> p - 1
+                  odd                            -> 2p - 1
+    5. otherwise: even                           -> -2c
+                  odd                            -> 2 * (-c)
 
-    At characteristic 0 the analogous ladder yields an integer or infinity;
-    the even branch asks whether -2*A_kj/A_kk is a non-negative integer, the
-    odd branch whether -A_kj/A_kk is.
+    In branch 5, p > 0 lifts the integer -2c or -c into [0, p); at p = 0 it
+    must be a non-negative integer, and otherwise the bound is infinite.
+    Branch 4 never fires at p = 0, where every ratio is rational.  No field
+    division happens: the prime-field proportionality test reads power-basis
+    coordinates.
     """
     _check_pair(datum, k, j)
     p = datum.spec.characteristic
     a_kk = datum.entry(k, k)
     a_kj = datum.entry(k, j)
-    parity = datum.parity(k)
-    if p == 0:
-        return _b_closed_rational(a_kj, a_kk, parity)
+    even = datum.parity(k) is Parity.EVEN
     if not a_kj:
         return BValue(0)
-    if parity is Parity.EVEN:
-        if not a_kk:
-            return BValue(p - 1)
-        if p != 2:
-            residue = (a_kj / a_kk).in_prime_subfield()
-            if residue is None:
-                return BValue(p - 1)
-            return BValue(lift(-2 * residue, p))
-        return BValue(2) if a_kj == a_kk else BValue(3)
     if not a_kk:
-        return BValue(1)
-    residue = (a_kj / a_kk).in_prime_subfield()
-    if residue is None:
-        return BValue(2 * p - 1)
-    return BValue(2 * lift(-residue, p))
-
-
-def _b_closed_rational(a_kj: FieldElement, a_kk: FieldElement, parity: Parity) -> BValue:
-    if not a_kj:
-        return BValue(0)
-    if parity is Parity.EVEN:
-        if not a_kk:
-            return INFINITY
-        ratio = -2 * a_kj.rational / a_kk.rational
-    else:
-        if not a_kk:
+        if not even:
             return BValue(1)
-        ratio = -a_kj.rational / a_kk.rational
-    if ratio.denominator != 1 or ratio < 0:
+        return BValue(p - 1) if p else INFINITY
+    if even and p == 2:
+        return BValue(2) if a_kj == a_kk else BValue(3)
+    c = a_kj.prime_ratio(a_kk)
+    if c is None:
+        return BValue(p - 1 if even else 2 * p - 1)
+    m = -2 * c if even else -c
+    if p:
+        m = lift(m, p)
+    elif m.denominator != 1 or m < 0:
         return INFINITY
-    m = int(ratio)
-    return BValue(m if parity is Parity.EVEN else 2 * m)
+    return BValue(int(m) if even else 2 * int(m))
 
 
 def b_table(datum: CartanDatum) -> tuple[tuple[Optional[BValue], ...], ...]:

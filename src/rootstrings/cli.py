@@ -16,6 +16,7 @@ disagree), 3 reflection undefined (some bound is infinite).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -136,65 +137,57 @@ def cmd_selfcheck(args) -> tuple[dict, int]:
     return doc, EXIT_OK if report["ok"] else EXIT_INCONSISTENT
 
 
+_INPUT = (("--input", dict(required=True, help="Cartan-data JSON file")),
+          ("--strict", dict(action="store_true",
+                            help="reject entries that are not reduced mod p")))
+_K = ("--k", dict(type=int, required=True, help="reflecting index (1-based)"))
+_J = ("--j", dict(type=int, required=True, help="target index (1-based)"))
+_OUTPUT = ("--output", dict(help="write the report here instead of stdout"))
+
+#: (name, handler, help, flags before --output) per subcommand.
+_COMMANDS = (
+    ("bkj", cmd_bkj, "compute one bound by both routes", (*_INPUT, _K, _J, (
+        "--max-m", dict(type=int, default=None,
+                        help=f"characteristic-0 scan cap (default {DEFAULT_SCAN_CAP})")))),
+    ("dseq", cmd_dseq, "print a d-sequence", (*_INPUT, _K, _J, (
+        "--max-m", dict(type=int, required=True, help="last index to print")))),
+    ("table", cmd_table, "all off-diagonal bounds", _INPUT),
+    ("reflect", cmd_reflect, "new simple roots for one index", (*_INPUT, _K)),
+    ("selfcheck", cmd_selfcheck, "sweep closed form against recursion over small fields", (
+        ("--primes", dict(type=_int_list, default=[2, 3, 5, 7],
+                          help="comma-separated primes (default 2,3,5,7)")),
+        ("--degrees", dict(type=_int_list, default=[1],
+                           help="comma-separated extension degrees (default 1)")))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rootstrings",
                      description="Root-string bounds from Cartan data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_input_flags(sp):
-        sp.add_argument("--input", required=True, help="Cartan-data JSON file")
-        sp.add_argument("--strict", action="store_true",
-                        help="reject entries that are not reduced mod p")
-
-    def add_output_flag(sp):
-        sp.add_argument("--output", help="write the report here instead of stdout")
-
-    sp = sub.add_parser("bkj", help="compute one bound by both routes")
-    add_input_flags(sp)
-    sp.add_argument("--k", type=int, required=True, help="reflecting index (1-based)")
-    sp.add_argument("--j", type=int, required=True, help="target index (1-based)")
-    sp.add_argument("--max-m", type=int, default=None,
-                    help=f"characteristic-0 scan cap (default {DEFAULT_SCAN_CAP})")
-    add_output_flag(sp)
-    sp.set_defaults(handler=cmd_bkj)
-
-    sp = sub.add_parser("dseq", help="print a d-sequence")
-    add_input_flags(sp)
-    sp.add_argument("--k", type=int, required=True, help="reflecting index (1-based)")
-    sp.add_argument("--j", type=int, required=True, help="target index (1-based)")
-    sp.add_argument("--max-m", type=int, required=True, help="last index to print")
-    add_output_flag(sp)
-    sp.set_defaults(handler=cmd_dseq)
-
-    sp = sub.add_parser("table", help="all off-diagonal bounds")
-    add_input_flags(sp)
-    add_output_flag(sp)
-    sp.set_defaults(handler=cmd_table)
-
-    sp = sub.add_parser("reflect", help="new simple roots for one index")
-    add_input_flags(sp)
-    sp.add_argument("--k", type=int, required=True, help="reflecting index (1-based)")
-    add_output_flag(sp)
-    sp.set_defaults(handler=cmd_reflect)
-
-    sp = sub.add_parser("selfcheck",
-                        help="sweep closed form against recursion over small fields")
-    sp.add_argument("--primes", type=_int_list, default=[2, 3, 5, 7],
-                    help="comma-separated primes (default 2,3,5,7)")
-    sp.add_argument("--degrees", type=_int_list, default=[1],
-                    help="comma-separated extension degrees (default 1)")
-    add_output_flag(sp)
-    sp.set_defaults(handler=cmd_selfcheck)
-
+    for name, handler, help_text, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, options in (*flags, _OUTPUT):
+            sp.add_argument(flag, **options)
+        sp.set_defaults(handler=handler)
     return parser
 
 
 def _emit(text: str, args) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    """Write the report to stdout, or to --output atomically: into a
+    temporary file beside the target, which then replaces it."""
+    if not getattr(args, "output", None):
         sys.stdout.write(text)
+        return
+    tmp = f"{args.output}.{os.getpid()}.tmp"
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, args.output)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -205,6 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         doc, code = args.handler(args)
+        _emit(render_document(doc), args)
     except CartanFileError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
@@ -220,5 +214,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error[invalid]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
-    _emit(render_document(doc), args)
     return code

@@ -42,17 +42,33 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: Miller-Rabin with the first 13 prime bases is exact below this bound,
+#: psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIMALITY_LIMIT = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; fine for the field sizes supported here."""
+    """Deterministic Miller-Rabin on the first 13 prime bases.
+
+    Exact for every n below ``PRIMALITY_LIMIT``; larger n raise ValueError.
+    """
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"{n} is not below {PRIMALITY_LIMIT}, the bound for deciding primality")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n = d * 2^s + 1 is a strong probable prime to base a when x = a^d is 1
+    # or x^(2^r) = -1 for some 0 <= r < s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -160,7 +176,11 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         p, k = self.characteristic, self.degree
-        if not _is_int(p) or (p != 0 and not is_prime(p)):
+        try:
+            valid = _is_int(p) and (p == 0 or is_prime(p))
+        except ValueError as exc:
+            raise FieldSpecError("bad-characteristic", f"characteristic {exc}") from None
+        if not valid:
             raise FieldSpecError("bad-characteristic", "characteristic must be 0 or a prime")
         if not _is_int(k) or not 1 <= k <= MAX_EXTENSION_DEGREE:
             raise FieldSpecError(
@@ -384,6 +404,25 @@ class FieldElement:
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
+
+    def prime_ratio(self, other: "FieldElement") -> Union[int, Fraction, None]:
+        """The prime-field scalar c with self = c * other, or None if none exists.
+
+        At p > 0 the answer is a residue in [0, p): GF(p) acts on the power
+        basis coordinate-wise, so c is read off the first nonzero coordinate
+        of ``other`` and checked against all the others; no field division
+        happens.  At characteristic 0 every ratio is a ``Fraction``.  A zero
+        ``other`` raises ZeroDivisionError.
+        """
+        rhs = self.spec.element(other)
+        if not rhs:
+            raise ZeroDivisionError(f"ratio to zero in {self.spec}")
+        p = self.spec.characteristic
+        if p == 0:
+            return self.coeffs[0] / rhs.coeffs[0]
+        i = next(i for i, b in enumerate(rhs.coeffs) if b)
+        c = self.coeffs[i] * pow(rhs.coeffs[i], -1, p) % p
+        return None if any((a - c * b) % p for a, b in zip(self.coeffs, rhs.coeffs)) else c
 
     def __str__(self) -> str:
         p, k = self.spec.characteristic, self.spec.degree

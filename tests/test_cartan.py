@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from rootstrings.cartan import (
     d_sequence,
     pair_datum,
 )
-from rootstrings.field import FieldSpec
+from rootstrings.field import FieldElement, FieldSpec
 from rootstrings.selfcheck import sweep_pairs
 
 GF2 = FieldSpec(2)
@@ -28,6 +29,7 @@ GF5 = FieldSpec(5)
 GF7 = FieldSpec(7)
 GF4 = FieldSpec(2, 2, (1, 1, 1))
 GF9 = FieldSpec(3, 2, (1, 0, 1))
+GF125 = FieldSpec(5, 3, (1, 1, 0, 1))
 Q = FieldSpec(0)
 
 SWEEP_FIELDS = [GF2, GF3, GF5, GF7, GF4, GF9]
@@ -297,3 +299,27 @@ def test_b_table_matches_pointwise_calls():
                 assert table[k - 1][j - 1] is None
             else:
                 assert table[k - 1][j - 1] == b_closed(datum, k, j)
+
+
+@pytest.mark.parametrize("spec", [GF125, GF7], ids=str)
+def test_closed_form_makes_no_field_division(spec, monkeypatch):
+    rng = random.Random(8)
+    elements = list(spec.elements())
+    rows = [[rng.choice(elements) for _ in range(8)] for _ in range(8)]
+    for k in range(8):
+        rows[k][k] = rng.choice(elements[1:])
+        rows[k][(k + 1) % 8] = 3 * rows[k][k]      # a prime-field ratio
+        rows[k][(k + 2) % 8] = spec.zero()
+    datum = CartanDatum.build(spec, rows, ["ev", "od"] * 4)
+    calls = []
+    for name in ("inverse", "__truediv__"):
+        def counting(*args, _original=getattr(FieldElement, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(FieldElement, name, counting)
+    table = b_table(datum)
+    assert calls == []
+    p = spec.characteristic
+    assert table[0][1] == (-2 * 3) % p          # even row: lift(-2c)
+    assert table[1][2] == 2 * ((-3) % p)        # odd row: 2 lift(-c)
+    assert table[0][2] == 0

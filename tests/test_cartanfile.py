@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from rootstrings.cartanfile import (
     serialize_cartan,
 )
 from rootstrings import field
-from rootstrings.field import FieldSpec
+from rootstrings.field import PRIMALITY_LIMIT, FieldSpec
 
 GF3 = FieldSpec(3)
 GF9 = FieldSpec(3, 2, (1, 0, 1))
@@ -146,6 +147,18 @@ def test_field_validated_once_per_parse(fixtures_dir, monkeypatch, fixture, chec
                     monkeypatch.setattr(module, attr, counting)
     parse_cartan((fixtures_dir / fixture).read_text())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [1000000000000037, 10000000000000061])
+def test_large_prime_characteristic_parses_quickly(p):
+    start = time.perf_counter()
+    datum = parse_cartan(doc(characteristic=p))
+    assert time.perf_counter() - start < 1.0
+    assert datum.spec.characteristic == p
+
+
+def test_characteristic_beyond_primality_limit_refused():
+    assert error_code(doc(characteristic=PRIMALITY_LIMIT)) == "bad-characteristic"
 
 
 def test_extension_entry_lists():

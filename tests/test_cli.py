@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 import rootstrings.cli
 import rootstrings.selfcheck
 from rootstrings.cartan import BValue
+from rootstrings.field import PRIMALITY_LIMIT
 
 from conftest import FIXTURES, GOLDEN
 
@@ -72,6 +74,31 @@ def test_output_flag_writes_identical_bytes(run_cli, tmp_path):
     assert target.read_text() == (GOLDEN / "prime_table.json").read_text()
 
 
+def test_unwritable_output_exits_1(run_cli, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, out, err = run_cli("table", "--input", str(FIXTURES / "prime.json"),
+                             "--output", str(target))
+    assert code == 1
+    assert err.startswith("error[io]:")
+    assert out == ""
+
+
+def test_failed_replace_leaves_existing_output_intact(run_cli, tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(rootstrings.cli.os, "replace", failing_replace)
+    code, out, err = run_cli("table", "--input", str(FIXTURES / "prime.json"),
+                             "--output", str(target))
+    assert code == 1
+    assert err.startswith("error[io]:")
+    assert target.read_text() == "previous report\n"
+    assert list(tmp_path.iterdir()) == [target]          # no temporary file left
+
+
 # --- exit codes -----------------------------------------------------------------
 
 def test_missing_file_exits_1(run_cli):
@@ -95,6 +122,22 @@ def test_bad_json_exits_1(run_cli, tmp_path):
     code, _, err = run_cli("table", "--input", str(bad))
     assert code == 1
     assert err.startswith("error[bad-json]:")
+
+
+def test_characteristic_beyond_primality_limit_exits_1_quickly(run_cli, tmp_path):
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({
+        "characteristic": PRIMALITY_LIMIT,
+        "matrix": [[2, 1], [1, 2]],
+        "parities": ["ev", "ev"],
+    }))
+    start = time.perf_counter()
+    code, out, err = run_cli("table", "--input", str(doc))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error[bad-characteristic]:")
+    assert str(PRIMALITY_LIMIT) in err
+    assert out == ""
 
 
 def test_equal_indices_exit_1(run_cli):

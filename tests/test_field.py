@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rootstrings.field import (
     MAX_EXTENSION_DEGREE,
+    PRIMALITY_LIMIT,
     FieldElement,
     FieldMismatchError,
     FieldSpec,
@@ -20,7 +21,10 @@ GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 GF7 = FieldSpec(7)
 GF4 = FieldSpec(2, 2, (1, 1, 1))
+GF8 = FieldSpec(2, 3, (1, 1, 0, 1))
 GF9 = FieldSpec(3, 2, (1, 0, 1))
+GF25 = FieldSpec(5, 2, (2, 0, 1))
+GF27 = FieldSpec(3, 3, (1, 2, 0, 1))
 GF125 = FieldSpec(5, 3, (1, 1, 0, 1))
 Q = FieldSpec(0)
 
@@ -30,6 +34,33 @@ SMALL_FIELDS = [GF2, GF3, GF5, GF4, GF9]
 def test_is_prime():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_20000():
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,         # strong pseudoprime to the first 9 prime bases
+    318665857834031151167461,    # psi_12: strong pseudoprime to the first 12
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_at_the_exactness_bound():
+    assert is_prime(3317044064679887385961813)    # the largest prime below it
+    with pytest.raises(ValueError, match=str(PRIMALITY_LIMIT)):
+        is_prime(PRIMALITY_LIMIT)
+    with pytest.raises(FieldSpecError, match=str(PRIMALITY_LIMIT)) as info:
+        FieldSpec(PRIMALITY_LIMIT)
+    assert info.value.code == "bad-characteristic"
 
 
 @pytest.mark.parametrize("x,p,expected", [(7, 5, 2), (-1, 5, 4), (0, 5, 0),
@@ -241,6 +272,30 @@ def test_prime_subfield_on_prime_field_is_total():
 def test_prime_subfield_rejects_characteristic_zero():
     with pytest.raises(ValueError):
         Q.element(1).in_prime_subfield()
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF25, GF27], ids=str)
+def test_prime_ratio_matches_division(spec):
+    elems = list(spec.elements())
+    for x in elems:
+        for y in elems:
+            if y:
+                assert x.prime_ratio(y) == (x / y).in_prime_subfield()
+
+
+@given(st.fractions(), st.fractions().filter(bool))
+def test_prime_ratio_at_characteristic_zero(x, y):
+    a, b = Q.element(x), Q.element(y)
+    assert a.prime_ratio(b) == a.rational / b.rational
+
+
+def test_prime_ratio_errors():
+    with pytest.raises(ZeroDivisionError):
+        GF9.element([1, 2]).prime_ratio(GF9.zero())
+    with pytest.raises(ZeroDivisionError):
+        Q.element(1).prime_ratio(Q.zero())
+    with pytest.raises(FieldMismatchError):
+        GF9.element(1).prime_ratio(GF4.element(1))
 
 
 def test_rational_property_needs_characteristic_zero():
