@@ -23,11 +23,13 @@ degeneracies such as 2 = 0 automatic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import total_ordering
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .field import FieldElement, FieldSpec, lift
 
@@ -218,17 +220,45 @@ def d_next(d_prev: FieldElement, a_kj: FieldElement, a_kk: FieldElement,
     return step if parity is Parity.EVEN else -step
 
 
+def _walk_coordinate(a: Union[int, Fraction], c: Union[int, Fraction], sign: int,
+                     p: int) -> Iterator[Union[int, Fraction]]:
+    """One power-basis coordinate of d_0, d_1, ...: A_kk's coordinate is
+    ``a``, A_kj's is ``c``.  Reduced mod p when p > 0; never ends."""
+    d = 0
+    while True:     # c = A_kj + m * A_kk at step m
+        d = sign * (d - c) % p if p else sign * (d - c)
+        yield d
+        c += a
+
+
+def _walk(a_kj: FieldElement, a_kk: FieldElement,
+          parity: Parity) -> Iterator[Union[int, Fraction, tuple[int, ...]]]:
+    """d_0, d_1, ... as raw coordinates, without building field elements.
+
+    The recursion only adds and scales by the integer m, and GF(p) acts
+    coordinate-wise in the power basis, so each coordinate walks on its own:
+    a prime field yields one scalar per step (a ``Fraction`` at p = 0),
+    GF(p^k) a tuple of k residues.  The iterator never ends.
+    """
+    p = a_kk.spec.characteristic
+    walks = [_walk_coordinate(a, c, parity.sign, p)
+             for a, c in zip(a_kk.coeffs, a_kj.coeffs)]
+    return walks[0] if len(walks) == 1 else zip(*walks)
+
+
 def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
-    """Iterate the recursion from d_{-1} = 0 up to index ``last``."""
+    """Iterate the recursion from d_{-1} = 0 up to index ``last``.
+
+    The walk runs on residue coordinates; only the returned values are built
+    as field elements.
+    """
     _check_pair(datum, k, j)
     if last < -1:
         raise ValueError("last index must be >= -1")
-    a_kk = datum.entry(k, k)
-    a_kj = datum.entry(k, j)
-    parity = datum.parity(k)
-    values = [datum.spec.zero()]
-    for m in range(last + 1):
-        values.append(d_next(values[-1], a_kj, a_kk, m, parity))
+    spec = datum.spec
+    walk = _walk(datum.entry(k, j), datum.entry(k, k), datum.parity(k))
+    values = [spec.zero()]
+    values += (spec.element(d) for d in itertools.islice(walk, last + 1))
     return DSequence(k, j, tuple(values))
 
 
@@ -257,19 +287,17 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *, scan_cap: int = 1000) -> 
     is bounded there and a miss raises ConsistencyError.  In characteristic 0
     the scan runs to ``scan_cap``; a scan that comes up empty cannot certify
     infinity on its own, so the closed form then decides between an infinite
-    bound and a too-small cap.
+    bound and a too-small cap.  The walk runs on residue coordinates and
+    builds no field element per step.
     """
     _check_pair(datum, k, j)
     spec = datum.spec
     p = spec.characteristic
-    a_kk = datum.entry(k, k)
-    a_kj = datum.entry(k, j)
-    parity = datum.parity(k)
     bound = 2 * p - 1 if p > 0 else scan_cap
-    d = spec.zero()
+    zero = 0 if spec.degree == 1 else (0,) * spec.degree
+    walk = _walk(datum.entry(k, j), datum.entry(k, k), datum.parity(k))
     for m in range(bound + 1):
-        d = d_next(d, a_kj, a_kk, m, parity)
-        if not d:
+        if next(walk) == zero:
             return BValue(m)
     if p > 0:
         raise ConsistencyError(

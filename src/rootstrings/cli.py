@@ -175,19 +175,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, args) -> None:
     """Write the report to stdout, or to --output atomically: into a
-    temporary file beside the target, which then replaces it."""
+    temporary file beside the target, which then replaces it.  An error that
+    names a file names the --output path, which is the one the user knows."""
     if not getattr(args, "output", None):
         sys.stdout.write(text)
         return
     tmp = f"{args.output}.{os.getpid()}.tmp"
-    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with handle:
-            handle.write(text)
-        os.replace(tmp, args.output)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        handle = open(tmp, "x", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(tmp, args.output)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, args.output) from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

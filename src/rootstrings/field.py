@@ -220,7 +220,7 @@ class FieldSpec:
         build extension-field elements.
         """
         if isinstance(value, FieldElement):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise FieldMismatchError(
                     f"element of {value.spec} cannot enter {self}")
             return value
@@ -295,7 +295,7 @@ class FieldElement:
 
     def _coerce(self, other) -> Optional["FieldElement"]:
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatchError(
                     f"cannot combine elements of {self.spec} and {other.spec}")
             return other
@@ -337,11 +337,16 @@ class FieldElement:
         return rhs - self
 
     def __mul__(self, other):
+        spec = self.spec
+        p, k = spec.characteristic, spec.degree
+        if _is_int(other):
+            # n * x is n * 1 times x: scale each coordinate, no reduction mod f
+            if p == 0:
+                return FieldElement(spec, (self.coeffs[0] * other,))
+            return FieldElement(spec, tuple(other * c % p for c in self.coeffs))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        spec = self.spec
-        p, k = spec.characteristic, spec.degree
         if p == 0:
             return FieldElement(spec, (self.coeffs[0] * rhs.coeffs[0],))
         if k == 1:

@@ -17,24 +17,30 @@ from .field import (
     MAX_EXTENSION_DEGREE,
     FieldElement,
     FieldSpec,
-    check_irreducible,
+    FieldSpecError,
     is_prime,
 )
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of the given degree over GF(p)."""
-    for tail in itertools.product(range(p), repeat=degree):
-        candidate = tail + (1,)
-        if check_irreducible(candidate, p):
-            return candidate
-    raise RuntimeError(f"no irreducible of degree {degree} over GF({p})")
+    if degree < 2:
+        raise ValueError("an irreducible modulus needs degree at least 2")
+    return field_for(p, degree).modulus
 
 
 def field_for(p: int, degree: int) -> FieldSpec:
+    """GF(p^degree), presented by the lexicographically first monic
+    irreducible modulus; ``FieldSpec`` alone decides irreducibility."""
     if degree == 1:
         return FieldSpec(p)
-    return FieldSpec(p, degree, find_irreducible(p, degree))
+    for tail in itertools.product(range(p), repeat=degree):
+        try:
+            return FieldSpec(p, degree, tail + (1,))
+        except FieldSpecError as exc:
+            if exc.code != "reducible-modulus":
+                raise
+    raise RuntimeError(f"no irreducible of degree {degree} over GF({p})")
 
 
 def sweep_pairs(spec: FieldSpec) -> Iterator[tuple[Parity, FieldElement, FieldElement]]:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -323,3 +324,94 @@ def test_closed_form_makes_no_field_division(spec, monkeypatch):
     assert table[0][1] == (-2 * 3) % p          # even row: lift(-2c)
     assert table[1][2] == 2 * ((-3) % p)        # odd row: 2 lift(-c)
     assert table[0][2] == 0
+
+
+# --- the recursion kernel ----------------------------------------------------
+
+GF1009 = FieldSpec(1009)
+GF1009_2 = FieldSpec(1009, 2, (998, 0, 1))     # t^2 - 11; 11 is not a square mod 1009
+
+
+@pytest.mark.parametrize("spec", [GF1009, GF1009_2], ids=str)
+def test_b_recursive_builds_no_element_per_step(spec, monkeypatch):
+    # odd row, A_kk = 1: A_kj = c gives B = 2 * lift(-c), and A_kj = t,
+    # outside GF(p), gives 2p - 1
+    top = (2016, 1) if spec.degree == 1 else (2017, [0, 1])
+    data = {b: pair_datum(spec, 1, a_kj, Parity.ODD) for b, a_kj in [(10, -5), (1000, -500), top]}
+    built = []
+    original = FieldElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(FieldElement, "__post_init__", counting)
+    counts = []
+    for bound, datum in data.items():
+        built.clear()
+        assert b_recursive(datum, 1, 2) == bound
+        counts.append(len(built))
+    assert counts == [counts[0]] * len(counts)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF5, GF9, FieldSpec(3, 3, (1, 2, 0, 1))], ids=str)
+def test_d_sequence_matches_iterated_d_next(spec):
+    last = 2 * spec.characteristic
+    for parity, a_kk, a_kj in sweep_pairs(spec):
+        seq = d_sequence(pair_datum(spec, a_kk, a_kj, parity), 1, 2, last)
+        d = spec.zero()
+        for m in range(last + 1):
+            d = d_next(d, a_kj, a_kk, m, parity)
+            assert seq[m] == d, (spec, parity, str(a_kk), str(a_kj), m)
+
+
+@pytest.mark.parametrize("a_kk,a_kj", [
+    (2, -3), (Fraction(1, 2), Fraction(-3, 2)), (0, 5), (Fraction(-7, 3), 4), (1, 0)])
+@pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+def test_d_sequence_matches_iterated_d_next_rationals(a_kk, a_kj, parity):
+    datum = pair_datum(Q, a_kk, a_kj, parity)
+    seq = d_sequence(datum, 1, 2, 12)
+    d = Q.zero()
+    for m in range(13):
+        d = d_next(d, datum.entry(1, 2), datum.entry(1, 1), m, parity)
+        assert seq[m] == d
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("this route must not be used")
+
+
+def test_closed_form_does_not_walk(monkeypatch):
+    t = GF9.element([0, 1])
+    datum = CartanDatum.build(
+        GF9, [[1, t, 0, 2], [t, 2, 1, 1], [0, 1, 1, t], [1, 1, 2, 0]], ["ev", "od", "ev", "od"])
+    expected = b_table(datum)
+    monkeypatch.setattr("rootstrings.cartan._walk", _raise)
+    assert b_table(datum) == expected
+    with pytest.raises(RuntimeError):
+        b_recursive(datum, 1, 2)
+
+
+@pytest.mark.parametrize("spec", [GF7, GF9], ids=str)
+def test_recursion_reads_no_prime_ratio(spec, monkeypatch):
+    data = [pair_datum(spec, a_kk, a_kj, parity) for parity, a_kk, a_kj in sweep_pairs(spec)]
+    cases = [(datum, b_closed(datum, 1, 2)) for datum in data]
+    monkeypatch.setattr(FieldElement, "prime_ratio", _raise)
+    for datum, closed in cases:
+        assert b_recursive(datum, 1, 2) == closed
+    with pytest.raises(RuntimeError):
+        b_closed(cases[-1][0], 1, 2)
+
+
+def test_longest_prime_field_walk_through_cli(run_cli, tmp_path):
+    # odd row, A_kk = A_kj = 1: c = 1, so B = 2 * (p - 1), the largest bound
+    # a prime field allows; the recursion walks all of it
+    p = 1000003
+    doc = tmp_path / "long.json"
+    doc.write_text(json.dumps({"characteristic": p, "matrix": [[1, 1], [1, 2]],
+                               "parities": ["od", "ev"]}))
+    code, out, err = run_cli("bkj", "--input", str(doc), "--k", "1", "--j", "2")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["b"] == 2 * (p - 1) == 2000004
+    assert report["routes"] == {"closed": 2000004, "recursive": 2000004, "agree": True}

@@ -80,6 +80,8 @@ def test_unwritable_output_exits_1(run_cli, tmp_path):
                              "--output", str(target))
     assert code == 1
     assert err.startswith("error[io]:")
+    assert "x.json" in err
+    assert ".tmp" not in err
     assert out == ""
 
 

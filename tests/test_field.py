@@ -355,3 +355,17 @@ def test_random_rational_arithmetic(x, y):
     assert (a + b).rational == x + y
     assert (a * b).rational == x * y
     assert (a - b).rational == x - y
+
+
+def _elements_of(spec):
+    if spec.characteristic == 0:
+        return st.fractions().map(spec.element)
+    return st.lists(st.integers(0, spec.characteristic - 1),
+                    min_size=spec.degree, max_size=spec.degree).map(spec.element)
+
+
+@pytest.mark.parametrize("spec", [GF7, GF9, GF125, Q], ids=str)
+@given(data=st.data(), n=st.integers() | st.integers(-10**40, 10**40))
+def test_integer_scaling_matches_field_product(spec, data, n):
+    x = data.draw(_elements_of(spec))
+    assert n * x == spec.element(n) * x == x * n
