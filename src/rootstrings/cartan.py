@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -232,18 +233,18 @@ def _walk_coordinate(a: Union[int, Fraction], c: Union[int, Fraction], sign: int
 
 
 def _walk(a_kj: FieldElement, a_kk: FieldElement,
-          parity: Parity) -> Iterator[Union[int, Fraction, tuple[int, ...]]]:
-    """d_0, d_1, ... as raw coordinates, without building field elements.
+          parity: Parity) -> Iterator[tuple]:
+    """d_0, d_1, ... as coordinate tuples laid out like ``FieldElement.coeffs``,
+    without building field elements.
 
     The recursion only adds and scales by the integer m, and GF(p) acts
-    coordinate-wise in the power basis, so each coordinate walks on its own:
-    a prime field yields one scalar per step (a ``Fraction`` at p = 0),
-    GF(p^k) a tuple of k residues.  The iterator never ends.
+    coordinate-wise in the power basis, so each coordinate walks on its own
+    (a ``Fraction`` at p = 0).  As for a field element, a step is zero when
+    no coordinate is nonzero.  The iterator never ends.
     """
     p = a_kk.spec.characteristic
-    walks = [_walk_coordinate(a, c, parity.sign, p)
-             for a, c in zip(a_kk.coeffs, a_kj.coeffs)]
-    return walks[0] if len(walks) == 1 else zip(*walks)
+    return zip(*(_walk_coordinate(a, c, parity.sign, p)
+                 for a, c in zip(a_kk.coeffs, a_kj.coeffs)))
 
 
 def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
@@ -258,7 +259,7 @@ def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
     spec = datum.spec
     walk = _walk(datum.entry(k, j), datum.entry(k, k), datum.parity(k))
     values = [spec.zero()]
-    values += (spec.element(d) for d in itertools.islice(walk, last + 1))
+    values += (FieldElement(spec, d) for d in itertools.islice(walk, last + 1))
     return DSequence(k, j, tuple(values))
 
 
@@ -294,11 +295,12 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *, scan_cap: int = 1000) -> 
     spec = datum.spec
     p = spec.characteristic
     bound = 2 * p - 1 if p > 0 else scan_cap
-    zero = 0 if spec.degree == 1 else (0,) * spec.degree
-    walk = _walk(datum.entry(k, j), datum.entry(k, k), datum.parity(k))
-    for m in range(bound + 1):
-        if next(walk) == zero:
-            return BValue(m)
+    steps = itertools.islice(
+        _walk(datum.entry(k, j), datum.entry(k, k), datum.parity(k)), bound + 1)
+    try:
+        return BValue(operator.indexOf(map(any, steps), False))
+    except ValueError:      # no zero among d_0, ..., d_bound
+        pass
     if p > 0:
         raise ConsistencyError(
             f"no zero of the d-sequence up to m = {bound} at (k, j) = ({k}, {j})")

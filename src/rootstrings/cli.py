@@ -175,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, args) -> None:
     """Write the report to stdout, or to --output atomically: into a
-    temporary file beside the target, which then replaces it.  An error that
-    names a file names the --output path, which is the one the user knows."""
+    temporary file beside the target, which then replaces it.  An error on
+    the temporary file names the --output path, which is the one the user
+    knows."""
     if not getattr(args, "output", None):
         sys.stdout.write(text)
         return
@@ -191,7 +192,8 @@ def _emit(text: str, args) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        if exc.filename is None:
+        # a stale temporary file from an earlier run keeps its name: it is in the way
+        if exc.filename != tmp or isinstance(exc, FileExistsError):
             raise
         raise OSError(exc.errno, exc.strerror, args.output) from None
 

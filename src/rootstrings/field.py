@@ -337,16 +337,11 @@ class FieldElement:
         return rhs - self
 
     def __mul__(self, other):
-        spec = self.spec
-        p, k = spec.characteristic, spec.degree
-        if _is_int(other):
-            # n * x is n * 1 times x: scale each coordinate, no reduction mod f
-            if p == 0:
-                return FieldElement(spec, (self.coeffs[0] * other,))
-            return FieldElement(spec, tuple(other * c % p for c in self.coeffs))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        spec = self.spec
+        p, k = spec.characteristic, spec.degree
         if p == 0:
             return FieldElement(spec, (self.coeffs[0] * rhs.coeffs[0],))
         if k == 1:

@@ -18,25 +18,34 @@ from .field import (
     FieldElement,
     FieldSpec,
     FieldSpecError,
+    check_irreducible,
     is_prime,
 )
 
 
+def _monic_candidates(p: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """Monic polynomials of the given degree over GF(p), coefficients low
+    degree first, in lexicographic order."""
+    return (tail + (1,) for tail in itertools.product(range(p), repeat=degree))
+
+
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of the given degree over GF(p)."""
-    if degree < 2:
-        raise ValueError("an irreducible modulus needs degree at least 2")
-    return field_for(p, degree).modulus
+    for candidate in _monic_candidates(p, degree):
+        if check_irreducible(candidate, p):
+            return candidate
+    raise RuntimeError(f"no irreducible of degree {degree} over GF({p})")
 
 
 def field_for(p: int, degree: int) -> FieldSpec:
-    """GF(p^degree), presented by the lexicographically first monic
-    irreducible modulus; ``FieldSpec`` alone decides irreducibility."""
+    """GF(p^degree), presented by ``find_irreducible``'s modulus.  The search
+    builds each candidate's ``FieldSpec`` directly, so each candidate's
+    irreducibility is tested once."""
     if degree == 1:
         return FieldSpec(p)
-    for tail in itertools.product(range(p), repeat=degree):
+    for candidate in _monic_candidates(p, degree):
         try:
-            return FieldSpec(p, degree, tail + (1,))
+            return FieldSpec(p, degree, candidate)
         except FieldSpecError as exc:
             if exc.code != "reducible-modulus":
                 raise

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -82,6 +83,21 @@ def test_unwritable_output_exits_1(run_cli, tmp_path):
     assert err.startswith("error[io]:")
     assert "x.json" in err
     assert ".tmp" not in err
+    assert out == ""
+
+
+def test_stale_temporary_file_is_named(run_cli, tmp_path):
+    target = tmp_path / "x.json"
+    target.write_text("previous report\n")
+    stale = tmp_path / f"x.json.{os.getpid()}.tmp"
+    stale.write_text("left by a killed run\n")
+    code, out, err = run_cli("table", "--input", str(FIXTURES / "prime.json"),
+                             "--output", str(target))
+    assert code == 1
+    assert err.startswith("error[io]:")
+    assert str(stale) in err
+    assert stale.read_text() == "left by a killed run\n"
+    assert target.read_text() == "previous report\n"
     assert out == ""
 
 

@@ -38,8 +38,18 @@ def test_each_candidate_modulus_tested_once(monkeypatch, p, degree, modulus):
     assert find_irreducible(p, degree) == modulus
     assert len(calls) == 2 * tried
 
+
 def test_find_irreducible_needs_degree_two():
     with pytest.raises(ValueError):
         find_irreducible(3, 1)
     with pytest.raises(ValueError):
         find_irreducible(4, 2)
+
+
+def test_find_irreducible_beyond_field_spec_degrees():
+    # FieldSpec stops at MAX_EXTENSION_DEGREE; the modulus search does not
+    assert field.MAX_EXTENSION_DEGREE < 9
+    assert find_irreducible(2, 9) == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+    with pytest.raises(field.FieldSpecError) as excinfo:
+        field_for(2, 9)
+    assert excinfo.value.code == "bad-extension"
