@@ -143,7 +143,7 @@ class CartanDatum:
             for entry in row:
                 if not isinstance(entry, FieldElement):
                     raise TypeError("matrix entries must be field elements")
-                if entry.spec != self.spec:
+                if entry.spec is not self.spec and entry.spec != self.spec:
                     raise ValueError("all entries must share the datum's field")
         if any(not isinstance(q, Parity) for q in self.parities):
             raise TypeError("parities must be Parity values")
@@ -358,8 +358,18 @@ def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
 
 
 def b_table(datum: CartanDatum) -> tuple[tuple[Optional[BValue], ...], ...]:
-    """All bounds at once: entry [k-1][j-1] is B_kj, None on the diagonal."""
-    n = datum.n
-    return tuple(
-        tuple(None if k == j else b_closed(datum, k, j) for j in range(1, n + 1))
-        for k in range(1, n + 1))
+    """All bounds at once: entry [k-1][j-1] is B_kj, None on the diagonal.
+
+    B_kj depends only on (i_k, A_kk, A_kj), and the first two are fixed along
+    row k, so ``b_closed`` runs once per distinct A_kj of a row: at most q
+    times per row over GF(q).
+    """
+    table = []
+    for k, row in enumerate(datum.entries, 1):
+        bounds = {}
+        for j, a_kj in enumerate(row, 1):
+            if j != k and a_kj.coeffs not in bounds:
+                bounds[a_kj.coeffs] = b_closed(datum, k, j)
+        table.append(tuple(None if j == k else bounds[a_kj.coeffs]
+                           for j, a_kj in enumerate(row, 1)))
+    return tuple(table)

@@ -81,11 +81,37 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
                 "bad-parity", f'parity {i + 1} must be "ev" or "od", got {label!r}')
         parsed_parities.append(Parity(label))
 
-    entries = tuple(
-        tuple(_parse_entry(spec, value, strict, r + 1, c + 1)
-              for c, value in enumerate(row))
-        for r, row in enumerate(matrix))
-    return CartanDatum(spec, entries, tuple(parsed_parities))
+    # A matrix holds few distinct values, so each is parsed once.  Only
+    # successes are remembered, so the first bad entry is still the one named.
+    parsed: dict = {}
+    entries = []
+    for r, row in enumerate(matrix):
+        out = []
+        for c, value in enumerate(row):
+            key = _memo_key(value)
+            element = parsed.get(key)
+            if element is None:
+                element = _parse_entry(spec, value, strict, r + 1, c + 1)
+                if key is not None:
+                    parsed[key] = element
+            out.append(element)
+        entries.append(tuple(out))
+    return CartanDatum(spec, tuple(entries), tuple(parsed_parities))
+
+
+def _memo_key(value):
+    """Hashable key of a raw entry that can parse, else None.
+
+    The key carries the exact type because 1, 1.0 and True hash and compare
+    equal, and so do [1, 2] and [1, 2.0]; only ints, strings and lists of
+    ints can parse, so every other value gets None and is never remembered.
+    """
+    kind = type(value)
+    if kind is int or kind is str:
+        return kind, value
+    if kind is list and all(type(c) is int for c in value):
+        return kind, tuple(value)
+    return None
 
 
 def _parse_field(characteristic, extension) -> FieldSpec:

@@ -78,7 +78,13 @@ class ReflectionResult:
 
 
 def basis_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant, by fraction-free (Bareiss) elimination."""
+    """Exact integer determinant, by fraction-free (Bareiss) elimination.
+
+    A row whose entry below the pivot is already zero is left alone when the
+    pivot equals the previous one: its update would be x * prev // prev = x.
+    The basis matrix of a reflection is the identity except for one row, so
+    its determinant then costs O(n^2), not O(n^3).
+    """
     n = len(matrix)
     rows = [list(map(int, row)) for row in matrix]
     if any(len(row) != n for row in rows):
@@ -96,11 +102,14 @@ def basis_determinant(matrix: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
+        pivot = rows[i][i]
         for r in range(i + 1, n):
+            if rows[r][i] == 0 and pivot == prev:
+                continue
             for c in range(i + 1, n):
-                rows[r][c] = (rows[r][c] * rows[i][i] - rows[r][i] * rows[i][c]) // prev
+                rows[r][c] = (rows[r][c] * pivot - rows[r][i] * rows[i][c]) // prev
             rows[r][i] = 0
-        prev = rows[i][i]
+        prev = pivot
     return sign * rows[n - 1][n - 1]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .cartan import Parity, b_closed, b_recursive, pair_datum
+from .cartan import CartanDatum, Parity, b_closed, b_recursive
 from .field import (
     MAX_EXTENSION_DEGREE,
     FieldElement,
@@ -83,8 +83,9 @@ def check_field(spec: FieldSpec) -> dict:
     cases = 0
     mismatches = []
     b_counts: dict[int, int] = {}
+    zero_row = (spec.zero(),) * 2   # the layout of cartan.pair_datum
     for parity, a_kk, a_kj in sweep_pairs(spec):
-        datum = pair_datum(spec, a_kk, a_kj, parity)
+        datum = CartanDatum(spec, ((a_kk, a_kj), zero_row), (parity, Parity.EVEN))
         closed = b_closed(datum, 1, 2)
         recursive = b_recursive(datum, 1, 2)
         ceiling = bound_ceiling(p, parity)

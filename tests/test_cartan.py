@@ -302,6 +302,46 @@ def test_b_table_matches_pointwise_calls():
                 assert table[k - 1][j - 1] == b_closed(datum, k, j)
 
 
+GF101 = FieldSpec(101)
+
+
+def random_datum(spec, n, seed):
+    """A rank-n datum with entries drawn, with repeats, from the field (a
+    small set of rationals at characteristic 0)."""
+    rng = random.Random(seed)
+    if spec.characteristic:
+        values = list(spec.elements())
+    else:
+        values = [spec.element(Fraction(a, b)) for a in range(-6, 7) for b in (1, 2, 3)]
+    rows = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+    return CartanDatum(spec, rows, tuple(rng.choice(list(Parity)) for _ in range(n)))
+
+
+@pytest.mark.parametrize("spec", [GF3, GF9, GF125, GF101, Q], ids=str)
+@pytest.mark.parametrize("n,seed", [(20, 1), (33, 2)])
+def test_b_table_matches_b_closed_entry_by_entry(spec, n, seed):
+    datum = random_datum(spec, n, seed)
+    expected = tuple(
+        tuple(None if k == j else b_closed(datum, k, j) for j in range(1, n + 1))
+        for k in range(1, n + 1))
+    assert b_table(datum) == expected
+
+
+@pytest.mark.parametrize("spec", [GF3, GF9], ids=str)
+def test_b_table_runs_the_ladder_at_most_q_times_per_row(spec, monkeypatch):
+    n = 40
+    datum = random_datum(spec, n, 3)
+    calls = []
+
+    def counting(datum, k, j):
+        calls.append((k, j))
+        return b_closed(datum, k, j)
+
+    monkeypatch.setattr("rootstrings.cartan.b_closed", counting)
+    b_table(datum)
+    assert len(calls) <= n * spec.order
+
+
 @pytest.mark.parametrize("spec", [GF125, GF7], ids=str)
 def test_closed_form_makes_no_field_division(spec, monkeypatch):
     rng = random.Random(8)

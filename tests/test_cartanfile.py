@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -184,6 +185,65 @@ def test_strict_mode_rejects_unreduced_values():
     # reduced documents pass strict mode untouched
     datum = parse_cartan(doc(), strict=True)
     assert datum.entry(1, 2) == GF3.element(1)
+
+
+# --- the per-document entry memo ------------------------------------------------
+
+GF9_EXTENSION = {"degree": 2, "modulus": [1, 0, 1]}
+
+
+@pytest.mark.parametrize("text,where", [
+    # each bad entry hashes and compares equal to a good one parsed before it
+    (doc(matrix=[[1, 2], [1.0, 0]]), "entry (2, 1)"),
+    (doc(matrix=[[1, 2], [True, 0]]), "entry (2, 1)"),
+    (doc(characteristic=0, matrix=[[1, 2], [1.0, 0]]), "entry (2, 1)"),
+    (doc(characteristic=0, matrix=[[1, 0], [0, True]]), "entry (2, 2)"),
+    (doc(extension=GF9_EXTENSION, matrix=[[[1, 2], 0], [0, [1, 2.0]]]), "entry (2, 2)"),
+    (doc(extension=GF9_EXTENSION, matrix=[[[1, 1], [1, True]], [0, 0]]), "entry (1, 2)"),
+])
+def test_equal_hashing_bad_entry_after_a_good_one_is_rejected(text, where):
+    with pytest.raises(CartanFileError) as info:
+        parse_cartan(text)
+    assert info.value.code == "bad-entry"
+    assert str(info.value).startswith(where + ":")
+
+
+def test_strict_mode_rejects_a_repeated_unreduced_entry():
+    text = doc(matrix=[[1, 7], [7, 0]])
+    assert parse_cartan(text).entry(2, 1) == GF3.element(1)
+    with pytest.raises(CartanFileError) as info:
+        parse_cartan(text, strict=True)
+    assert info.value.code == "unreduced-entry"
+    assert str(info.value).startswith("entry (1, 2):")
+    with pytest.raises(CartanFileError) as info:
+        parse_cartan(doc(matrix=[[1, 1], [4, 0]]), strict=True)
+    assert str(info.value).startswith("entry (2, 1):")
+
+
+def test_equal_rational_strings_parse_alike():
+    datum = parse_cartan(doc(characteristic=0, matrix=[["1/2", "2/4"], ["1/2", 0]]))
+    half = Q.element(Fraction(1, 2))
+    assert datum.entry(1, 1) == datum.entry(1, 2) == datum.entry(2, 1) == half
+
+
+def test_parse_builds_each_distinct_entry_once(monkeypatch):
+    rng = random.Random(100)
+    n = 100
+    matrix = [[[rng.randrange(3), rng.randrange(3)] for _ in range(n)] for _ in range(n)]
+    text = doc(extension=GF9_EXTENSION, matrix=matrix, parities=["ev"] * n)
+    built = []
+    original = field.FieldElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(field.FieldElement, "__post_init__", counting)
+    datum = parse_cartan(text)
+    assert len(built) <= 9 + 3
+    monkeypatch.undo()
+    assert all(datum.entry(r + 1, c + 1) == GF9.element(value)
+               for r, row in enumerate(matrix) for c, value in enumerate(row))
 
 
 # --- serialization ---------------------------------------------------------------

@@ -1,7 +1,8 @@
 import random
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rootstrings.cartan import BValue, CartanDatum, Parity, b_recursive, pair_datum
@@ -17,6 +18,7 @@ from rootstrings.reflection import (
 
 GF3 = FieldSpec(3)
 GF9 = FieldSpec(3, 2, (1, 0, 1))
+GF7 = FieldSpec(7)
 Q = FieldSpec(0)
 
 
@@ -70,6 +72,42 @@ def test_basis_determinant_small_cases():
         min_size=n, max_size=n)))
 def test_basis_determinant_matches_cofactor_expansion(matrix):
     assert basis_determinant(matrix) == naive_determinant(matrix)
+
+
+def square_matrices(max_n, entries):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+# mostly zeros, so many rows skip their update; the integers give pivots
+# other than +-1, among them equal consecutive ones
+@given(square_matrices(6, st.one_of(st.just(0), st.just(0), st.integers(-6, 6))))
+@example([[2, 0, 5], [0, 1, 3], [1, 0, 4]])    # pivot = prev = 2 with a zero below it
+@example([[3, 0, 0, 0], [0, 1, 0, 2], [0, 0, 1, 0], [0, 0, 0, 1]])
+def test_basis_determinant_of_sparse_matrices_matches_cofactor_expansion(matrix):
+    assert basis_determinant(matrix) == naive_determinant(matrix)
+
+
+def random_reflection(n, seed):
+    rng = random.Random(seed)
+    elements = list(GF7.elements())
+    rows = [[rng.choice(elements) for _ in range(n)] for _ in range(n)]
+    datum = CartanDatum(GF7, rows, tuple(rng.choice(list(Parity)) for _ in range(n)))
+    return reflect(datum, rng.randint(1, n))
+
+
+def test_reflect_basis_determinant_is_minus_one_up_to_rank_40():
+    for n in range(1, 41):
+        assert basis_determinant(random_reflection(n, n).basis_matrix) == -1
+
+
+def test_reflect_basis_determinant_is_fast_at_rank_400():
+    # O(n^2) once rows with a zero below an unchanged pivot are skipped;
+    # full Bareiss elimination at this rank takes seconds
+    matrix = random_reflection(400, 400).basis_matrix
+    start = time.perf_counter()
+    assert basis_determinant(matrix) == -1
+    assert time.perf_counter() - start < 1.0
 
 
 # --- reflect on worked examples ---------------------------------------------------
