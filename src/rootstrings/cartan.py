@@ -289,9 +289,12 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *, scan_cap: int = 1000) -> 
     the scan runs to ``scan_cap``; a scan that comes up empty cannot certify
     infinity on its own, so the closed form then decides between an infinite
     bound and a too-small cap.  The walk runs on residue coordinates and
-    builds no field element per step.
+    builds no field element per step.  A negative cap is refused at every
+    characteristic.
     """
     _check_pair(datum, k, j)
+    if scan_cap < 0:
+        raise ValueError("scan cap must be >= 0")
     spec = datum.spec
     p = spec.characteristic
     bound = 2 * p - 1 if p > 0 else scan_cap
@@ -357,19 +360,25 @@ def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
     return BValue(int(m) if even else 2 * int(m))
 
 
-def b_table(datum: CartanDatum) -> tuple[tuple[Optional[BValue], ...], ...]:
-    """All bounds at once: entry [k-1][j-1] is B_kj, None on the diagonal.
+def b_row(datum: CartanDatum, k: int) -> tuple[Optional[BValue], ...]:
+    """The bounds B_k1, ..., B_kn of row k, None at j = k.
 
     B_kj depends only on (i_k, A_kk, A_kj), and the first two are fixed along
-    row k, so ``b_closed`` runs once per distinct A_kj of a row: at most q
-    times per row over GF(q).
+    row k, so ``b_closed`` runs once per distinct A_kj of the row: at most q
+    times over GF(q).
     """
-    table = []
-    for k, row in enumerate(datum.entries, 1):
-        bounds = {}
-        for j, a_kj in enumerate(row, 1):
-            if j != k and a_kj.coeffs not in bounds:
-                bounds[a_kj.coeffs] = b_closed(datum, k, j)
-        table.append(tuple(None if j == k else bounds[a_kj.coeffs]
-                           for j, a_kj in enumerate(row, 1)))
-    return tuple(table)
+    n = datum.n
+    if not 1 <= k <= n:
+        raise IndexError(f"k must lie in [1, {n}]")
+    row = datum.entries[k - 1]
+    bounds = {}
+    for j, a_kj in enumerate(row, 1):
+        if j != k and a_kj.coeffs not in bounds:
+            bounds[a_kj.coeffs] = b_closed(datum, k, j)
+    return tuple(None if j == k else bounds[a_kj.coeffs] for j, a_kj in enumerate(row, 1))
+
+
+def b_table(datum: CartanDatum) -> tuple[tuple[Optional[BValue], ...], ...]:
+    """All bounds at once: entry [k-1][j-1] is B_kj, None on the diagonal.
+    Row k is ``b_row(datum, k)``."""
+    return tuple(b_row(datum, k) for k in range(1, datum.n + 1))

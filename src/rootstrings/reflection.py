@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cartan import BValue, CartanDatum, b_closed
+from .cartan import BValue, CartanDatum, b_row
 
 
 class ReflectionUndefinedError(ValueError):
@@ -118,25 +118,20 @@ def reflect(datum: CartanDatum, k: int) -> ReflectionResult:
 
     Every B_kj must be finite, which always holds in positive
     characteristic; at characteristic 0 an infinite bound raises
-    ReflectionUndefinedError naming the offending j.
+    ReflectionUndefinedError naming the smallest offending j.  The basis
+    matrix is the identity with row k replaced by (B_k1, ..., -1, ..., B_kn),
+    and sigma_j is its j-th column.
     """
-    n = datum.n
-    if not 1 <= k <= n:
-        raise IndexError(f"k must lie in [1, {n}]")
-    b_row: list[Optional[BValue]] = []
-    sigma: list[RootVector] = []
-    for j in range(1, n + 1):
-        if j == k:
-            b_row.append(None)
-            sigma.append(-RootVector.simple(n, k))
-            continue
-        b = b_closed(datum, k, j)
-        if not b.is_finite:
+    bounds = b_row(datum, k)
+    for j, b in enumerate(bounds, 1):
+        if b is not None and not b.is_finite:
             raise ReflectionUndefinedError(k, j)
-        b_row.append(b)
-        sigma.append(RootVector.simple(n, j) + RootVector.simple(n, k).scaled(b.value))
-    matrix = tuple(tuple(sigma[col].coords[row] for col in range(n)) for row in range(n))
-    return ReflectionResult(k=k, b_row=tuple(b_row), sigma=tuple(sigma), basis_matrix=matrix)
+    n = datum.n
+    row_k = tuple(-1 if b is None else b.value for b in bounds)
+    matrix = tuple(row_k if r == k - 1 else (0,) * r + (1,) + (0,) * (n - r - 1)
+                   for r in range(n))
+    sigma = tuple(RootVector(col) for col in zip(*matrix))
+    return ReflectionResult(k=k, b_row=bounds, sigma=sigma, basis_matrix=matrix)
 
 
 def unimodularity_check(result: ReflectionResult) -> bool:

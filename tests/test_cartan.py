@@ -22,6 +22,7 @@ from rootstrings.cartan import (
     pair_datum,
 )
 from rootstrings.field import FieldElement, FieldSpec
+from rootstrings.reflection import reflect
 from rootstrings.selfcheck import sweep_pairs
 
 GF2 = FieldSpec(2)
@@ -272,6 +273,9 @@ def test_scan_cap_behaviour():
     with pytest.raises(ValueError, match="scan_cap"):
         b_recursive(big, 1, 2, scan_cap=10)
     assert b_recursive(big, 1, 2, scan_cap=500) == 500
+    for spec in (Q, GF3):
+        with pytest.raises(ValueError, match="scan cap must be >= 0"):
+            b_recursive(pair_datum(spec, 2, -1, Parity.EVEN), 1, 2, scan_cap=-1)
 
 
 def test_rational_entries_work_throughout():
@@ -338,8 +342,13 @@ def test_b_table_runs_the_ladder_at_most_q_times_per_row(spec, monkeypatch):
         return b_closed(datum, k, j)
 
     monkeypatch.setattr("rootstrings.cartan.b_closed", counting)
+    monkeypatch.setattr("rootstrings.reflection.b_closed", counting, raising=False)
     b_table(datum)
     assert len(calls) <= n * spec.order
+    for k in range(1, n + 1):
+        calls.clear()
+        reflect(datum, k)
+        assert len(calls) <= spec.order
 
 
 @pytest.mark.parametrize("spec", [GF125, GF7], ids=str)

@@ -282,6 +282,15 @@ def test_scan_cap_override_on_bkj(run_cli, tmp_path):
     assert json.loads(out)["b"] == 1500
 
 
+def test_negative_scan_cap_on_bkj_exits_1(run_cli):
+    for fixture in ("char0.json", "prime.json"):
+        code, out, err = run_cli("bkj", "--input", str(FIXTURES / fixture),
+                                 "--k", "1", "--j", "2", "--max-m", "-3")
+        assert code == 1
+        assert err == "error[invalid]: scan cap must be >= 0\n"
+        assert out == ""
+
+
 # --- the installed entry point ----------------------------------------------------
 
 def test_module_invocation_smoke():

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rootstrings.cartan import BValue, CartanDatum, Parity, b_recursive, pair_datum
+from rootstrings.cartan import (
+    INFINITY,
+    BValue,
+    CartanDatum,
+    Parity,
+    b_recursive,
+    b_table,
+    pair_datum,
+)
 from rootstrings.field import FieldSpec
 from rootstrings.reflection import (
     ReflectionResult,
@@ -19,6 +27,8 @@ from rootstrings.reflection import (
 GF3 = FieldSpec(3)
 GF9 = FieldSpec(3, 2, (1, 0, 1))
 GF7 = FieldSpec(7)
+GF101 = FieldSpec(101)
+GF125 = FieldSpec(5, 3, (1, 1, 0, 1))
 Q = FieldSpec(0)
 
 
@@ -166,6 +176,13 @@ def test_reflect_infinite_bound_is_an_error():
     assert info.value.k == 1
     assert info.value.j == 2
     assert "infinite" in str(info.value)
+    # row 3 has infinite bounds at j = 2 and j = 4, and a finite one at j = 1
+    datum = CartanDatum.build(
+        Q, [[2, -1, 0, 0], [-1, 2, -1, 0], [-2, 1, 2, 3], [0, 0, -1, 2]], ["ev"] * 4)
+    assert b_table(datum)[2] == (BValue(2), INFINITY, None, INFINITY)
+    with pytest.raises(ReflectionUndefinedError) as info:
+        reflect(datum, 3)
+    assert (info.value.k, info.value.j) == (3, 2)
 
 
 def test_unimodularity_check_rejects_corrupted_matrix():
@@ -182,6 +199,20 @@ def test_unimodularity_check_rejects_corrupted_matrix():
 
 # --- randomized structure ----------------------------------------------------------
 
+def assert_reflection_structure(datum, k):
+    n = datum.n
+    result = reflect(datum, k)
+    assert result.b_row == b_table(datum)[k - 1]
+    assert result.sigma[k - 1] == -RootVector.simple(n, k)
+    for j in range(1, n + 1):
+        if j == k:
+            continue
+        delta = result.sigma[j - 1] - RootVector.simple(n, j)
+        b = b_recursive(datum, k, j)   # the independent route
+        assert delta == RootVector.simple(n, k).scaled(int(b))
+    assert basis_determinant(result.basis_matrix) == -1
+
+
 def test_reflection_structure_random_data():
     rng = random.Random(1729)
     for _ in range(200):
@@ -191,16 +222,14 @@ def test_reflection_structure_random_data():
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         parities = [rng.choice(["ev", "od"]) for _ in range(n)]
         datum = CartanDatum.build(spec, rows, parities)
-        k = rng.randint(1, n)
-        result = reflect(datum, k)
-        assert result.sigma[k - 1] == -RootVector.simple(n, k)
-        for j in range(1, n + 1):
-            if j == k:
-                continue
-            delta = result.sigma[j - 1] - RootVector.simple(n, j)
-            b = b_recursive(datum, k, j)   # the independent route
-            assert delta == RootVector.simple(n, k).scaled(int(b))
-        assert basis_determinant(result.basis_matrix) == -1
+        assert_reflection_structure(datum, rng.randint(1, n))
+    for spec in (GF9, GF125, GF101):
+        elements = list(spec.elements())
+        for n in (5, 17, 30):
+            rows = [[rng.choice(elements) for _ in range(n)] for _ in range(n)]
+            datum = CartanDatum(spec, rows, tuple(rng.choice(list(Parity)) for _ in range(n)))
+            for k in (1, rng.randint(1, n), n):
+                assert_reflection_structure(datum, k)
 
 
 def test_reflect_is_deterministic():
