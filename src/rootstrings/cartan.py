@@ -35,6 +35,10 @@ from typing import Iterator, Optional, Union
 from .field import FieldElement, FieldSpec, lift
 
 
+#: How far ``b_recursive`` scans the d-sequence at characteristic 0 by default.
+DEFAULT_SCAN_CAP = 1000
+
+
 class ConsistencyError(RuntimeError):
     """The two routes to a bound disagreed, or a guaranteed zero never came.
 
@@ -196,12 +200,7 @@ def pair_datum(spec: FieldSpec, a_kk, a_kj, parity: Parity) -> CartanDatum:
     Handy for exhaustive sweeps over a whole field: only row 1 matters for
     B_12, so row 2 is zero-filled.
     """
-    zero = spec.zero()
-    return CartanDatum(
-        spec,
-        ((spec.element(a_kk), spec.element(a_kj)), (zero, zero)),
-        (parity, Parity.EVEN),
-    )
+    return CartanDatum.build(spec, ((a_kk, a_kj), (0, 0)), (parity, Parity.EVEN))
 
 
 def _check_pair(datum: CartanDatum, k: int, j: int) -> None:
@@ -281,7 +280,8 @@ def d_closed_odd(a_kj: FieldElement, a_kk: FieldElement, m: int) -> FieldElement
     return ((m + 1) // 2) * a_kk
 
 
-def b_recursive(datum: CartanDatum, k: int, j: int, *, scan_cap: int = 1000) -> BValue:
+def b_recursive(datum: CartanDatum, k: int, j: int, *,
+                scan_cap: int = DEFAULT_SCAN_CAP) -> BValue:
     """First index m >= 0 with d_m = 0, walking the recursion directly.
 
     In characteristic p > 0 a zero is guaranteed by m = 2p - 1, so the scan

@@ -24,6 +24,7 @@ bounds as null.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -31,6 +32,7 @@ from .cartan import BValue, CartanDatum, Parity
 from .field import FieldElement, FieldSpec, FieldSpecError, _is_int
 
 _TOP_KEYS = {"characteristic", "extension", "matrix", "parities"}
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class CartanFileError(ValueError):
@@ -52,6 +54,8 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
     except json.JSONDecodeError as exc:
         raise CartanFileError(
             "bad-json", f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise CartanFileError("bad-json", "arrays or objects nested too deeply") from None
     if not isinstance(raw, dict):
         raise CartanFileError("bad-document", "top level must be an object")
     unknown = sorted(set(raw) - _TOP_KEYS)
@@ -81,37 +85,22 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
                 "bad-parity", f'parity {i + 1} must be "ev" or "od", got {label!r}')
         parsed_parities.append(Parity(label))
 
-    # A matrix holds few distinct values, so each is parsed once.  Only
-    # successes are remembered, so the first bad entry is still the one named.
+    # A matrix holds few distinct values, so each is parsed once.  The memo is
+    # keyed on repr, which tells 1, 1.0 and True apart, and [1, 2] from
+    # [1, 2.0], although they compare equal.  Only successes are remembered,
+    # so the first bad entry is still the one named.
     parsed: dict = {}
     entries = []
     for r, row in enumerate(matrix):
         out = []
         for c, value in enumerate(row):
-            key = _memo_key(value)
+            key = repr(value)
             element = parsed.get(key)
             if element is None:
-                element = _parse_entry(spec, value, strict, r + 1, c + 1)
-                if key is not None:
-                    parsed[key] = element
+                element = parsed[key] = _parse_entry(spec, value, strict, r + 1, c + 1)
             out.append(element)
         entries.append(tuple(out))
     return CartanDatum(spec, tuple(entries), tuple(parsed_parities))
-
-
-def _memo_key(value):
-    """Hashable key of a raw entry that can parse, else None.
-
-    The key carries the exact type because 1, 1.0 and True hash and compare
-    equal, and so do [1, 2] and [1, 2.0]; only ints, strings and lists of
-    ints can parse, so every other value gets None and is never remembered.
-    """
-    kind = type(value)
-    if kind is int or kind is str:
-        return kind, value
-    if kind is list and all(type(c) is int for c in value):
-        return kind, tuple(value)
-    return None
 
 
 def _parse_field(characteristic, extension) -> FieldSpec:
@@ -139,10 +128,12 @@ def _parse_entry(spec: FieldSpec, value, strict: bool, row: int, col: int) -> Fi
     if p == 0:
         if _is_int(value):
             return spec.element(value)
-        if isinstance(value, str):
+        # Fraction alone would also read decimals and exponents, and the
+        # cost of an exponent grows with it: "1e5000000" takes seconds
+        if isinstance(value, str) and _RATIONAL.fullmatch(value):
             try:
                 return spec.element(Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:   # n/0, or too many digits
                 raise CartanFileError(
                     "bad-entry", f"{where}: cannot parse rational {value!r}") from exc
         raise CartanFileError(

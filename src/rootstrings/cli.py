@@ -20,7 +20,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .cartan import ConsistencyError, b_closed, b_recursive, b_table, d_sequence
+from .cartan import (DEFAULT_SCAN_CAP, ConsistencyError, b_closed, b_recursive, b_table,
+                     d_sequence)
 from .cartanfile import (
     CartanFileError,
     encode_bvalue,
@@ -35,8 +36,6 @@ EXIT_OK = 0
 EXIT_VALIDATION_ERROR = 1
 EXIT_INCONSISTENT = 2
 EXIT_REFLECTION_UNDEFINED = 3
-
-DEFAULT_SCAN_CAP = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,8 +62,7 @@ def _load_datum(args):
 def cmd_bkj(args) -> tuple[dict, int]:
     datum = _load_datum(args)
     closed = b_closed(datum, args.k, args.j)
-    scan_cap = DEFAULT_SCAN_CAP if args.max_m is None else args.max_m
-    recursive = b_recursive(datum, args.k, args.j, scan_cap=scan_cap)
+    recursive = b_recursive(datum, args.k, args.j, scan_cap=args.max_m)
     if closed != recursive:
         raise ConsistencyError(
             f"closed form gives {closed} but the recursion gives {recursive} "
@@ -120,8 +118,8 @@ def cmd_reflect(args) -> tuple[dict, int]:
         "field": field_doc(datum.spec),
         "k": args.k,
         "b_row": [encode_bvalue(b) for b in result.b_row],
-        "sigma": [list(v.coords) for v in result.sigma],
-        "basis_matrix": [list(row) for row in result.basis_matrix],
+        "sigma": [v.coords for v in result.sigma],
+        "basis_matrix": result.basis_matrix,
         "determinant": determinant,
         "unimodular": determinant == -1,
     }
@@ -147,7 +145,7 @@ _OUTPUT = ("--output", dict(help="write the report here instead of stdout"))
 #: (name, handler, help, flags before --output) per subcommand.
 _COMMANDS = (
     ("bkj", cmd_bkj, "compute one bound by both routes", (*_INPUT, _K, _J, (
-        "--max-m", dict(type=int, default=None,
+        "--max-m", dict(type=int, default=DEFAULT_SCAN_CAP,
                         help=f"characteristic-0 scan cap (default {DEFAULT_SCAN_CAP})")))),
     ("dseq", cmd_dseq, "print a d-sequence", (*_INPUT, _K, _J, (
         "--max-m", dict(type=int, required=True, help="last index to print")))),

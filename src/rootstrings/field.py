@@ -87,8 +87,6 @@ def _trimmed(coeffs: Sequence[int]) -> list[int]:
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -226,20 +224,18 @@ class FieldSpec:
             return value
         if isinstance(value, bool):
             raise TypeError("booleans are not field entries")
-        p, k = self.characteristic, self.degree
-        if p == 0:
-            if isinstance(value, (int, Fraction)):
-                return FieldElement(self, (Fraction(value),))
-            raise TypeError(f"cannot coerce {value!r} into the rationals")
+        if self.characteristic == 0:
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"cannot coerce {value!r} into the rationals")
+            return _reduced(self, (Fraction(value),))
         if isinstance(value, int):
-            return FieldElement(self, (value % p,) + (0,) * (k - 1))
+            return _reduced(self, (value,))
         if isinstance(value, (list, tuple)):
-            if len(value) > k:
-                raise ValueError(f"coefficient list longer than degree {k}")
+            if len(value) > self.degree:
+                raise ValueError(f"coefficient list longer than degree {self.degree}")
             if not all(_is_int(c) for c in value):
                 raise TypeError("coefficient lists must contain integers")
-            coeffs = tuple(c % p for c in value) + (0,) * (k - len(value))
-            return FieldElement(self, coeffs)
+            return _reduced(self, value)
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def zero(self) -> "FieldElement":
@@ -310,19 +306,12 @@ class FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        p = self.spec.characteristic
-        if p == 0:
-            return FieldElement(self.spec, (self.coeffs[0] + rhs.coeffs[0],))
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, rhs.coeffs)))
+        return _reduced(self.spec, [a + b for a, b in zip(self.coeffs, rhs.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        p = self.spec.characteristic
-        if p == 0:
-            return FieldElement(self.spec, (-self.coeffs[0],))
-        return FieldElement(self.spec, tuple((-c) % p for c in self.coeffs))
+        return _reduced(self.spec, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -341,14 +330,10 @@ class FieldElement:
         if rhs is None:
             return NotImplemented
         spec = self.spec
-        p, k = spec.characteristic, spec.degree
-        if p == 0:
-            return FieldElement(spec, (self.coeffs[0] * rhs.coeffs[0],))
-        if k == 1:
-            return FieldElement(spec, ((self.coeffs[0] * rhs.coeffs[0]) % p,))
-        prod = _poly_mul(self.coeffs, rhs.coeffs, p)
-        reduced = _poly_divmod(prod, spec.modulus, p)[1]
-        return FieldElement(spec, tuple(reduced) + (0,) * (k - len(reduced)))
+        if spec.degree == 1:
+            return _reduced(spec, (self.coeffs[0] * rhs.coeffs[0],))
+        prod = _poly_mul(self.coeffs, rhs.coeffs, spec.characteristic)
+        return _reduced(spec, _poly_divmod(prod, spec.modulus, spec.characteristic)[1])
 
     __rmul__ = __mul__
 
@@ -357,13 +342,12 @@ class FieldElement:
         if not self:
             raise ZeroDivisionError(f"division by zero in {self.spec}")
         spec = self.spec
-        p, k = spec.characteristic, spec.degree
-        if p == 0:
-            return FieldElement(spec, (Fraction(1) / self.coeffs[0],))
-        if k == 1:
-            return FieldElement(spec, (pow(self.coeffs[0], p - 2, p),))
-        inv = _poly_inv(self.coeffs, spec.modulus, p)
-        return FieldElement(spec, tuple(inv) + (0,) * (k - len(inv)))
+        p = spec.characteristic
+        if spec.degree == 1:
+            c = self.coeffs[0]
+            return _reduced(spec, (pow(c, -1, p) if p else 1 / c,))
+        # extended Euclid, independent of __mul__
+        return _reduced(spec, _poly_inv(self.coeffs, spec.modulus, p))
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -438,3 +422,13 @@ class FieldElement:
                 power = "t" if i == 1 else f"t^{i}"
                 terms.append(power if c == 1 else f"{c}*{power}")
         return " + ".join(terms) if terms else "0"
+
+
+def _reduced(spec: FieldSpec, coeffs: Sequence) -> FieldElement:
+    """The element of ``spec`` with power-basis coordinates ``coeffs`` (low
+    degree first, at most ``spec.degree`` of them): reduced mod p, or kept
+    exact at p = 0, then zero-padded to the degree.  Every ``FieldSpec.element``
+    result and every arithmetic result is built here."""
+    p = spec.characteristic
+    coeffs = tuple(c % p for c in coeffs) if p else tuple(coeffs)
+    return FieldElement(spec, coeffs + (0,) * (spec.degree - len(coeffs)))

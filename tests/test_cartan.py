@@ -93,6 +93,8 @@ def test_datum_validation():
         CartanDatum(GF3, ((GF5.element(1),),), (Parity.EVEN,))  # foreign entry
     with pytest.raises(TypeError):
         CartanDatum(GF3, ((1,),), (Parity.EVEN,))               # raw int entry
+    with pytest.raises(TypeError):
+        CartanDatum(GF3, ((GF3.element(1),),), ("ev",))         # raw parity label
 
 
 def test_pair_datum_layout():

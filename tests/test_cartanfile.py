@@ -36,6 +36,12 @@ def doc(**overrides):
     return json.dumps(base)
 
 
+def nested_entry_doc(depth):
+    """A rank-1 document whose one entry is 0 inside ``depth`` nested lists."""
+    return ('{"characteristic": 3, "matrix": [[%s0%s]], "parities": ["ev"]}'
+            % ("[" * depth, "]" * depth))
+
+
 def error_code(text, **kwargs):
     with pytest.raises(CartanFileError) as info:
         parse_cartan(text, **kwargs)
@@ -68,13 +74,15 @@ def test_parse_characteristic_zero_document(fixtures_dir):
 def test_rational_string_entries():
     text = json.dumps({
         "characteristic": 0,
-        "matrix": [["1/2", "2/4"], ["-3/2", 2]],
-        "parities": ["ev", "od"],
+        "matrix": [["1/2", "2/4", "3"], ["-3/2", 2, "+1/2"], [0, 0, 0]],
+        "parities": ["ev", "od", "ev"],
     })
     datum = parse_cartan(text)
     assert datum.entry(1, 1).rational == Fraction(1, 2)
     assert datum.entry(1, 2).rational == Fraction(1, 2)
+    assert datum.entry(1, 3).rational == 3
     assert datum.entry(2, 1).rational == Fraction(-3, 2)
+    assert datum.entry(2, 3).rational == Fraction(1, 2)
 
 
 def test_integers_reduce_mod_p_by_default():
@@ -126,9 +134,24 @@ def test_bad_json_reports_position():
     (doc(characteristic=0, matrix=[[0, "1/0"], [1, 0]]), "bad-entry"),
     (doc(characteristic=0, matrix=[[0, "x"], [1, 0]]), "bad-entry"),
     (doc(characteristic=0, matrix=[[0, [1]], [1, 0]]), "bad-entry"),
+    (doc(characteristic=0, matrix=[[0, "1e5"], [1, 0]]), "bad-entry"),
+    (doc(characteristic=0, matrix=[[0, "0.5"], [1, 0]]), "bad-entry"),
+    (doc(characteristic=0, matrix=[[0, " 1/2"], [1, 0]]), "bad-entry"),
+    (doc(characteristic=0, matrix=[[0, "1_000"], [1, 0]]), "bad-entry"),
+    (doc(characteristic=0, matrix=[[0, "\u0661"], [1, 0]]), "bad-entry"),  # Arabic-Indic 1
+    pytest.param(nested_entry_doc(100_000), "bad-json", id="nested-100000-deep"),
 ])
 def test_rejection_codes(text, code):
     assert error_code(text) == code
+
+
+def test_nesting_near_the_recursion_limit_gets_a_coded_error():
+    # where json.loads gives up depends on the caller's stack depth and on the
+    # Python version; on either side of that point the parser must refuse the
+    # entry with a code, never let a RecursionError escape
+    limit = sys.getrecursionlimit()
+    codes = {error_code(nested_entry_doc(depth)) for depth in range(limit - 120, limit + 20, 4)}
+    assert codes <= {"bad-entry", "bad-json"}
 
 
 @pytest.mark.parametrize("fixture,check", [("prime.json", "is_prime"),

@@ -142,6 +142,32 @@ def test_bad_json_exits_1(run_cli, tmp_path):
     assert err.startswith("error[bad-json]:")
 
 
+def test_deeply_nested_document_exits_1(run_cli, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"characteristic": 3, "matrix": [[%s0%s]], "parities": ["ev"]}'
+                    % ("[" * 100_000, "]" * 100_000))
+    code, out, err = run_cli("table", "--input", str(deep))
+    assert code == 1
+    assert err.startswith("error[bad-json]:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_exponent_string_exits_1_quickly(run_cli, tmp_path):
+    doc = tmp_path / "exponent.json"
+    doc.write_text(json.dumps({
+        "characteristic": 0,
+        "matrix": [[2, "1e5000000"], [1, 2]],
+        "parities": ["ev", "ev"],
+    }))
+    start = time.perf_counter()
+    code, out, err = run_cli("table", "--input", str(doc))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error[bad-entry]:")
+    assert out == ""
+
+
 def test_characteristic_beyond_primality_limit_exits_1_quickly(run_cli, tmp_path):
     doc = tmp_path / "huge.json"
     doc.write_text(json.dumps({
@@ -191,6 +217,13 @@ def test_non_prime_selfcheck_argument_exits_1(run_cli):
     code, _, err = run_cli("selfcheck", "--primes", "9")
     assert code == 1
     assert err.startswith("error[invalid]:")
+
+
+def test_out_of_range_selfcheck_degree_exits_1(run_cli):
+    code, out, err = run_cli("selfcheck", "--degrees", "9")
+    assert code == 1
+    assert err.startswith("error[invalid]:")
+    assert out == ""
 
 
 def test_malformed_primes_list_exits_1(run_cli):

@@ -1,10 +1,17 @@
-"""Repository-wide rules checked statically."""
+"""Repository-wide rules: static checks on the package, and the hold the
+benchmark tracer keeps on its public names."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rootstrings"
+import rootstrings.cartan
+import rootstrings.cli
+import rootstrings.field
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rootstrings"
 
 
 def package_trees():
@@ -38,3 +45,22 @@ def test_package_imports_only_the_standard_library():
                       for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_bench_tracer_installs_on_the_package():
+    # the benchmark tracer wraps package functions by name: a rename under
+    # src/ must fail here, not only in the traced benchmark run
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    b_closed = rootstrings.cartan.b_closed
+    post_init = rootstrings.field.FieldElement.__dict__["__post_init__"]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert rootstrings.cartan.b_closed is not b_closed
+        assert rootstrings.field.FieldElement.__dict__["__post_init__"] is not post_init
+    finally:
+        tracer.uninstall()
+    assert rootstrings.cartan.b_closed is b_closed
+    assert rootstrings.field.FieldElement.__dict__["__post_init__"] is post_init
