@@ -10,7 +10,8 @@ equals the first index m >= 0 at which the scalar sequence
 vanishes.  Two independent routes compute it here:
 
 * ``b_recursive`` walks the sequence and returns the first zero, and
-* ``b_closed`` evaluates a closed-form case ladder on (i_k, A_kk, A_kj).
+* ``b_closed`` evaluates a closed-form case ladder on (i_k, A_kk, A_kj),
+  built once per row from (i_k, A_kk) and applied to each A_kj.
 
 In positive characteristic the sequence is guaranteed to vanish by
 m = 2p - 1, so every bound is finite; in characteristic 0 the bound can be
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
-from .field import FieldElement, FieldSpec, lift
+from .field import FieldElement, FieldSpec
 
 
 #: How far ``b_recursive`` scans the d-sequence at characteristic 0 by default.
@@ -197,8 +198,7 @@ class DSequence:
 def pair_datum(spec: FieldSpec, a_kk, a_kj, parity: Parity) -> CartanDatum:
     """Minimal rank-2 datum exposing one (A_kk, A_kj) pair at (k, j) = (1, 2).
 
-    Handy for exhaustive sweeps over a whole field: only row 1 matters for
-    B_12, so row 2 is zero-filled.
+    Only row 1 matters for B_12, so row 2 is zero-filled.
     """
     return CartanDatum.build(spec, ((a_kk, a_kj), (0, 0)), (parity, Parity.EVEN))
 
@@ -241,9 +241,19 @@ def _walk(a_kj: FieldElement, a_kk: FieldElement,
     (a ``Fraction`` at p = 0).  As for a field element, a step is zero when
     no coordinate is nonzero.  The iterator never ends.
     """
-    p = a_kk.spec.characteristic
-    return zip(*(_walk_coordinate(a, c, parity.sign, p)
-                 for a, c in zip(a_kk.coeffs, a_kj.coeffs)))
+    p, sign = a_kk.spec.characteristic, parity.sign
+    return zip(*(_walk_coordinate(a, c, sign, p) for a, c in zip(a_kk.coeffs, a_kj.coeffs)))
+
+
+def _first_zero(a_kj: FieldElement, a_kk: FieldElement, parity: Parity,
+                bound: int) -> Optional[int]:
+    """The first m in [0, bound] with d_m = 0 on ``_walk``, or None if there
+    is none."""
+    steps = itertools.islice(_walk(a_kj, a_kk, parity), bound + 1)
+    try:
+        return operator.indexOf(map(any, steps), False)
+    except ValueError:
+        return None
 
 
 def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
@@ -295,15 +305,11 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *,
     _check_pair(datum, k, j)
     if scan_cap < 0:
         raise ValueError("scan cap must be >= 0")
-    spec = datum.spec
-    p = spec.characteristic
+    p = datum.spec.characteristic
     bound = 2 * p - 1 if p > 0 else scan_cap
-    steps = itertools.islice(
-        _walk(datum.entry(k, j), datum.entry(k, k), datum.parity(k)), bound + 1)
-    try:
-        return BValue(operator.indexOf(map(any, steps), False))
-    except ValueError:      # no zero among d_0, ..., d_bound
-        pass
+    m = _first_zero(datum.entry(k, j), datum.entry(k, k), datum.parity(k), bound)
+    if m is not None:
+        return BValue(m)
     if p > 0:
         raise ConsistencyError(
             f"no zero of the d-sequence up to m = {bound} at (k, j) = ({k}, {j})")
@@ -314,12 +320,14 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *,
     return INFINITY
 
 
-def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
-    """Closed-form case ladder for the bound B_kj, one ladder for every
-    characteristic p (p = 0 for the rationals).
+def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]:
+    """The closed-form case ladder of one row, i_k = ``parity`` and A_kk =
+    ``a_kk``: a function from the coordinates of A_kj (laid out like
+    ``FieldElement.coeffs``) to B_kj.
 
+    One ladder serves every characteristic p (p = 0 for the rationals).
     With c the prime-field scalar such that A_kj = c * A_kk, when there is
-    one (``FieldElement.prime_ratio``), the branches in order are:
+    one, the branches in order are:
 
     1. A_kj = 0                                  -> 0
     2. A_kk = 0: even                            -> p - 1 (infinity at p = 0)
@@ -332,50 +340,67 @@ def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
 
     In branch 5, p > 0 lifts the integer -2c or -c into [0, p); at p = 0 it
     must be a non-negative integer, and otherwise the bound is infinite.
-    Branch 4 never fires at p = 0, where every ratio is rational.  No field
-    division happens: the prime-field proportionality test reads power-basis
-    coordinates.
+    Branch 4 never fires at p = 0, where every ratio is rational.
+
+    The row's facts are fixed here once: the zero test on A_kk, its first
+    nonzero coordinate i and that coordinate's inverse mod p.  GF(p) acts on
+    the power basis coordinate-wise, so c is read off coordinate i of A_kj
+    and checked against all the others; no field division happens.
     """
+    p = a_kk.spec.characteristic
+    even = parity is Parity.EVEN
+    kk = a_kk.coeffs
+    i = next((i for i, b in enumerate(kk) if b), None)     # None: A_kk = 0
+    inv = pow(kk[i], -1, p) if p and i is not None else None
+
+    def bound(kj: tuple) -> BValue:
+        if not any(kj):
+            return BValue(0)
+        if i is None:
+            if not even:
+                return BValue(1)
+            return BValue(p - 1) if p else INFINITY
+        if even and p == 2:
+            return BValue(2) if kj == kk else BValue(3)
+        if p:
+            c = kj[i] * inv % p
+            if len(kk) > 1 and any((a - c * b) % p for a, b in zip(kj, kk)):
+                return BValue(p - 1 if even else 2 * p - 1)
+            return BValue(-2 * c % p) if even else BValue(2 * (-c % p))
+        m = -2 * kj[0] / kk[0] if even else -kj[0] / kk[0]
+        if m.denominator != 1 or m < 0:
+            return INFINITY
+        return BValue(int(m) if even else 2 * int(m))
+
+    return bound
+
+
+def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
+    """The bound B_kj from the closed-form case ladder of row k
+    (``_row_ladder``, whose docstring lists its branches).  It reads
+    power-basis coordinates and does no field division."""
     _check_pair(datum, k, j)
-    p = datum.spec.characteristic
-    a_kk = datum.entry(k, k)
-    a_kj = datum.entry(k, j)
-    even = datum.parity(k) is Parity.EVEN
-    if not a_kj:
-        return BValue(0)
-    if not a_kk:
-        if not even:
-            return BValue(1)
-        return BValue(p - 1) if p else INFINITY
-    if even and p == 2:
-        return BValue(2) if a_kj == a_kk else BValue(3)
-    c = a_kj.prime_ratio(a_kk)
-    if c is None:
-        return BValue(p - 1 if even else 2 * p - 1)
-    m = -2 * c if even else -c
-    if p:
-        m = lift(m, p)
-    elif m.denominator != 1 or m < 0:
-        return INFINITY
-    return BValue(int(m) if even else 2 * int(m))
+    return _row_ladder(datum.parity(k), datum.entry(k, k))(datum.entry(k, j).coeffs)
 
 
 def b_row(datum: CartanDatum, k: int) -> tuple[Optional[BValue], ...]:
     """The bounds B_k1, ..., B_kn of row k, None at j = k.
 
     B_kj depends only on (i_k, A_kk, A_kj), and the first two are fixed along
-    row k, so ``b_closed`` runs once per distinct A_kj of the row: at most q
-    times over GF(q).
+    row k, so the row's ladder is built once and runs once per distinct A_kj
+    of the row: at most q times over GF(q).
     """
     n = datum.n
     if not 1 <= k <= n:
         raise IndexError(f"k must lie in [1, {n}]")
     row = datum.entries[k - 1]
-    bounds = {}
-    for j, a_kj in enumerate(row, 1):
-        if j != k and a_kj.coeffs not in bounds:
-            bounds[a_kj.coeffs] = b_closed(datum, k, j)
-    return tuple(None if j == k else bounds[a_kj.coeffs] for j, a_kj in enumerate(row, 1))
+    ladder = _row_ladder(datum.parities[k - 1], row[k - 1])
+    keys = [a_kj.coeffs for a_kj in row]
+    del keys[k - 1]
+    bounds = {c: ladder(c) for c in set(keys)}
+    out = [bounds[c] for c in keys]
+    out.insert(k - 1, None)
+    return tuple(out)
 
 
 def b_table(datum: CartanDatum) -> tuple[tuple[Optional[BValue], ...], ...]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -56,6 +57,10 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
             "bad-json", f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise CartanFileError("bad-json", "arrays or objects nested too deeply") from None
+    except ValueError:      # the only other one: an integer literal past the digit limit
+        raise CartanFileError(
+            "bad-json", f"an integer literal has more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for integer conversion") from None
     if not isinstance(raw, dict):
         raise CartanFileError("bad-document", "top level must be an object")
     unknown = sorted(set(raw) - _TOP_KEYS)

@@ -389,25 +389,6 @@ class FieldElement:
             return None
         return self.coeffs[0]
 
-    def prime_ratio(self, other: "FieldElement") -> Union[int, Fraction, None]:
-        """The prime-field scalar c with self = c * other, or None if none exists.
-
-        At p > 0 the answer is a residue in [0, p): GF(p) acts on the power
-        basis coordinate-wise, so c is read off the first nonzero coordinate
-        of ``other`` and checked against all the others; no field division
-        happens.  At characteristic 0 every ratio is a ``Fraction``.  A zero
-        ``other`` raises ZeroDivisionError.
-        """
-        rhs = self.spec.element(other)
-        if not rhs:
-            raise ZeroDivisionError(f"ratio to zero in {self.spec}")
-        p = self.spec.characteristic
-        if p == 0:
-            return self.coeffs[0] / rhs.coeffs[0]
-        i = next(i for i, b in enumerate(rhs.coeffs) if b)
-        c = self.coeffs[i] * pow(rhs.coeffs[i], -1, p) % p
-        return None if any((a - c * b) % p for a, b in zip(self.coeffs, rhs.coeffs)) else c
-
     def __str__(self) -> str:
         p, k = self.spec.characteristic, self.spec.degree
         if p == 0 or k == 1:

@@ -10,9 +10,10 @@ clean sweep is strong evidence both are implemented correctly.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator
 
-from .cartan import CartanDatum, Parity, b_closed, b_recursive
+from .cartan import ConsistencyError, Parity, _first_zero, _row_ladder
 from .field import (
     MAX_EXTENSION_DEGREE,
     FieldElement,
@@ -74,33 +75,40 @@ def bound_ceiling(p: int, parity: Parity) -> int:
 def check_field(spec: FieldSpec) -> dict:
     """Sweep all (parity, A_kk, A_kj) cases over one field.
 
-    Returns a report dict with the case count, any failures, and the
-    distribution of bounds seen.  A failure -- the routes disagree, or the
-    bound exceeds ``bound_ceiling`` -- records both routes' answers and the
-    ceiling.
+    The closed form builds one row ladder per (parity, A_kk) and applies it
+    to every A_kj; the recursion walks each triple on its own.  No datum is
+    built per case.  Returns a report dict with the case count, any
+    failures, and the distribution of bounds seen.  A failure -- the routes
+    disagree, or the bound exceeds ``bound_ceiling`` -- records both routes'
+    answers and the ceiling.  A walk that misses its guaranteed zero raises
+    ConsistencyError.
     """
     p = spec.characteristic
     cases = 0
     mismatches = []
     b_counts: dict[int, int] = {}
-    zero_row = (spec.zero(),) * 2   # the layout of cartan.pair_datum
-    for parity, a_kk, a_kj in sweep_pairs(spec):
-        datum = CartanDatum(spec, ((a_kk, a_kj), zero_row), (parity, Parity.EVEN))
-        closed = b_closed(datum, 1, 2)
-        recursive = b_recursive(datum, 1, 2)
+    for (parity, a_kk), row in itertools.groupby(sweep_pairs(spec), operator.itemgetter(0, 1)):
+        ladder = _row_ladder(parity, a_kk)
         ceiling = bound_ceiling(p, parity)
-        cases += 1
-        if closed != recursive or recursive > ceiling:
-            mismatches.append({
-                "parity": parity.value,
-                "a_kk": list(a_kk.coeffs),
-                "a_kj": list(a_kj.coeffs),
-                "closed": closed.value,
-                "recursive": recursive.value,
-                "ceiling": ceiling,
-            })
-        else:
-            b_counts[int(closed)] = b_counts.get(int(closed), 0) + 1
+        for _, _, a_kj in row:
+            closed = ladder(a_kj.coeffs)
+            recursive = _first_zero(a_kj, a_kk, parity, 2 * p - 1)
+            if recursive is None:
+                raise ConsistencyError(
+                    f"no zero of the d-sequence up to m = {2 * p - 1} at "
+                    f"(i_k, A_kk, A_kj) = ({parity.value}, {a_kk}, {a_kj})")
+            cases += 1
+            if closed.value != recursive or recursive > ceiling:
+                mismatches.append({
+                    "parity": parity.value,
+                    "a_kk": list(a_kk.coeffs),
+                    "a_kj": list(a_kj.coeffs),
+                    "closed": closed.value,
+                    "recursive": recursive,
+                    "ceiling": ceiling,
+                })
+            else:
+                b_counts[recursive] = b_counts.get(recursive, 0) + 1
     report = {
         "characteristic": p,
         "degree": spec.degree,

@@ -12,6 +12,7 @@ from rootstrings.cartan import (
     CartanDatum,
     DSequence,
     Parity,
+    _row_ladder,
     b_closed,
     b_recursive,
     b_table,
@@ -333,24 +334,49 @@ def test_b_table_matches_b_closed_entry_by_entry(spec, n, seed):
     assert b_table(datum) == expected
 
 
+@pytest.mark.parametrize("spec", [GF3, GF9, GF125, GF101], ids=str)
+@pytest.mark.parametrize("n,seed", [(20, 1), (33, 2)])
+def test_b_table_matches_b_recursive_entry_by_entry(spec, n, seed):
+    datum = random_datum(spec, n, seed)
+    table = b_table(datum)
+    for k in range(1, n + 1):
+        for j in range(1, n + 1):
+            if j != k:
+                assert table[k - 1][j - 1] == b_recursive(datum, k, j), (k, j)
+
+
+def count_ladders(monkeypatch):
+    """Wrap the row ladder; returns the lists of ladders built (their parity
+    and A_kk) and of evaluations made (A_kj's coordinates)."""
+    built, evaluated = [], []
+
+    def counting(parity, a_kk):
+        built.append((parity, a_kk))
+        ladder = _row_ladder(parity, a_kk)
+
+        def evaluate(kj):
+            evaluated.append(kj)
+            return ladder(kj)
+
+        return evaluate
+
+    monkeypatch.setattr("rootstrings.cartan._row_ladder", counting)
+    return built, evaluated
+
+
 @pytest.mark.parametrize("spec", [GF3, GF9], ids=str)
 def test_b_table_runs_the_ladder_at_most_q_times_per_row(spec, monkeypatch):
     n = 40
     datum = random_datum(spec, n, 3)
-    calls = []
-
-    def counting(datum, k, j):
-        calls.append((k, j))
-        return b_closed(datum, k, j)
-
-    monkeypatch.setattr("rootstrings.cartan.b_closed", counting)
-    monkeypatch.setattr("rootstrings.reflection.b_closed", counting, raising=False)
-    b_table(datum)
-    assert len(calls) <= n * spec.order
+    expected = b_table(datum)
+    built, evaluated = count_ladders(monkeypatch)
+    assert b_table(datum) == expected
+    assert len(built) == n
+    assert len(evaluated) <= n * spec.order
     for k in range(1, n + 1):
-        calls.clear()
+        evaluated.clear()
         reflect(datum, k)
-        assert len(calls) <= spec.order
+        assert len(evaluated) <= spec.order
 
 
 @pytest.mark.parametrize("spec", [GF125, GF7], ids=str)
@@ -375,6 +401,38 @@ def test_closed_form_makes_no_field_division(spec, monkeypatch):
     assert table[0][1] == (-2 * 3) % p          # even row: lift(-2c)
     assert table[1][2] == 2 * ((-3) % p)        # odd row: 2 lift(-c)
     assert table[0][2] == 0
+
+
+GF8 = FieldSpec(2, 3, (1, 1, 0, 1))
+GF25 = FieldSpec(5, 2, (2, 0, 1))
+GF27 = FieldSpec(3, 3, (1, 2, 0, 1))
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF25, GF27], ids=str)
+def test_row_ladder_ratio_branch_matches_division(spec):
+    # with c = A_kj / A_kk, the odd ladder gives 2 * lift(-c) when c lies in
+    # GF(p) (branch 5, or branch 1 at c = 0) and 2p - 1 otherwise (branch 4);
+    # at odd p the even ladder gives lift(-2c) or p - 1
+    p = spec.characteristic
+    elems = list(spec.elements())
+    for y in elems[1:]:
+        ladders = {parity: _row_ladder(parity, y) for parity in Parity}
+        for x in elems:
+            c = (x / y).in_prime_subfield()
+            odd = ladders[Parity.ODD](x.coeffs)
+            assert odd == (2 * p - 1 if c is None else 2 * (-c % p)), (str(x), str(y))
+            if p != 2:
+                even = ladders[Parity.EVEN](x.coeffs)
+                assert even == (p - 1 if c is None else -2 * c % p), (str(x), str(y))
+
+
+@given(st.fractions(), st.fractions().filter(bool))
+def test_row_ladder_ratio_branch_at_characteristic_zero(x, y):
+    a, b = Q.element(x), Q.element(y)
+    c = a.rational / b.rational
+    for parity, m, scale in [(Parity.EVEN, -2 * c, 1), (Parity.ODD, -c, 2)]:
+        expected = scale * int(m) if m.denominator == 1 and m >= 0 else INFINITY
+        assert _row_ladder(parity, b)(a.coeffs) == expected
 
 
 # --- the recursion kernel ----------------------------------------------------
@@ -445,9 +503,11 @@ def test_closed_form_does_not_walk(monkeypatch):
 
 @pytest.mark.parametrize("spec", [GF7, GF9], ids=str)
 def test_recursion_reads_no_prime_ratio(spec, monkeypatch):
+    # the ratio is read only inside the row ladder, so the recursion must
+    # never build one
     data = [pair_datum(spec, a_kk, a_kj, parity) for parity, a_kk, a_kj in sweep_pairs(spec)]
     cases = [(datum, b_closed(datum, 1, 2)) for datum in data]
-    monkeypatch.setattr(FieldElement, "prime_ratio", _raise)
+    monkeypatch.setattr("rootstrings.cartan._row_ladder", _raise)
     for datum, closed in cases:
         assert b_recursive(datum, 1, 2) == closed
     with pytest.raises(RuntimeError):

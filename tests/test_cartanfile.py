@@ -140,6 +140,8 @@ def test_bad_json_reports_position():
     (doc(characteristic=0, matrix=[[0, "1_000"], [1, 0]]), "bad-entry"),
     (doc(characteristic=0, matrix=[[0, "\u0661"], [1, 0]]), "bad-entry"),  # Arabic-Indic 1
     pytest.param(nested_entry_doc(100_000), "bad-json", id="nested-100000-deep"),
+    pytest.param('{"characteristic": 3, "matrix": [[%s]], "parities": ["ev"]}' % ("7" * 5000),
+                 "bad-json", id="5000-digit-integer"),
 ])
 def test_rejection_codes(text, code):
     assert error_code(text) == code

@@ -153,6 +153,16 @@ def test_deeply_nested_document_exits_1(run_cli, tmp_path):
     assert out == ""
 
 
+def test_oversized_integer_literal_exits_1(run_cli, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('{"characteristic": 3, "matrix": [[%s]], "parities": ["ev"]}' % ("7" * 5000))
+    code, out, err = run_cli("table", "--input", str(big))
+    assert code == 1
+    assert err.startswith("error[bad-json]:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_exponent_string_exits_1_quickly(run_cli, tmp_path):
     doc = tmp_path / "exponent.json"
     doc.write_text(json.dumps({
@@ -264,8 +274,9 @@ def test_route_disagreement_exits_2(run_cli, monkeypatch):
 
 
 def test_selfcheck_mismatch_exits_2(run_cli, monkeypatch):
-    monkeypatch.setattr(rootstrings.selfcheck, "b_recursive",
-                        lambda datum, k, j, **kw: BValue(0))
+    # the recursion finds d_0 = 0 everywhere
+    monkeypatch.setattr(rootstrings.selfcheck, "_first_zero",
+                        lambda a_kj, a_kk, parity, bound: 0)
     code, out, _ = run_cli("selfcheck", "--primes", "2", "--degrees", "1")
     assert code == 2
     report = json.loads(out)
@@ -276,9 +287,11 @@ def test_selfcheck_mismatch_exits_2(run_cli, monkeypatch):
 
 def test_selfcheck_ceiling_violation_exits_2(run_cli, monkeypatch):
     # both routes agree, on a bound above every ceiling of the field
-    too_big = lambda datum, k, j, **kw: BValue(2 * datum.spec.characteristic)
-    monkeypatch.setattr(rootstrings.selfcheck, "b_closed", too_big)
-    monkeypatch.setattr(rootstrings.selfcheck, "b_recursive", too_big)
+    too_big = lambda a_kk: 2 * a_kk.spec.characteristic
+    monkeypatch.setattr(rootstrings.selfcheck, "_row_ladder",
+                        lambda parity, a_kk: lambda kj: BValue(too_big(a_kk)))
+    monkeypatch.setattr(rootstrings.selfcheck, "_first_zero",
+                        lambda a_kj, a_kk, parity, bound: too_big(a_kk))
     code, out, _ = run_cli("selfcheck", "--primes", "2", "--degrees", "1")
     assert code == 2
     report = json.loads(out)

@@ -21,10 +21,7 @@ GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 GF7 = FieldSpec(7)
 GF4 = FieldSpec(2, 2, (1, 1, 1))
-GF8 = FieldSpec(2, 3, (1, 1, 0, 1))
 GF9 = FieldSpec(3, 2, (1, 0, 1))
-GF25 = FieldSpec(5, 2, (2, 0, 1))
-GF27 = FieldSpec(3, 3, (1, 2, 0, 1))
 GF125 = FieldSpec(5, 3, (1, 1, 0, 1))
 Q = FieldSpec(0)
 
@@ -272,30 +269,6 @@ def test_prime_subfield_on_prime_field_is_total():
 def test_prime_subfield_rejects_characteristic_zero():
     with pytest.raises(ValueError):
         Q.element(1).in_prime_subfield()
-
-
-@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF25, GF27], ids=str)
-def test_prime_ratio_matches_division(spec):
-    elems = list(spec.elements())
-    for x in elems:
-        for y in elems:
-            if y:
-                assert x.prime_ratio(y) == (x / y).in_prime_subfield()
-
-
-@given(st.fractions(), st.fractions().filter(bool))
-def test_prime_ratio_at_characteristic_zero(x, y):
-    a, b = Q.element(x), Q.element(y)
-    assert a.prime_ratio(b) == a.rational / b.rational
-
-
-def test_prime_ratio_errors():
-    with pytest.raises(ZeroDivisionError):
-        GF9.element([1, 2]).prime_ratio(GF9.zero())
-    with pytest.raises(ZeroDivisionError):
-        Q.element(1).prime_ratio(Q.zero())
-    with pytest.raises(FieldMismatchError):
-        GF9.element(1).prime_ratio(GF4.element(1))
 
 
 def test_rational_property_needs_characteristic_zero():

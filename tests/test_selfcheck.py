@@ -2,8 +2,10 @@ import sys
 
 import pytest
 
-from rootstrings import field
-from rootstrings.selfcheck import field_for, find_irreducible
+from rootstrings import cartan, field
+from rootstrings.cartan import CartanDatum, ConsistencyError
+from rootstrings.field import FieldSpec
+from rootstrings.selfcheck import check_field, field_for, find_irreducible
 
 
 def _count_calls(monkeypatch, original):
@@ -53,3 +55,32 @@ def test_find_irreducible_beyond_field_spec_degrees():
     with pytest.raises(field.FieldSpecError) as excinfo:
         field_for(2, 9)
     assert excinfo.value.code == "bad-extension"
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(3, 2, (1, 0, 1)), FieldSpec(7)], ids=str)
+def test_check_field_builds_one_ladder_per_row_and_no_datum(spec, monkeypatch):
+    expected = check_field(spec)
+    ladders = []
+
+    def counting_ladder(parity, a_kk):
+        ladders.append((parity, a_kk.coeffs))
+        return cartan._row_ladder(parity, a_kk)
+
+    data = []
+    original = CartanDatum.__post_init__
+
+    def counting_datum(self):
+        data.append(self)
+        original(self)
+
+    monkeypatch.setattr("rootstrings.selfcheck._row_ladder", counting_ladder)
+    monkeypatch.setattr(CartanDatum, "__post_init__", counting_datum)
+    assert check_field(spec) == expected
+    assert len(ladders) == len(set(ladders)) == 2 * spec.order
+    assert data == []
+
+
+def test_check_field_raises_when_the_walk_misses_its_zero(monkeypatch):
+    monkeypatch.setattr("rootstrings.selfcheck._first_zero", lambda *args: None)
+    with pytest.raises(ConsistencyError):
+        check_field(FieldSpec(3))
