@@ -17,8 +17,12 @@ characteristic 0.
 
 Reports are rendered as canonical JSON -- sorted keys, two-space indent,
 trailing newline -- so identical inputs always produce byte-identical
-output.  Infinite bounds serialize as the string "inf", absent (diagonal)
-bounds as null.
+output.  The text is byte-identical to ``json.dumps(indent=2,
+sort_keys=True)`` plus a newline; ``render_document`` writes the framing
+itself and encodes each flat list of scalars (a table row, a basis-matrix
+row) with the C encoder, which ``json`` never uses when it indents.
+Infinite bounds serialize as the string "inf", absent (diagonal) bounds as
+null.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .cartan import BValue, CartanDatum, Parity
@@ -173,8 +178,55 @@ def serialize_cartan(datum: CartanDatum) -> str:
 
 
 def render_document(doc: dict) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    For any document whose keys are strings, the text is byte-identical to
+    ``json.dumps(indent=2, sort_keys=True)`` followed by a newline.
+    """
+    out: list = []
+    _render(doc, 1, out)
+    out.append("\n")
+    return "".join(out)
+
+
+#: A list whose elements all have one of these exact types goes to the C
+#: encoder whole; any other element (a container, a float, an int subclass)
+#: sends it down the recursive path, which ends in json.dumps on one scalar.
+_FLAT = {int, str, bool, type(None)}
+#: depth -> a C encoder whose item separator starts a line at that depth.
+_LIST_ENCODERS: dict = {}
+
+
+def _render(value, depth: int, out: list) -> None:
+    # appends the text of ``value`` to ``out``; its items sit at ``depth``
+    # two-space steps, its closing bracket one step out
+    if not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = "\n" + "  " * depth
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key in sorted(value):
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _render(value[key], depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * (depth - 1) + "}")
+        return
+    if set(map(type, value)) <= _FLAT:
+        encoder = _LIST_ENCODERS.get(depth)
+        if encoder is None:
+            encoder = _LIST_ENCODERS[depth] = json.JSONEncoder(separators=("," + inner, ": "))
+        out += ("[", inner, encoder.encode(value)[1:-1])
+    else:
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _render(item, depth + 1, out)
+            sep = "," + inner
+    out.append("\n" + "  " * (depth - 1) + "]")
 
 
 def encode_entry(element: FieldElement) -> Union[int, str, list[int]]:

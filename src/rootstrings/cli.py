@@ -56,7 +56,12 @@ def _int_list(text: str) -> list[int]:
 
 def _load_datum(args):
     with open(args.input, encoding="utf-8") as handle:
-        return parse_cartan(handle.read(), strict=args.strict)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:   # a ValueError, which would read as error[invalid]
+            raise CartanFileError(
+                "bad-json", f"not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+    return parse_cartan(text, strict=args.strict)
 
 
 def cmd_bkj(args) -> tuple[dict, int]:

@@ -123,13 +123,22 @@ def check_field(spec: FieldSpec) -> dict:
 
 
 def run_selfcheck(primes: list[int], degrees: list[int]) -> dict:
-    """Run check_field over the cartesian product of primes and degrees."""
+    """Run check_field over the cartesian product of primes and degrees.
+
+    Raises ValueError, before any sweep, for a non-prime, a degree outside
+    [1, MAX_EXTENSION_DEGREE], or a prime or degree listed twice.
+    """
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     for d in degrees:
         if not 1 <= d <= MAX_EXTENSION_DEGREE:
             raise ValueError(f"degree {d} out of range [1, {MAX_EXTENSION_DEGREE}]")
+    # a repeated value would only sweep the same fields again
+    for name, values in (("prime", primes), ("degree", degrees)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{name} {repeated} is listed more than once")
     fields = [check_field(field_for(p, d)) for p in primes for d in degrees]
     total_cases = sum(f["cases"] for f in fields)
     total_mismatches = sum(f["failures"] for f in fields)

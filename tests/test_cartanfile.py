@@ -313,6 +313,27 @@ def test_render_document_is_stable():
     assert render_document({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
 
 
+# Strings the encoders escape: quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates, drawn densely from a short alphabet or
+# as arbitrary code points (which include surrogates once no category is
+# excluded).
+json_text = (st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001d11e'), max_size=4)
+             | st.text(st.characters(exclude_categories=()), max_size=8))
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(-(2 ** 200), 2 ** 200) | json_text)
+
+
+@given(st.dictionaries(json_text, st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(json_text, children, max_size=3)),
+    max_leaves=20), max_size=4))
+def test_render_document_matches_json_dumps(doc):
+    # flat scalar lists take the C encoder, everything else the recursive path;
+    # both must give json's own indented text byte for byte
+    assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 # --- randomized round trips --------------------------------------------------------
 
 parity_labels = st.lists(st.sampled_from(["ev", "od"]), min_size=1, max_size=3)

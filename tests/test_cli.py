@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -117,6 +118,43 @@ def test_failed_replace_leaves_existing_output_intact(run_cli, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == [target]          # no temporary file left
 
 
+def wide_document(field: str, n: int) -> dict:
+    """A seeded rank-n document over GF(9), GF(101) or Q whose row 1 has only
+    finite bounds, so that it can be reflected at k = 1."""
+    rng = random.Random(f"{field}:{n}")
+    if field == "gf9":
+        entry = lambda: [rng.randrange(3), rng.randrange(3)]
+        header = {"characteristic": 3, "extension": {"degree": 2, "modulus": [1, 0, 1]}}
+    elif field == "gf101":
+        entry = lambda: rng.randrange(101)
+        header = {"characteristic": 101}
+    else:
+        entry = lambda: f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"
+        header = {"characteristic": 0}
+    matrix = [[entry() for _ in range(n)] for _ in range(n)]
+    if field == "q":
+        # even row, A_11 = 2 and A_1j = -c: the bound B_1j is c
+        matrix[0] = [2] + [-rng.randrange(50) for _ in range(n - 1)]
+    parities = ["ev"] + [rng.choice(["ev", "od"]) for _ in range(n - 1)]
+    return {**header, "matrix": matrix, "parities": parities}
+
+
+@pytest.mark.parametrize("field", ["gf9", "gf101", "q"])
+@pytest.mark.parametrize("command", [["table"], ["reflect", "--k", "1"]],
+                         ids=["table", "reflect"])
+def test_wide_reports_render_canonically(run_cli, tmp_path, field, command):
+    # the goldens are rank 2 and 3; these reach the long flat rows and the
+    # n x n basis matrix that the renderer hands to the C encoder
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide_document(field, 60)))
+    code, out, err = run_cli(command[0], "--input", str(path), *command[1:])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    rows = report["table"] if command[0] == "table" else report["basis_matrix"]
+    assert len(rows) == 60 and all(len(row) == 60 for row in rows)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 # --- exit codes -----------------------------------------------------------------
 
 def test_missing_file_exits_1(run_cli):
@@ -140,6 +178,20 @@ def test_bad_json_exits_1(run_cli, tmp_path):
     code, _, err = run_cli("table", "--input", str(bad))
     assert code == 1
     assert err.startswith("error[bad-json]:")
+
+
+def test_non_utf8_document_exits_1_with_byte_offset(run_cli, tmp_path):
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"characteristic": 3}'.encode("utf-16-le"))
+    latin1 = tmp_path / "latin1.json"
+    latin1_bytes = b'{"characteristic": 3, "matrix": [[0]], "parities": ["\xe9v"]}'
+    latin1.write_bytes(latin1_bytes)
+    for path, offset in ((utf16, 0), (latin1, latin1_bytes.index(b"\xe9"))):
+        code, out, err = run_cli("table", "--input", str(path))
+        assert code == 1
+        assert err.startswith("error[bad-json]: not UTF-8:")
+        assert err.rstrip().endswith(f"at byte offset {offset}")
+        assert out == ""
 
 
 def test_deeply_nested_document_exits_1(run_cli, tmp_path):
@@ -233,6 +285,15 @@ def test_out_of_range_selfcheck_degree_exits_1(run_cli):
     code, out, err = run_cli("selfcheck", "--degrees", "9")
     assert code == 1
     assert err.startswith("error[invalid]:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag,values", [("--primes", "3,3"), ("--degrees", "1,1")])
+def test_repeated_selfcheck_value_exits_1(run_cli, flag, values):
+    code, out, err = run_cli("selfcheck", flag, values)
+    assert code == 1
+    assert err.startswith("error[invalid]:")
+    assert "listed more than once" in err
     assert out == ""
 
 

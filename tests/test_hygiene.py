@@ -47,6 +47,16 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
+def test_no_json_call_in_the_package_indents():
+    # any indent sends json to its pure-Python encoder; reports are indented
+    # by cartanfile.render_document, which hands flat lists to the C encoder
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path, tree in package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)]
+    assert found == []
+
+
 def test_bench_tracer_installs_on_the_package():
     # the benchmark tracer wraps package functions by name: a rename under
     # src/ must fail here, not only in the traced benchmark run

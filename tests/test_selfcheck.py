@@ -5,7 +5,7 @@ import pytest
 from rootstrings import cartan, field
 from rootstrings.cartan import CartanDatum, ConsistencyError
 from rootstrings.field import FieldSpec
-from rootstrings.selfcheck import check_field, field_for, find_irreducible
+from rootstrings.selfcheck import check_field, field_for, find_irreducible, run_selfcheck
 
 
 def _count_calls(monkeypatch, original):
@@ -84,3 +84,14 @@ def test_check_field_raises_when_the_walk_misses_its_zero(monkeypatch):
     monkeypatch.setattr("rootstrings.selfcheck._first_zero", lambda *args: None)
     with pytest.raises(ConsistencyError):
         check_field(FieldSpec(3))
+
+
+@pytest.mark.parametrize("primes,degrees,message", [
+    ([3, 3], [1], "prime 3 is listed more than once"),
+    ([2, 3], [1, 2, 1], "degree 1 is listed more than once"),
+])
+def test_repeated_prime_or_degree_refused_before_any_sweep(monkeypatch, primes, degrees, message):
+    swept = _count_calls(monkeypatch, check_field)
+    with pytest.raises(ValueError, match=message):
+        run_selfcheck(primes, degrees)
+    assert swept == []
