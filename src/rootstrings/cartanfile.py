@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .cartan import BValue, CartanDatum, Parity
-from .field import FieldElement, FieldSpec, FieldSpecError, _is_int
+from .field import FieldElement, FieldSpec, FieldSpecError
 
 _TOP_KEYS = {"characteristic", "extension", "matrix", "parities"}
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -133,37 +133,31 @@ def _parse_field(characteristic, extension) -> FieldSpec:
 
 
 def _parse_entry(spec: FieldSpec, value, strict: bool, row: int, col: int) -> FieldElement:
+    # The file format adds rational strings at characteristic 0, lists only as
+    # the 1..k coordinates of an extension-field element, and strict mode;
+    # FieldSpec.element decides everything else.
     where = f"entry ({row}, {col})"
     p, k = spec.characteristic, spec.degree
-    if p == 0:
-        if _is_int(value):
-            return spec.element(value)
+    if p == 0 and isinstance(value, str) and _RATIONAL.fullmatch(value):
         # Fraction alone would also read decimals and exponents, and the
         # cost of an exponent grows with it: "1e5000000" takes seconds
-        if isinstance(value, str) and _RATIONAL.fullmatch(value):
-            try:
-                return spec.element(Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:   # n/0, or too many digits
-                raise CartanFileError(
-                    "bad-entry", f"{where}: cannot parse rational {value!r}") from exc
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:   # n/0, or too many digits
+            raise CartanFileError(
+                "bad-entry", f"{where}: cannot parse rational {value!r}") from exc
+    elif p and isinstance(value, list) and not (k > 1 and value):
         raise CartanFileError(
-            "bad-entry",
-            f'{where}: expected an integer or "numerator/denominator" string')
-    if _is_int(value):
-        if strict and not 0 <= value < p:
-            raise CartanFileError(
-                "unreduced-entry", f"{where}: {value} is not reduced mod {p}")
-        return spec.element(value)
-    if k > 1 and isinstance(value, list):
-        if not all(_is_int(c) for c in value) or not 1 <= len(value) <= k:
-            raise CartanFileError(
-                "bad-entry", f"{where}: coefficient lists hold 1 to {k} integers")
-        if strict and any(not 0 <= c < p for c in value):
-            raise CartanFileError(
-                "unreduced-entry", f"{where}: coefficients must be reduced mod {p}")
-        return spec.element(value)
-    raise CartanFileError(
-        "bad-entry", f"{where}: cannot parse {value!r} as an element of {spec}")
+            "bad-entry", f"{where}: cannot parse {value!r} as an element of {spec}")
+    try:
+        element = spec.element(value)
+    except (TypeError, ValueError) as exc:
+        raise CartanFileError("bad-entry", f"{where}: {exc}") from None
+    # a residue is reduced exactly when reduction leaves it as it was
+    coords = value if isinstance(value, list) else [value]
+    if strict and list(element.coeffs[:len(coords)]) != coords:
+        raise CartanFileError("unreduced-entry", f"{where}: {value} is not reduced mod {p}")
+    return element
 
 
 def serialize_cartan(datum: CartanDatum) -> str:

@@ -8,6 +8,12 @@ Subcommands:
 * ``reflect``   -- new simple roots and change-of-basis data for one index
 * ``selfcheck`` -- exhaustive closed-form vs. recursion sweep over small fields
 
+``main`` runs each request from end to end: it reads and parses the
+``--input`` document, computes through one subcommand handler, and renders
+the report.  A handler returns only its own report keys; ``main`` writes
+``command`` and, for a datum, ``field``.  The argument parser is built once,
+at import.
+
 All reports are canonical JSON on stdout (or --output FILE).  Exit codes:
 0 success, 1 invalid input, 2 internal inconsistency (the two routes
 disagree), 3 reflection undefined (some bound is infinite).
@@ -31,6 +37,7 @@ from .cartanfile import (
     render_document,
 )
 from .reflection import ReflectionUndefinedError, basis_determinant, reflect
+from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_VALIDATION_ERROR = 1
@@ -64,17 +71,14 @@ def _load_datum(args):
     return parse_cartan(text, strict=args.strict)
 
 
-def cmd_bkj(args) -> tuple[dict, int]:
-    datum = _load_datum(args)
+def cmd_bkj(datum, args) -> dict:
     closed = b_closed(datum, args.k, args.j)
     recursive = b_recursive(datum, args.k, args.j, scan_cap=args.max_m)
     if closed != recursive:
         raise ConsistencyError(
             f"closed form gives {closed} but the recursion gives {recursive} "
             f"for k = {args.k}, j = {args.j}")
-    doc = {
-        "command": "bkj",
-        "field": field_doc(datum.spec),
+    return {
         "k": args.k,
         "j": args.j,
         "b": encode_bvalue(closed),
@@ -84,43 +88,30 @@ def cmd_bkj(args) -> tuple[dict, int]:
             "agree": True,
         },
     }
-    return doc, EXIT_OK
 
 
-def cmd_dseq(args) -> tuple[dict, int]:
-    datum = _load_datum(args)
+def cmd_dseq(datum, args) -> dict:
     seq = d_sequence(datum, args.k, args.j, args.max_m)
-    doc = {
-        "command": "dseq",
-        "field": field_doc(datum.spec),
+    return {
         "k": args.k,
         "j": args.j,
         "parity": datum.parity(args.k).value,
         "first_index": -1,
         "values": [encode_entry(d) for d in seq.values],
     }
-    return doc, EXIT_OK
 
 
-def cmd_table(args) -> tuple[dict, int]:
-    datum = _load_datum(args)
-    rows = b_table(datum)
-    doc = {
-        "command": "table",
-        "field": field_doc(datum.spec),
+def cmd_table(datum, args) -> dict:
+    return {
         "parities": [q.value for q in datum.parities],
-        "table": [[encode_bvalue(b) for b in row] for row in rows],
+        "table": [[encode_bvalue(b) for b in row] for row in b_table(datum)],
     }
-    return doc, EXIT_OK
 
 
-def cmd_reflect(args) -> tuple[dict, int]:
-    datum = _load_datum(args)
+def cmd_reflect(datum, args) -> dict:
     result = reflect(datum, args.k)
     determinant = basis_determinant(result.basis_matrix)
-    doc = {
-        "command": "reflect",
-        "field": field_doc(datum.spec),
+    return {
         "k": args.k,
         "b_row": [encode_bvalue(b) for b in result.b_row],
         "sigma": [v.coords for v in result.sigma],
@@ -128,16 +119,11 @@ def cmd_reflect(args) -> tuple[dict, int]:
         "determinant": determinant,
         "unimodular": determinant == -1,
     }
-    return doc, EXIT_OK
 
 
-def cmd_selfcheck(args) -> tuple[dict, int]:
-    from .selfcheck import run_selfcheck
-
-    report = run_selfcheck(args.primes, args.degrees)
-    doc = {"command": "selfcheck", "primes": args.primes, "degrees": args.degrees}
-    doc.update(report)
-    return doc, EXIT_OK if report["ok"] else EXIT_INCONSISTENT
+def cmd_selfcheck(args) -> dict:
+    return {"primes": args.primes, "degrees": args.degrees,
+            **run_selfcheck(args.primes, args.degrees)}
 
 
 _INPUT = (("--input", dict(required=True, help="Cartan-data JSON file")),
@@ -176,6 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def _emit(text: str, args) -> None:
     """Write the report to stdout, or to --output atomically: into a
     temporary file beside the target, which then replaces it.  An error on
@@ -202,13 +191,18 @@ def _emit(text: str, args) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc, code = args.handler(args)
+        doc = {"command": args.command}
+        if "input" in args:             # every subcommand but selfcheck reads one datum
+            datum = _load_datum(args)
+            doc["field"] = field_doc(datum.spec)
+            doc.update(args.handler(datum, args))
+        else:
+            doc.update(args.handler(args))
         _emit(render_document(doc), args)
     except CartanFileError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
@@ -225,4 +219,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error[invalid]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
-    return code
+    # only a selfcheck report has "ok"; a false one is an inconsistency
+    return EXIT_OK if doc.get("ok", True) else EXIT_INCONSISTENT

@@ -131,6 +131,8 @@ def test_bad_json_reports_position():
     (doc(matrix=[[0, True], [1, 0]]), "bad-entry"),
     (doc(matrix=[[0, "1"], [1, 0]]), "bad-entry"),
     (doc(matrix=[[0, [1]], [1, 0]]), "bad-entry"),       # list needs degree > 1
+    (doc(extension={"degree": 2, "modulus": [1, 0, 1]}, matrix=[[0, []], [1, 0]]),
+     "bad-entry"),                                          # list needs 1 to k coordinates
     (doc(characteristic=0, matrix=[[0, "1/0"], [1, 0]]), "bad-entry"),
     (doc(characteristic=0, matrix=[[0, "x"], [1, 0]]), "bad-entry"),
     (doc(characteristic=0, matrix=[[0, [1]], [1, 0]]), "bad-entry"),
@@ -199,6 +201,22 @@ def test_extension_entry_lists():
     mixed = doc(extension={"degree": 2, "modulus": [1, 0, 1]},
                 matrix=[[[1, True], [0, 1]], [[0, 1], 2]])
     assert error_code(mixed) == "bad-entry"
+
+
+@pytest.mark.parametrize("spec,value", [
+    (GF9, [1, True]), (GF9, [1, 2, 0]), (GF3, 1.5), (GF3, True),
+])
+def test_bad_entry_message_comes_from_the_field(spec, value):
+    with pytest.raises((TypeError, ValueError)) as reason:
+        spec.element(value)
+    header = {"characteristic": spec.characteristic}
+    if spec.modulus:
+        header["extension"] = {"degree": spec.degree, "modulus": list(spec.modulus)}
+    with pytest.raises(CartanFileError) as info:
+        parse_cartan(json.dumps({**header, "matrix": [[0, value], [1, 0]],
+                                 "parities": ["ev", "ev"]}))
+    assert info.value.code == "bad-entry"
+    assert str(info.value) == f"entry (1, 2): {reason.value}"
 
 
 def test_strict_mode_rejects_unreduced_values():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -322,6 +323,22 @@ def test_help_exits_0(run_cli):
     code, out, _ = run_cli("--help")
     assert code == 0
     assert "bkj" in out and "selfcheck" in out
+
+
+def test_parser_built_once_per_process(run_cli, monkeypatch):
+    table = ("table", "--input", str(FIXTURES / "prime.json"))
+    assert run_cli(*table)[0] == 0
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(*table)[0] == 0
+    assert run_cli("selfcheck", "--primes", "2")[0] == 0
+    assert built == []
 
 
 def test_route_disagreement_exits_2(run_cli, monkeypatch):
