@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Callable, Iterator, Optional, Union
 
 from .field import FieldElement, FieldSpec
@@ -122,6 +122,11 @@ class BValue:
 #: The infinite bound.
 INFINITY = BValue(None)
 
+#: The ladder's finite bounds, shared: a ``BValue`` is immutable, so every
+#: row that reaches bound m can hand out one object, built and validated once.
+#: Bounds at large p or over Q have no upper limit, so the cache is bounded.
+_shared_bound = lru_cache(maxsize=1024)(BValue)
+
 
 @dataclass(frozen=True)
 class CartanDatum:
@@ -152,6 +157,19 @@ class CartanDatum:
                     raise ValueError("all entries must share the datum's field")
         if any(not isinstance(q, Parity) for q in self.parities):
             raise TypeError("parities must be Parity values")
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, entries: tuple, parities: tuple) -> "CartanDatum":
+        """A datum from parts already checked: ``entries`` an n x n tuple of
+        tuples of elements that ``spec.element`` built, ``parities`` a tuple
+        of n Parity values, n >= 1.  Skips ``__post_init__``'s per-entry
+        checks; the document parser, which builds each entry itself, is the
+        one caller."""
+        datum = object.__new__(cls)
+        object.__setattr__(datum, "spec", spec)
+        object.__setattr__(datum, "entries", entries)
+        object.__setattr__(datum, "parities", parities)
+        return datum
 
     @classmethod
     def build(cls, spec: FieldSpec, rows, parities) -> "CartanDatum":
@@ -345,32 +363,43 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]
     The row's facts are fixed here once: the zero test on A_kk, its first
     nonzero coordinate i and that coordinate's inverse mod p.  GF(p) acts on
     the power basis coordinate-wise, so c is read off coordinate i of A_kj
-    and checked against all the others; no field division happens.
+    and checked against all the others; no field division happens.  At
+    p = 0, A_kk = y/z and A_kj = u/v in lowest terms (v, z > 0), and
+    m = -s * A_kj / A_kk = (-s*z*u) / (y*v) with s = 2 (even) or 1 (odd), so
+    one integer ``divmod`` decides it; no Fraction is built.  Finite bounds
+    come from a bounded cache and are shared between rows and calls.
     """
     p = a_kk.spec.characteristic
     even = parity is Parity.EVEN
     kk = a_kk.coeffs
     i = next((i for i, b in enumerate(kk) if b), None)     # None: A_kk = 0
     inv = pow(kk[i], -1, p) if p and i is not None else None
+    if not p and i is not None:
+        # m = u * top / (v * bottom), with bottom > 0
+        y, z = kk[0].as_integer_ratio()
+        top, bottom = (-2 if even else -1) * z, y
+        if bottom < 0:
+            top, bottom = -top, -bottom
 
     def bound(kj: tuple) -> BValue:
         if not any(kj):
-            return BValue(0)
+            return _shared_bound(0)
         if i is None:
             if not even:
-                return BValue(1)
-            return BValue(p - 1) if p else INFINITY
+                return _shared_bound(1)
+            return _shared_bound(p - 1) if p else INFINITY
         if even and p == 2:
-            return BValue(2) if kj == kk else BValue(3)
+            return _shared_bound(2 if kj == kk else 3)
         if p:
             c = kj[i] * inv % p
             if len(kk) > 1 and any((a - c * b) % p for a, b in zip(kj, kk)):
-                return BValue(p - 1 if even else 2 * p - 1)
-            return BValue(-2 * c % p) if even else BValue(2 * (-c % p))
-        m = -2 * kj[0] / kk[0] if even else -kj[0] / kk[0]
-        if m.denominator != 1 or m < 0:
+                return _shared_bound(p - 1 if even else 2 * p - 1)
+            return _shared_bound(-2 * c % p if even else 2 * (-c % p))
+        u, v = kj[0].as_integer_ratio()
+        m, rest = divmod(u * top, v * bottom)
+        if rest or m < 0:
             return INFINITY
-        return BValue(int(m) if even else 2 * int(m))
+        return _shared_bound(m if even else 2 * m)
 
     return bound
 
@@ -383,22 +412,32 @@ def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
     return _row_ladder(datum.parity(k), datum.entry(k, k))(datum.entry(k, j).coeffs)
 
 
+_COEFFS = operator.attrgetter("coeffs")
+_FIRST = operator.itemgetter(0)
+
+
 def b_row(datum: CartanDatum, k: int) -> tuple[Optional[BValue], ...]:
     """The bounds B_k1, ..., B_kn of row k, None at j = k.
 
     B_kj depends only on (i_k, A_kk, A_kj), and the first two are fixed along
     row k, so the row's ladder is built once and runs once per distinct A_kj
-    of the row: at most q times over GF(q).
+    of the row: at most q times over GF(q).  Equal A_kj get the same
+    ``BValue`` object.
     """
     n = datum.n
     if not 1 <= k <= n:
         raise IndexError(f"k must lie in [1, {n}]")
     row = datum.entries[k - 1]
     ladder = _row_ladder(datum.parities[k - 1], row[k - 1])
-    keys = [a_kj.coeffs for a_kj in row]
-    del keys[k - 1]
-    bounds = {c: ladder(c) for c in set(keys)}
-    out = [bounds[c] for c in keys]
+    coeffs = list(map(_COEFFS, row))
+    del coeffs[k - 1]
+    # over GF(q) the coordinates are tuples of ints; over Q they hold a
+    # Fraction, whose hash computes a modular inverse, so the row is keyed
+    # on its integer pair (numerator, denominator) instead
+    keys = (coeffs if datum.spec.characteristic
+            else list(map(Fraction.as_integer_ratio, map(_FIRST, coeffs))))
+    bounds = {key: ladder(c) for key, c in dict(zip(keys, coeffs)).items()}
+    out = list(map(bounds.__getitem__, keys))
     out.insert(k - 1, None)
     return tuple(out)
 

@@ -38,6 +38,8 @@ from .cartan import BValue, CartanDatum, Parity
 from .field import FieldElement, FieldSpec, FieldSpecError
 
 _TOP_KEYS = {"characteristic", "extension", "matrix", "parities"}
+#: Rows whose entries all have one of these exact types are memoised by value.
+_BY_VALUE = {int, str}
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -53,7 +55,9 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
     """Parse and fully validate a Cartan-data document.
 
     Raises CartanFileError with a distinct ``code`` per failure mode; JSON
-    syntax errors carry the line and column.
+    syntax errors carry the line and column.  Each distinct entry is parsed
+    once per document, and the datum is built without re-checking entries
+    that ``FieldSpec.element`` has just built.
     """
     try:
         raw = json.loads(text)
@@ -95,22 +99,34 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
                 "bad-parity", f'parity {i + 1} must be "ev" or "od", got {label!r}')
         parsed_parities.append(Parity(label))
 
-    # A matrix holds few distinct values, so each is parsed once.  The memo is
-    # keyed on repr, which tells 1, 1.0 and True apart, and [1, 2] from
-    # [1, 2.0], although they compare equal.  Only successes are remembered,
-    # so the first bad entry is still the one named.
-    parsed: dict = {}
+    # A matrix holds few distinct values, so each is parsed once.  A row of
+    # exact ints and strings is memoised by value: no int equals a str, and
+    # the bools and floats that equal some int (True, 1.0) send their row
+    # down the other path.  Any other row is memoised on repr, which tells 1,
+    # 1.0 and True apart, and [1, 2] from [1, 2.0], although they compare
+    # equal.  Only successes are remembered, and new values are parsed in
+    # column order, so the first bad entry is still the one named.
+    by_value: dict = {}
+    by_repr: dict = {}
     entries = []
-    for r, row in enumerate(matrix):
+    for r, row in enumerate(matrix, 1):
+        if set(map(type, row)) <= _BY_VALUE:
+            if set(row).difference(by_value):
+                for c, value in enumerate(row, 1):
+                    if value not in by_value:
+                        by_value[value] = _parse_entry(spec, value, strict, r, c)
+            entries.append(tuple(map(by_value.__getitem__, row)))
+            continue
         out = []
-        for c, value in enumerate(row):
+        for c, value in enumerate(row, 1):
             key = repr(value)
-            element = parsed.get(key)
+            element = by_repr.get(key)
             if element is None:
-                element = parsed[key] = _parse_entry(spec, value, strict, r + 1, c + 1)
+                element = by_repr[key] = _parse_entry(spec, value, strict, r, c)
             out.append(element)
         entries.append(tuple(out))
-    return CartanDatum(spec, tuple(entries), tuple(parsed_parities))
+    # every entry came from spec.element, so the datum skips re-checking them
+    return CartanDatum._trusted(spec, tuple(entries), tuple(parsed_parities))
 
 
 def _parse_field(characteristic, extension) -> FieldSpec:
@@ -238,7 +254,7 @@ def encode_bvalue(b: Optional[BValue]) -> Union[int, str, None]:
     """JSON encoding of a bound: an integer, "inf", or null when absent."""
     if b is None:
         return None
-    return b.value if b.is_finite else "inf"
+    return "inf" if b.value is None else b.value
 
 
 def field_doc(spec: FieldSpec) -> dict:

@@ -104,7 +104,7 @@ def cmd_dseq(datum, args) -> dict:
 def cmd_table(datum, args) -> dict:
     return {
         "parities": [q.value for q in datum.parities],
-        "table": [[encode_bvalue(b) for b in row] for row in b_table(datum)],
+        "table": [list(map(encode_bvalue, row)) for row in b_table(datum)],
     }
 
 

@@ -23,7 +23,7 @@ from rootstrings.cartan import (
     pair_datum,
 )
 from rootstrings.field import FieldElement, FieldSpec
-from rootstrings.reflection import reflect
+from rootstrings.reflection import ReflectionUndefinedError, reflect
 from rootstrings.selfcheck import sweep_pairs
 
 GF2 = FieldSpec(2)
@@ -66,10 +66,20 @@ def test_bvalue_int_str_hash():
         int(INFINITY)
 
 
-@pytest.mark.parametrize("bad", [-1, True, "3", 2.0])
+@pytest.mark.parametrize("bad", [-1, True, "3", 2.0, 1.0])
 def test_bvalue_rejects_non_bounds(bad):
     with pytest.raises(ValueError):
         BValue(bad)
+
+
+def test_public_bvalue_validates_while_the_ladder_shares_bounds():
+    # the ladder's shared bounds 1 and 0 are cached by value, and True == 1,
+    # 1.0 == 1; the public constructor must not hand those out
+    datum = CartanDatum.build(GF3, [[0, 1, 0], [1, 0, 1], [2, 2, 2]], ["od", "ev", "ev"])
+    assert b_table(datum)[0] == (None, BValue(1), BValue(0))
+    for bad in (-1, True, 1.0, False, 0.0):
+        with pytest.raises(ValueError):
+            BValue(bad)
 
 
 # --- datum construction -----------------------------------------------------
@@ -334,15 +344,18 @@ def test_b_table_matches_b_closed_entry_by_entry(spec, n, seed):
     assert b_table(datum) == expected
 
 
-@pytest.mark.parametrize("spec", [GF3, GF9, GF125, GF101], ids=str)
+@pytest.mark.parametrize("spec", [GF3, GF9, GF125, GF101, Q], ids=str)
 @pytest.mark.parametrize("n,seed", [(20, 1), (33, 2)])
 def test_b_table_matches_b_recursive_entry_by_entry(spec, n, seed):
+    # over Q the largest finite bound random_datum allows is 36, and a scan
+    # cap below a finite bound raises rather than answering; each infinite
+    # entry walks the whole cap, so it is kept well below the default
     datum = random_datum(spec, n, seed)
     table = b_table(datum)
     for k in range(1, n + 1):
         for j in range(1, n + 1):
             if j != k:
-                assert table[k - 1][j - 1] == b_recursive(datum, k, j), (k, j)
+                assert table[k - 1][j - 1] == b_recursive(datum, k, j, scan_cap=100), (k, j)
 
 
 def count_ladders(monkeypatch):
@@ -364,19 +377,57 @@ def count_ladders(monkeypatch):
     return built, evaluated
 
 
-@pytest.mark.parametrize("spec", [GF3, GF9], ids=str)
+@pytest.mark.parametrize("spec", [GF3, GF9, Q], ids=str)
 def test_b_table_runs_the_ladder_at_most_q_times_per_row(spec, monkeypatch):
+    # once per distinct A_kj of a row, j != k: at most q times over GF(q)
     n = 40
     datum = random_datum(spec, n, 3)
+    distinct = [len({a for j, a in enumerate(row) if j != k})
+                for k, row in enumerate(datum.entries)]
     expected = b_table(datum)
     built, evaluated = count_ladders(monkeypatch)
     assert b_table(datum) == expected
     assert len(built) == n
-    assert len(evaluated) <= n * spec.order
+    assert len(evaluated) == sum(distinct)
+    if spec.characteristic:
+        assert len(evaluated) <= n * spec.order
     for k in range(1, n + 1):
         evaluated.clear()
-        reflect(datum, k)
-        assert len(evaluated) <= spec.order
+        try:
+            reflect(datum, k)
+        except ReflectionUndefinedError:    # over Q, after the row's bounds
+            pass
+        assert len(evaluated) == distinct[k - 1]
+
+
+def test_b_table_over_q_hashes_no_fraction(monkeypatch):
+    # a Fraction's hash computes a modular inverse; rows are keyed on the
+    # integer pair (numerator, denominator) instead
+    datum = random_datum(Q, 30, 4)
+    expected = tuple(
+        tuple(None if k == j else b_closed(datum, k, j) for j in range(1, 31))
+        for k in range(1, 31))
+    calls = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    table = b_table(datum)
+    assert calls == []
+    monkeypatch.undo()
+    assert table == expected
+
+
+@pytest.mark.parametrize("spec", [GF9, GF101, Q], ids=str)
+def test_equal_entries_of_a_row_share_one_bound(spec):
+    # equal A_kj give one BValue object, and equal bounds across rows come
+    # from the ladder's shared cache
+    table = b_table(random_datum(spec, 40, 5))
+    for row in table:
+        assert len({id(b) for b in row}) == len(set(row))
 
 
 @pytest.mark.parametrize("spec", [GF125, GF7], ids=str)

@@ -289,6 +289,114 @@ def test_parse_builds_each_distinct_entry_once(monkeypatch):
                for r, row in enumerate(matrix) for c, value in enumerate(row))
 
 
+# --- rows memoised by value ---------------------------------------------------------
+
+GF7 = FieldSpec(7)
+GF113 = FieldSpec(113)
+
+
+def reference_parse(spec, matrix, parities, strict):
+    """What parsing ``matrix`` must give, deciding entry by entry in row-major
+    order: the (code, entry) of the first refused entry, or else the datum
+    that ``CartanDatum.build`` makes."""
+    p = spec.characteristic
+    rows = []
+    for r, row in enumerate(matrix, 1):
+        out = []
+        for c, value in enumerate(row, 1):
+            where = f"entry ({r}, {c})"
+            if isinstance(value, str):
+                if p or value.endswith("/0"):
+                    return "bad-entry", where
+                value = Fraction(value)
+            if strict and p and not 0 <= value < p:
+                return "unreduced-entry", where
+            out.append(value)
+        rows.append(out)
+    return CartanDatum.build(spec, rows, parities)
+
+
+def parse_outcome(text, strict):
+    try:
+        return parse_cartan(text, strict=strict)
+    except CartanFileError as exc:
+        return exc.code, str(exc).split(":")[0]
+
+
+@st.composite
+def scalar_documents(draw, spec):
+    """A rank-1..5 matrix drawn, with repeats, from a few ints (reduced or
+    not) over GF(p), or ints and "n/d" strings (d = 0 among them) over Q."""
+    p = spec.characteristic
+    if p:
+        value = st.one_of(st.integers(0, p - 1), st.integers(-p, 2 * p))
+    else:
+        value = st.one_of(st.integers(-9, 9),
+                          st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 4)))
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    n = draw(st.integers(1, 5))
+    matrix = draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    parities = draw(st.lists(st.sampled_from(["ev", "od"]), min_size=n, max_size=n))
+    return matrix, parities
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("spec", [GF7, GF113, Q], ids=str)
+@given(data=st.data())
+def test_scalar_rows_parse_like_build(spec, strict, data):
+    matrix, parities = data.draw(scalar_documents(spec))
+    text = json.dumps({"characteristic": spec.characteristic, "matrix": matrix,
+                       "parities": parities})
+    assert parse_outcome(text, strict) == reference_parse(spec, matrix, parities, strict)
+
+
+@pytest.mark.parametrize("text,strict,code,where", [
+    (doc(characteristic=7, matrix=[[1, 2, 3], [2, 1, 9], [0, 0, 0]], parities=["ev"] * 3),
+     True, "unreduced-entry", "entry (2, 3)"),
+    (doc(characteristic=0, matrix=[[1, "1/2"], ["1/2", "1/0"]]), False, "bad-entry", "entry (2, 2)"),
+    (doc(matrix=[[1, True], [0, 1]]), False, "bad-entry", "entry (1, 2)"),
+])
+def test_first_bad_entry_after_memoised_ones_is_named(text, strict, code, where):
+    with pytest.raises(CartanFileError) as info:
+        parse_cartan(text, strict=strict)
+    assert info.value.code == code
+    assert str(info.value).startswith(where + ":")
+
+
+@pytest.mark.parametrize("fixture", ["wide_char0.json", "wide_prime.json", "extension.json"])
+def test_parse_builds_no_datum_twice(fixtures_dir, monkeypatch, fixture):
+    # every entry comes from spec.element, so the datum's own per-entry
+    # checks are not run again
+    text = (fixtures_dir / fixture).read_text()
+    calls = []
+    original = CartanDatum.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(CartanDatum, "__post_init__", counting)
+    datum = parse_cartan(text)
+    assert calls == []
+    raw = json.loads(text)
+    rows = [[Fraction(v) if isinstance(v, str) else v for v in row] for row in raw["matrix"]]
+    assert datum == CartanDatum.build(datum.spec, rows, raw["parities"])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entries,parities,error", [
+    (((GF7.element(1),),), (Parity.EVEN,), ValueError),                     # foreign field
+    (((1,),), (Parity.EVEN,), TypeError),                                   # not an element
+    (((GF3.element(1), GF3.element(0)), (GF3.element(1),)),
+     (Parity.EVEN, Parity.EVEN), ValueError),                               # ragged
+])
+def test_public_datum_constructor_still_validates(entries, parities, error):
+    with pytest.raises(error) as info:
+        CartanDatum(GF3, entries, parities)
+    assert type(info.value) is error
+
+
 # --- serialization ---------------------------------------------------------------
 
 def test_serialize_round_trips_fixtures(fixtures_dir):

@@ -28,6 +28,12 @@ GOLDEN_CASES = [
     ("char0_dseq.json", ["dseq", "--input", "char0.json", "--k", "1", "--j", "2", "--max-m", "4"]),
     ("char0_table.json", ["table", "--input", "char0.json"]),
     ("char0_reflect.json", ["reflect", "--input", "char0.json", "--k", "1"]),
+    # rank 40: ints, "n/d" strings and repeated values over Q, unreduced and
+    # negative ints over GF(113); row 5 of wide_char0 has only finite bounds
+    ("wide_char0_table.json", ["table", "--input", "wide_char0.json"]),
+    ("wide_char0_reflect.json", ["reflect", "--input", "wide_char0.json", "--k", "5"]),
+    ("wide_prime_table.json", ["table", "--input", "wide_prime.json"]),
+    ("wide_prime_reflect.json", ["reflect", "--input", "wide_prime.json", "--k", "3"]),
 ]
 
 
