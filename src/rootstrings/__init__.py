@@ -22,8 +22,6 @@ from .cartan import (
     b_closed,
     b_recursive,
     b_table,
-    d_closed_even,
-    d_closed_odd,
     d_next,
     d_sequence,
     pair_datum,
@@ -37,7 +35,6 @@ from .field import (
     FieldSpecError,
     check_irreducible,
     is_prime,
-    lift,
 )
 from .reflection import (
     ReflectionResult,
@@ -73,14 +70,11 @@ __all__ = [
     "basis_determinant",
     "check_field",
     "check_irreducible",
-    "d_closed_even",
-    "d_closed_odd",
     "d_next",
     "d_sequence",
     "field_for",
     "find_irreducible",
     "is_prime",
-    "lift",
     "pair_datum",
     "parse_cartan",
     "reflect",

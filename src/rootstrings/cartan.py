@@ -17,9 +17,9 @@ In positive characteristic the sequence is guaranteed to vanish by
 m = 2p - 1, so every bound is finite; in characteristic 0 the bound can be
 infinite, and only the closed form can certify that.
 
-Integer scalars (the index m, binomial coefficients, the literal 2) always
-act through their canonical image m * 1 in the field, which makes the p = 2
-degeneracies such as 2 = 0 automatic.
+Integer scalars (the index m, the literal 2) always act through their
+canonical image m * 1 in the field, which makes the p = 2 degeneracies such
+as 2 = 0 automatic.
 """
 
 from __future__ import annotations
@@ -184,11 +184,16 @@ class CartanDatum:
         return len(self.parities)
 
     def entry(self, k: int, j: int) -> FieldElement:
-        """A_kj with 1-based indices."""
+        """A_kj with 1-based indices; IndexError outside [1, n]."""
+        n = self.n
+        if not 1 <= k <= n or not 1 <= j <= n:
+            raise IndexError(f"indices must lie in [1, {n}], got k={k}, j={j}")
         return self.entries[k - 1][j - 1]
 
     def parity(self, k: int) -> Parity:
-        """i_k with a 1-based index."""
+        """i_k with a 1-based index; IndexError outside [1, n]."""
+        if not 1 <= k <= self.n:
+            raise IndexError(f"k must lie in [1, {self.n}]")
         return self.parities[k - 1]
 
 
@@ -264,13 +269,25 @@ def _walk(a_kj: FieldElement, a_kk: FieldElement,
 
 
 def _first_zero(a_kj: FieldElement, a_kk: FieldElement, parity: Parity,
-                bound: int) -> Optional[int]:
-    """The first m in [0, bound] with d_m = 0 on ``_walk``, or None if there
-    is none."""
-    steps = itertools.islice(_walk(a_kj, a_kk, parity), bound + 1)
+                scan_cap: int = DEFAULT_SCAN_CAP) -> Optional[int]:
+    """The first m >= 0 with d_m = 0 on ``_walk``: the one place that knows
+    how far the walk must go.
+
+    In characteristic p > 0 a zero is guaranteed by m = 2p - 1, so the walk
+    stops there and a miss raises ConsistencyError naming (i_k, A_kk, A_kj);
+    ``scan_cap`` is not read.  In characteristic 0 the walk stops at m =
+    ``scan_cap`` and a miss returns None.
+    """
+    p = a_kk.spec.characteristic
+    last = 2 * p - 1 if p else scan_cap
+    steps = itertools.islice(_walk(a_kj, a_kk, parity), last + 1)
     try:
         return operator.indexOf(map(any, steps), False)
     except ValueError:
+        if p:
+            raise ConsistencyError(
+                f"no zero of the d-sequence up to m = {last} at "
+                f"(i_k, A_kk, A_kj) = ({parity.value}, {a_kk}, {a_kj})") from None
         return None
 
 
@@ -290,47 +307,23 @@ def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
     return DSequence(k, j, tuple(values))
 
 
-def d_closed_even(a_kj: FieldElement, a_kk: FieldElement, m: int) -> FieldElement:
-    """Closed form of d_m for an even generator:
-    -(m+1)*A_kj - C(m+1, 2)*A_kk."""
-    if m < -1:
-        raise ValueError("m must be >= -1")
-    return -((m + 1) * a_kj) - math.comb(m + 1, 2) * a_kk
-
-
-def d_closed_odd(a_kj: FieldElement, a_kk: FieldElement, m: int) -> FieldElement:
-    """Closed form of d_m for an odd generator:
-    A_kj + l*A_kk at m = 2l, and l*A_kk at m = 2l - 1."""
-    if m < -1:
-        raise ValueError("m must be >= -1")
-    if m % 2 == 0:
-        return a_kj + (m // 2) * a_kk
-    return ((m + 1) // 2) * a_kk
-
-
 def b_recursive(datum: CartanDatum, k: int, j: int, *,
                 scan_cap: int = DEFAULT_SCAN_CAP) -> BValue:
     """First index m >= 0 with d_m = 0, walking the recursion directly.
 
-    In characteristic p > 0 a zero is guaranteed by m = 2p - 1, so the scan
-    is bounded there and a miss raises ConsistencyError.  In characteristic 0
-    the scan runs to ``scan_cap``; a scan that comes up empty cannot certify
-    infinity on its own, so the closed form then decides between an infinite
-    bound and a too-small cap.  The walk runs on residue coordinates and
-    builds no field element per step.  A negative cap is refused at every
-    characteristic.
+    ``_first_zero`` decides how far to walk: to the guaranteed zero at
+    p > 0, and to ``scan_cap`` in characteristic 0.  There a scan that comes
+    up empty cannot certify infinity on its own, so the closed form then
+    decides between an infinite bound and a too-small cap.  The walk runs on
+    residue coordinates and builds no field element per step.  A negative
+    cap is refused at every characteristic.
     """
     _check_pair(datum, k, j)
     if scan_cap < 0:
         raise ValueError("scan cap must be >= 0")
-    p = datum.spec.characteristic
-    bound = 2 * p - 1 if p > 0 else scan_cap
-    m = _first_zero(datum.entry(k, j), datum.entry(k, k), datum.parity(k), bound)
+    m = _first_zero(datum.entry(k, j), datum.entry(k, k), datum.parity(k), scan_cap)
     if m is not None:
         return BValue(m)
-    if p > 0:
-        raise ConsistencyError(
-            f"no zero of the d-sequence up to m = {bound} at (k, j) = ({k}, {j})")
     closed = b_closed(datum, k, j)
     if closed.is_finite:
         raise ValueError(
@@ -356,7 +349,7 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]
     5. otherwise: even                           -> -2c
                   odd                            -> 2 * (-c)
 
-    In branch 5, p > 0 lifts the integer -2c or -c into [0, p); at p = 0 it
+    In branch 5, p > 0 reduces the integer -2c or -c into [0, p); at p = 0 it
     must be a non-negative integer, and otherwise the bound is infinite.
     Branch 4 never fires at p = 0, where every ratio is rational.
 
@@ -375,11 +368,10 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]
     i = next((i for i, b in enumerate(kk) if b), None)     # None: A_kk = 0
     inv = pow(kk[i], -1, p) if p and i is not None else None
     if not p and i is not None:
-        # m = u * top / (v * bottom), with bottom > 0
+        # m = u * top / (v * bottom); divmod leaves no remainder exactly when
+        # the quotient is an integer, whatever the sign of the divisor
         y, z = kk[0].as_integer_ratio()
         top, bottom = (-2 if even else -1) * z, y
-        if bottom < 0:
-            top, bottom = -top, -bottom
 
     def bound(kj: tuple) -> BValue:
         if not any(kj):
@@ -424,11 +416,9 @@ def b_row(datum: CartanDatum, k: int) -> tuple[Optional[BValue], ...]:
     of the row: at most q times over GF(q).  Equal A_kj get the same
     ``BValue`` object.
     """
-    n = datum.n
-    if not 1 <= k <= n:
-        raise IndexError(f"k must lie in [1, {n}]")
+    parity = datum.parity(k)        # IndexError outside [1, n]
     row = datum.entries[k - 1]
-    ladder = _row_ladder(datum.parities[k - 1], row[k - 1])
+    ladder = _row_ladder(parity, row[k - 1])
     coeffs = list(map(_COEFFS, row))
     del coeffs[k - 1]
     # over GF(q) the coordinates are tuples of ints; over Q they hold a

@@ -72,13 +72,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def lift(x: int, p: int) -> int:
-    """Minimal non-negative integer congruent to x modulo p."""
-    if p <= 0:
-        raise ValueError("lift needs a positive characteristic")
-    return x % p
-
-
 def _trimmed(coeffs: Sequence[int]) -> list[int]:
     out = list(coeffs)
     while out and out[-1] == 0:

@@ -30,12 +30,19 @@ class ReflectionUndefinedError(ValueError):
 
 @dataclass(frozen=True)
 class RootVector:
-    """Integer coordinates in the simple-root basis alpha_1, ..., alpha_n."""
+    """Integer coordinates in the simple-root basis alpha_1, ..., alpha_n.
+
+    Each coordinate must have the exact type ``int``: a float, a string or
+    a bool is refused with TypeError rather than converted.
+    """
 
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        coords = tuple(self.coords)
+        if not set(map(type, coords)) <= {int}:
+            raise TypeError("root coordinates must be ints")
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def simple(cls, n: int, i: int) -> "RootVector":

@@ -16,8 +16,6 @@ from rootstrings.cartan import (
     b_closed,
     b_recursive,
     b_table,
-    d_closed_even,
-    d_closed_odd,
     d_next,
     d_sequence,
     pair_datum,
@@ -25,6 +23,8 @@ from rootstrings.cartan import (
 from rootstrings.field import FieldElement, FieldSpec
 from rootstrings.reflection import ReflectionUndefinedError, reflect
 from rootstrings.selfcheck import sweep_pairs
+
+from oracles import d_closed_even, d_closed_odd
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -128,6 +128,20 @@ def test_index_checks():
         d_sequence(datum, 1, 2, -2)
     with pytest.raises(ValueError):
         d_next(GF3.zero(), GF3.zero(), GF3.zero(), -1, Parity.EVEN)
+
+
+@pytest.mark.parametrize("k,j", [(0, 1), (1, 0), (-1, 2), (3, 1), (1, 3)])
+def test_accessors_refuse_indices_outside_the_rank(k, j):
+    # k - 1 = -1 would read A_21 from the end of the matrix
+    datum = CartanDatum.build(GF7, [[2, 3], [5, 2]], ["ev", "od"])
+    with pytest.raises(IndexError):
+        datum.entry(k, j)
+    if not 1 <= k <= 2:
+        with pytest.raises(IndexError):
+            datum.parity(k)
+    assert [datum.entry(a, b) for a in (1, 2) for b in (1, 2)] == list(
+        map(GF7.element, [2, 3, 5, 2]))
+    assert [datum.parity(a) for a in (1, 2)] == [Parity.EVEN, Parity.ODD]
 
 
 def test_dsequence_indexing():
@@ -449,8 +463,8 @@ def test_closed_form_makes_no_field_division(spec, monkeypatch):
     table = b_table(datum)
     assert calls == []
     p = spec.characteristic
-    assert table[0][1] == (-2 * 3) % p          # even row: lift(-2c)
-    assert table[1][2] == 2 * ((-3) % p)        # odd row: 2 lift(-c)
+    assert table[0][1] == (-2 * 3) % p          # even row: -2c mod p
+    assert table[1][2] == 2 * ((-3) % p)        # odd row: 2 * (-c mod p)
     assert table[0][2] == 0
 
 
@@ -461,9 +475,9 @@ GF27 = FieldSpec(3, 3, (1, 2, 0, 1))
 
 @pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF25, GF27], ids=str)
 def test_row_ladder_ratio_branch_matches_division(spec):
-    # with c = A_kj / A_kk, the odd ladder gives 2 * lift(-c) when c lies in
+    # with c = A_kj / A_kk, the odd ladder gives 2 * (-c mod p) when c lies in
     # GF(p) (branch 5, or branch 1 at c = 0) and 2p - 1 otherwise (branch 4);
-    # at odd p the even ladder gives lift(-2c) or p - 1
+    # at odd p the even ladder gives -2c mod p or p - 1
     p = spec.characteristic
     elems = list(spec.elements())
     for y in elems[1:]:
@@ -494,7 +508,7 @@ GF1009_2 = FieldSpec(1009, 2, (998, 0, 1))     # t^2 - 11; 11 is not a square mo
 
 @pytest.mark.parametrize("spec", [GF1009, GF1009_2], ids=str)
 def test_b_recursive_builds_no_element_per_step(spec, monkeypatch):
-    # odd row, A_kk = 1: A_kj = c gives B = 2 * lift(-c), and A_kj = t,
+    # odd row, A_kk = 1: A_kj = c gives B = 2 * (-c mod p), and A_kj = t,
     # outside GF(p), gives 2p - 1
     top = (2016, 1) if spec.degree == 1 else (2017, [0, 1])
     data = {b: pair_datum(spec, 1, a_kj, Parity.ODD) for b, a_kj in [(10, -5), (1000, -500), top]}

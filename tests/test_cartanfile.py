@@ -298,7 +298,9 @@ GF113 = FieldSpec(113)
 def reference_parse(spec, matrix, parities, strict):
     """What parsing ``matrix`` must give, deciding entry by entry in row-major
     order: the (code, entry) of the first refused entry, or else the datum
-    that ``CartanDatum.build`` makes."""
+    that ``CartanDatum.build`` makes.  A coefficient list is an element only
+    over an extension field, and only when it is non-empty, no longer than
+    the degree, and holds nothing but exact ints."""
     p = spec.characteristic
     rows = []
     for r, row in enumerate(matrix, 1):
@@ -309,7 +311,12 @@ def reference_parse(spec, matrix, parities, strict):
                 if p or value.endswith("/0"):
                     return "bad-entry", where
                 value = Fraction(value)
-            if strict and p and not 0 <= value < p:
+            if isinstance(value, list) and (
+                    spec.degree == 1 or not value or len(value) > spec.degree
+                    or not set(map(type, value)) <= {int}):
+                return "bad-entry", where
+            coords = value if isinstance(value, list) else [value]
+            if strict and p and not all(0 <= x < p for x in coords):
                 return "unreduced-entry", where
             out.append(value)
         rows.append(out)
@@ -326,9 +333,16 @@ def parse_outcome(text, strict):
 @st.composite
 def scalar_documents(draw, spec):
     """A rank-1..5 matrix drawn, with repeats, from a few ints (reduced or
-    not) over GF(p), or ints and "n/d" strings (d = 0 among them) over Q."""
+    not) over GF(p); ints and "n/d" strings (d = 0 among them) over Q; and
+    over GF(p^k), ints mixed with coefficient lists: reduced or not, short,
+    too long, empty, or holding a float or a bool."""
     p = spec.characteristic
-    if p:
+    if spec.degree > 1:
+        value = st.one_of(st.integers(-p, 2 * p),
+                          st.lists(st.integers(-p, 2 * p), max_size=spec.degree + 1),
+                          # each odd list beside the int list it equals
+                          st.sampled_from([[], [1, 2.0], [1, 2], [1, True], [1, 1]]))
+    elif p:
         value = st.one_of(st.integers(0, p - 1), st.integers(-p, 2 * p))
     else:
         value = st.one_of(st.integers(-9, 9),
@@ -342,12 +356,14 @@ def scalar_documents(draw, spec):
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
-@pytest.mark.parametrize("spec", [GF7, GF113, Q], ids=str)
+@pytest.mark.parametrize("spec", [GF7, GF113, Q, GF9], ids=str)
 @given(data=st.data())
 def test_scalar_rows_parse_like_build(spec, strict, data):
     matrix, parities = data.draw(scalar_documents(spec))
-    text = json.dumps({"characteristic": spec.characteristic, "matrix": matrix,
-                       "parities": parities})
+    document = {"characteristic": spec.characteristic, "matrix": matrix, "parities": parities}
+    if spec.degree > 1:
+        document["extension"] = {"degree": spec.degree, "modulus": list(spec.modulus)}
+    text = json.dumps(document)
     assert parse_outcome(text, strict) == reference_parse(spec, matrix, parities, strict)
 
 

@@ -13,7 +13,6 @@ from rootstrings.field import (
     FieldSpecError,
     check_irreducible,
     is_prime,
-    lift,
 )
 
 GF2 = FieldSpec(2)
@@ -58,18 +57,6 @@ def test_is_prime_refuses_at_the_exactness_bound():
     with pytest.raises(FieldSpecError, match=str(PRIMALITY_LIMIT)) as info:
         FieldSpec(PRIMALITY_LIMIT)
     assert info.value.code == "bad-characteristic"
-
-
-@pytest.mark.parametrize("x,p,expected", [(7, 5, 2), (-1, 5, 4), (0, 5, 0),
-                                          (10, 2, 0), (-6, 7, 1)])
-def test_lift(x, p, expected):
-    assert lift(x, p) == expected
-
-
-@pytest.mark.parametrize("p", [0, -3])
-def test_lift_needs_positive_characteristic(p):
-    with pytest.raises(ValueError):
-        lift(1, p)
 
 
 # --- field construction ---------------------------------------------------
@@ -319,7 +306,7 @@ def test_integer_image_is_a_ring_map(p, n, m):
     spec = FieldSpec(p)
     assert spec.element(n) + spec.element(m) == spec.element(n + m)
     assert spec.element(n) * spec.element(m) == spec.element(n * m)
-    assert spec.element(n).coeffs[0] == lift(n, p)
+    assert spec.element(n).coeffs[0] == n % p
 
 
 @given(st.fractions(), st.fractions())

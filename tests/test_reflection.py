@@ -63,6 +63,18 @@ def test_simple_roots_and_arithmetic():
         a1 + RootVector.simple(2, 1)
 
 
+@pytest.mark.parametrize("coords", [(1.7, 3, 1), (1, "3", 1), (1, 3, True), [0, 2.0]])
+def test_root_vector_refuses_non_int_coordinates(coords):
+    with pytest.raises(TypeError):
+        RootVector(coords)
+
+
+def test_root_vector_keeps_int_coordinates():
+    assert RootVector([1, -3, 10**30]).coords == (1, -3, 10**30)
+    with pytest.raises(TypeError):
+        RootVector.simple(3, 1).scaled(0.5)
+
+
 # --- determinants ---------------------------------------------------------------
 
 def test_basis_determinant_small_cases():

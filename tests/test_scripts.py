@@ -20,3 +20,16 @@ def test_bvalue_survey_stays_under_the_ceilings():
     for field, parity, cases, top, cap, *dist in rows:
         assert int(top) <= int(cap), (field, parity)
         assert sum(int(entry.split(":")[1]) for entry in dist) == int(cases)
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    counts = dict(line.split() for line in proc.stdout.splitlines())
+    total = int(counts.pop("total"))
+    modules = {path.stem for path in (ROOT / "src" / "rootstrings").glob("*.py")}
+    assert set(counts) == modules
+    assert all(int(n) > 0 for n in counts.values())
+    assert total == sum(map(int, counts.values()))

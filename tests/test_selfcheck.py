@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -80,9 +81,14 @@ def test_check_field_builds_one_ladder_per_row_and_no_datum(spec, monkeypatch):
     assert data == []
 
 
-def test_check_field_raises_when_the_walk_misses_its_zero(monkeypatch):
-    monkeypatch.setattr("rootstrings.selfcheck._first_zero", lambda *args: None)
-    with pytest.raises(ConsistencyError):
+def test_a_walk_that_misses_its_zero_raises_on_both_routes(monkeypatch):
+    # no step of the faulty walk vanishes; _first_zero alone decides that the
+    # zero guaranteed by m = 2p - 1 is missing, for b_recursive and check_field
+    monkeypatch.setattr(cartan, "_walk", lambda a_kj, a_kk, parity: itertools.repeat((1,)))
+    datum = cartan.pair_datum(FieldSpec(3), 2, 1, cartan.Parity.ODD)
+    with pytest.raises(ConsistencyError, match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(od, 2, 1\)"):
+        cartan.b_recursive(datum, 1, 2)
+    with pytest.raises(ConsistencyError, match="up to m = 5"):
         check_field(FieldSpec(3))
 
 
