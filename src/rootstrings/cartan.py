@@ -226,12 +226,13 @@ def pair_datum(spec: FieldSpec, a_kk, a_kj, parity: Parity) -> CartanDatum:
     return CartanDatum.build(spec, ((a_kk, a_kj), (0, 0)), (parity, Parity.EVEN))
 
 
-def _check_pair(datum: CartanDatum, k: int, j: int) -> None:
-    n = datum.n
-    if not 1 <= k <= n or not 1 <= j <= n:
-        raise IndexError(f"indices must lie in [1, {n}], got k={k}, j={j}")
+def _pair(datum: CartanDatum, k: int, j: int) -> tuple[Parity, FieldElement, FieldElement]:
+    """(i_k, A_kk, A_kj) for k != j; the datum checks that k and j lie in
+    [1, n] before k = j is refused."""
+    a_kj = datum.entry(k, j)
     if k == j:
         raise ValueError("k and j must differ")
+    return datum.parities[k - 1], datum.entries[k - 1][k - 1], a_kj
 
 
 def d_next(d_prev: FieldElement, a_kj: FieldElement, a_kk: FieldElement,
@@ -297,11 +298,11 @@ def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
     The walk runs on residue coordinates; only the returned values are built
     as field elements.
     """
-    _check_pair(datum, k, j)
+    parity, a_kk, a_kj = _pair(datum, k, j)
     if last < -1:
         raise ValueError("last index must be >= -1")
     spec = datum.spec
-    walk = _walk(datum.entry(k, j), datum.entry(k, k), datum.parity(k))
+    walk = _walk(a_kj, a_kk, parity)
     values = [spec.zero()]
     values += (FieldElement(spec, d) for d in itertools.islice(walk, last + 1))
     return DSequence(k, j, tuple(values))
@@ -318,10 +319,10 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *,
     residue coordinates and builds no field element per step.  A negative
     cap is refused at every characteristic.
     """
-    _check_pair(datum, k, j)
+    parity, a_kk, a_kj = _pair(datum, k, j)
     if scan_cap < 0:
         raise ValueError("scan cap must be >= 0")
-    m = _first_zero(datum.entry(k, j), datum.entry(k, k), datum.parity(k), scan_cap)
+    m = _first_zero(a_kj, a_kk, parity, scan_cap)
     if m is not None:
         return BValue(m)
     closed = b_closed(datum, k, j)
@@ -400,8 +401,8 @@ def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
     """The bound B_kj from the closed-form case ladder of row k
     (``_row_ladder``, whose docstring lists its branches).  It reads
     power-basis coordinates and does no field division."""
-    _check_pair(datum, k, j)
-    return _row_ladder(datum.parity(k), datum.entry(k, k))(datum.entry(k, j).coeffs)
+    parity, a_kk, a_kj = _pair(datum, k, j)
+    return _row_ladder(parity, a_kk)(a_kj.coeffs)
 
 
 _COEFFS = operator.attrgetter("coeffs")

@@ -104,27 +104,22 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
     # the bools and floats that equal some int (True, 1.0) send their row
     # down the other path.  Any other row is memoised on repr, which tells 1,
     # 1.0 and True apart, and [1, 2] from [1, 2.0], although they compare
-    # equal.  Only successes are remembered, and new values are parsed in
-    # column order, so the first bad entry is still the one named.
+    # equal.  The two memos stay apart, because a string can equal a repr
+    # ("1" is the repr of 1).  Only successes are remembered, and new values
+    # are parsed in column order, so the first bad entry is still the one named.
     by_value: dict = {}
     by_repr: dict = {}
     entries = []
     for r, row in enumerate(matrix, 1):
         if set(map(type, row)) <= _BY_VALUE:
-            if set(row).difference(by_value):
-                for c, value in enumerate(row, 1):
-                    if value not in by_value:
-                        by_value[value] = _parse_entry(spec, value, strict, r, c)
-            entries.append(tuple(map(by_value.__getitem__, row)))
-            continue
-        out = []
-        for c, value in enumerate(row, 1):
-            key = repr(value)
-            element = by_repr.get(key)
-            if element is None:
-                element = by_repr[key] = _parse_entry(spec, value, strict, r, c)
-            out.append(element)
-        entries.append(tuple(out))
+            keys, memo = row, by_value
+        else:
+            keys, memo = list(map(repr, row)), by_repr
+        if set(keys).difference(memo):
+            for c, (key, value) in enumerate(zip(keys, row), 1):
+                if key not in memo:
+                    memo[key] = _parse_entry(spec, value, strict, r, c)
+        entries.append(tuple(map(memo.__getitem__, keys)))
     # every entry came from spec.element, so the datum skips re-checking them
     return CartanDatum._trusted(spec, tuple(entries), tuple(parsed_parities))
 

@@ -129,6 +129,12 @@ def _poly_inv(a: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
     return _poly_divmod(inv, modulus, p)[1]
 
 
+def _monic(p: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """Monic polynomials of the given degree over GF(p), coefficients low
+    degree first, in lexicographic order."""
+    return (tail + (1,) for tail in itertools.product(range(p), repeat=degree))
+
+
 def check_irreducible(modulus: Sequence[int], p: int) -> bool:
     """Whether a monic polynomial over GF(p) is irreducible.
 
@@ -144,12 +150,8 @@ def check_irreducible(modulus: Sequence[int], p: int) -> bool:
     deg = len(coeffs) - 1
     if deg < 2:
         raise ValueError("modulus must have degree at least 2")
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if not _poly_divmod(coeffs, divisor, p)[1]:
-                return False
-    return True
+    return all(_poly_divmod(coeffs, divisor, p)[1]
+               for d in range(1, deg // 2 + 1) for divisor in _monic(p, d))
 
 
 @dataclass(frozen=True)

@@ -19,20 +19,15 @@ from .field import (
     FieldElement,
     FieldSpec,
     FieldSpecError,
+    _monic,
     check_irreducible,
     is_prime,
 )
 
 
-def _monic_candidates(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """Monic polynomials of the given degree over GF(p), coefficients low
-    degree first, in lexicographic order."""
-    return (tail + (1,) for tail in itertools.product(range(p), repeat=degree))
-
-
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of the given degree over GF(p)."""
-    for candidate in _monic_candidates(p, degree):
+    for candidate in _monic(p, degree):
         if check_irreducible(candidate, p):
             return candidate
     raise RuntimeError(f"no irreducible of degree {degree} over GF({p})")
@@ -44,7 +39,7 @@ def field_for(p: int, degree: int) -> FieldSpec:
     irreducibility is tested once."""
     if degree == 1:
         return FieldSpec(p)
-    for candidate in _monic_candidates(p, degree):
+    for candidate in _monic(p, degree):
         try:
             return FieldSpec(p, degree, candidate)
         except FieldSpecError as exc:

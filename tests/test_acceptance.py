@@ -22,7 +22,7 @@ from rootstrings.field import FieldSpec
 from rootstrings.reflection import RootVector, basis_determinant, reflect
 from rootstrings.selfcheck import sweep_pairs
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, GOLDEN_CASES, with_fixture_paths
 
 GF2 = FieldSpec(2)
 GF4 = FieldSpec(2, 2, (1, 1, 1))
@@ -188,33 +188,19 @@ def test_criterion_6_reflection_structure(capsys):
 
 
 def test_criterion_7_io_determinism(capsys):
-    cli_cases = [
-        ("prime_bkj.json", ["bkj", "--k", "1", "--j", "2"], "prime.json"),
-        ("prime_dseq.json", ["dseq", "--k", "1", "--j", "2", "--max-m", "4"], "prime.json"),
-        ("prime_table.json", ["table"], "prime.json"),
-        ("prime_reflect.json", ["reflect", "--k", "1"], "prime.json"),
-        ("extension_bkj.json", ["bkj", "--k", "1", "--j", "2"], "extension.json"),
-        ("extension_dseq.json", ["dseq", "--k", "1", "--j", "2", "--max-m", "4"], "extension.json"),
-        ("extension_table.json", ["table"], "extension.json"),
-        ("extension_reflect.json", ["reflect", "--k", "1"], "extension.json"),
-        ("char0_bkj.json", ["bkj", "--k", "1", "--j", "2"], "char0.json"),
-        ("char0_dseq.json", ["dseq", "--k", "1", "--j", "2", "--max-m", "4"], "char0.json"),
-        ("char0_table.json", ["table"], "char0.json"),
-        ("char0_reflect.json", ["reflect", "--k", "1"], "char0.json"),
-        ("selfcheck_small.json", ["selfcheck", "--primes", "2,3", "--degrees", "1,2"], None),
-    ]
     ok = True
-    for golden_name, argv, fixture in cli_cases:
+    for golden_name, argv in GOLDEN_CASES:
         expected = (GOLDEN / golden_name).read_text()
-        full = argv + (["--input", str(FIXTURES / fixture)] if fixture else [])
         for _ in range(2):     # byte-identical across repeated runs
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
-                code = main(full)
+                code = main(with_fixture_paths(argv))
             ok = ok and code == 0 and buffer.getvalue() == expected
-    for fixture in ("prime.json", "extension.json", "char0.json"):
-        datum = parse_cartan((FIXTURES / fixture).read_text())
+    fixtures = sorted(FIXTURES.glob("*.json"))
+    for fixture in fixtures:
+        datum = parse_cartan(fixture.read_text())
         ok = ok and parse_cartan(serialize_cartan(datum)) == datum
     with capsys.disabled():
         _report(7, "CLI golden outputs and parse/serialize identity", ok,
-                f"{len(cli_cases)} commands run twice, 3 fixtures round-tripped")
+                f"{len(GOLDEN_CASES)} commands run twice, "
+                f"{len(fixtures)} fixtures round-tripped")
