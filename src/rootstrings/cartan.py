@@ -27,13 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from typing import Callable, Iterator, Optional, Union
 
 from .field import FieldElement, FieldSpec
+from .frozen import Frozen
 
 
 #: How far ``b_recursive`` scans the d-sequence at characteristic 0 by default.
@@ -60,15 +60,18 @@ class Parity(Enum):
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
-class BValue:
+class BValue(Frozen):
     """A root-string bound: a non-negative integer, or +infinity.
 
     Infinity is encoded as ``value = None`` and arises only in
     characteristic 0.  Compares transparently against plain integers.
     """
 
-    value: Optional[int]
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: int | None) -> None:
+        self._fill(value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.value is not None:
@@ -81,11 +84,11 @@ class BValue:
     def is_finite(self) -> bool:
         return self.value is not None
 
-    def _as_number(self) -> Union[int, float]:
+    def _as_number(self) -> int | float:
         return math.inf if self.value is None else self.value
 
     @staticmethod
-    def _other_number(other) -> Union[int, float, None]:
+    def _other_number(other) -> int | float | None:
         if isinstance(other, BValue):
             return other._as_number()
         if isinstance(other, int) and not isinstance(other, bool):
@@ -123,23 +126,28 @@ class BValue:
 INFINITY = BValue(None)
 
 #: The ladder's finite bounds, shared: a ``BValue`` is immutable, so every
-#: row that reaches bound m can hand out one object, built and validated once.
-#: Bounds at large p or over Q have no upper limit, so the cache is bounded.
-_shared_bound = lru_cache(maxsize=1024)(BValue)
+#: row that reaches bound m can hand out one object, built once, unchecked:
+#: the ladder only asks for non-negative ints.  Bounds at large p or over Q
+#: have no upper limit, so the cache is bounded.
+_shared_bound = lru_cache(maxsize=1024)(BValue._trusted)
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(Frozen):
     """A Cartan matrix together with the parities of its Chevalley generators.
 
     ``entries[i][j]`` is A_{i+1, j+1}; all indices in the public operations
     are 1-based, matching the usual numbering alpha_1, ..., alpha_n of the
-    simple roots.
+    simple roots.  The document parser builds every entry with
+    ``spec.element``, and the n x n tuple of tuples and the tuple of n
+    parities itself, so it builds its datum with ``_trusted``, which skips
+    the per-entry checks.
     """
 
-    spec: FieldSpec
-    entries: tuple[tuple[FieldElement, ...], ...]
-    parities: tuple[Parity, ...]
+    __slots__ = __match_args__ = ("spec", "entries", "parities")
+
+    def __init__(self, spec: FieldSpec, entries, parities) -> None:
+        self._fill(spec, entries, parities)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
@@ -157,19 +165,6 @@ class CartanDatum:
                     raise ValueError("all entries must share the datum's field")
         if any(not isinstance(q, Parity) for q in self.parities):
             raise TypeError("parities must be Parity values")
-
-    @classmethod
-    def _trusted(cls, spec: FieldSpec, entries: tuple, parities: tuple) -> "CartanDatum":
-        """A datum from parts already checked: ``entries`` an n x n tuple of
-        tuples of elements that ``spec.element`` built, ``parities`` a tuple
-        of n Parity values, n >= 1.  Skips ``__post_init__``'s per-entry
-        checks; the document parser, which builds each entry itself, is the
-        one caller."""
-        datum = object.__new__(cls)
-        object.__setattr__(datum, "spec", spec)
-        object.__setattr__(datum, "entries", entries)
-        object.__setattr__(datum, "parities", parities)
-        return datum
 
     @classmethod
     def build(cls, spec: FieldSpec, rows, parities) -> "CartanDatum":
@@ -197,16 +192,16 @@ class CartanDatum:
         return self.parities[k - 1]
 
 
-@dataclass(frozen=True)
-class DSequence:
+class DSequence(Frozen):
     """The prefix d_{-1}, d_0, ..., d_M of the recursion for one pair (k, j).
 
     Index with the sequence position: ``seq[m]`` is d_m for -1 <= m <= M.
     """
 
-    k: int
-    j: int
-    values: tuple[FieldElement, ...]
+    __slots__ = __match_args__ = ("k", "j", "values")
+
+    def __init__(self, k: int, j: int, values: tuple[FieldElement, ...]) -> None:
+        self._fill(k, j, values)
 
     def __getitem__(self, m: int) -> FieldElement:
         if not -1 <= m <= self.last_index:
@@ -244,8 +239,8 @@ def d_next(d_prev: FieldElement, a_kj: FieldElement, a_kk: FieldElement,
     return step if parity is Parity.EVEN else -step
 
 
-def _walk_coordinate(a: Union[int, Fraction], c: Union[int, Fraction], sign: int,
-                     p: int) -> Iterator[Union[int, Fraction]]:
+def _walk_coordinate(a: int | Fraction, c: int | Fraction, sign: int,
+                     p: int) -> Iterator[int | Fraction]:
     """One power-basis coordinate of d_0, d_1, ...: A_kk's coordinate is
     ``a``, A_kj's is ``c``.  Reduced mod p when p > 0; never ends."""
     d = 0
@@ -270,7 +265,7 @@ def _walk(a_kj: FieldElement, a_kk: FieldElement,
 
 
 def _first_zero(a_kj: FieldElement, a_kk: FieldElement, parity: Parity,
-                scan_cap: int = DEFAULT_SCAN_CAP) -> Optional[int]:
+                scan_cap: int = DEFAULT_SCAN_CAP) -> int | None:
     """The first m >= 0 with d_m = 0 on ``_walk``: the one place that knows
     how far the walk must go.
 
@@ -304,8 +299,8 @@ def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
     spec = datum.spec
     walk = _walk(a_kj, a_kk, parity)
     values = [spec.zero()]
-    values += (FieldElement(spec, d) for d in itertools.islice(walk, last + 1))
-    return DSequence(k, j, tuple(values))
+    values += (FieldElement._trusted(spec, d) for d in itertools.islice(walk, last + 1))
+    return DSequence._trusted(k, j, tuple(values))
 
 
 def b_recursive(datum: CartanDatum, k: int, j: int, *,
@@ -409,7 +404,7 @@ _COEFFS = operator.attrgetter("coeffs")
 _FIRST = operator.itemgetter(0)
 
 
-def b_row(datum: CartanDatum, k: int) -> tuple[Optional[BValue], ...]:
+def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:
     """The bounds B_k1, ..., B_kn of row k, None at j = k.
 
     B_kj depends only on (i_k, A_kk, A_kj), and the first two are fixed along
@@ -433,7 +428,7 @@ def b_row(datum: CartanDatum, k: int) -> tuple[Optional[BValue], ...]:
     return tuple(out)
 
 
-def b_table(datum: CartanDatum) -> tuple[tuple[Optional[BValue], ...], ...]:
+def b_table(datum: CartanDatum) -> tuple[tuple[BValue | None, ...], ...]:
     """All bounds at once: entry [k-1][j-1] is B_kj, None on the diagonal.
     Row k is ``b_row(datum, k)``."""
     return tuple(b_row(datum, k) for k in range(1, datum.n + 1))

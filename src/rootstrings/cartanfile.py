@@ -32,7 +32,6 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
 
 from .cartan import BValue, CartanDatum, Parity
 from .field import FieldElement, FieldSpec, FieldSpecError
@@ -234,7 +233,7 @@ def _render(value, depth: int, out: list) -> None:
     out.append("\n" + "  " * (depth - 1) + "]")
 
 
-def encode_entry(element: FieldElement) -> Union[int, str, list[int]]:
+def encode_entry(element: FieldElement) -> int | str | list[int]:
     """JSON encoding of one field element, matching the input conventions."""
     spec = element.spec
     if spec.characteristic == 0:
@@ -245,7 +244,7 @@ def encode_entry(element: FieldElement) -> Union[int, str, list[int]]:
     return list(element.coeffs)
 
 
-def encode_bvalue(b: Optional[BValue]) -> Union[int, str, None]:
+def encode_bvalue(b: BValue | None) -> int | str | None:
     """JSON encoding of a bound: an integer, "inf", or null when absent."""
     if b is None:
         return None

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .cartan import (DEFAULT_SCAN_CAP, ConsistencyError, b_closed, b_recursive, b_table,
                      d_sequence)
@@ -190,7 +190,7 @@ def _emit(text: str, args) -> None:
         raise OSError(exc.errno, exc.strerror, args.output) from None
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

@@ -12,17 +12,16 @@ values are safe to share across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+
+from .frozen import Frozen
 
 #: Largest supported extension degree.  The bound computations only ever
 #: inspect a single ratio, so large fields add nothing.  The cost of the
 #: trial-division irreducibility test grows as p^(degree/2): at degree 8 it
 #: already takes seconds over GF(31).
 MAX_EXTENSION_DEGREE = 8
-
-EntryLike = Union[int, Fraction, Sequence[int], "FieldElement"]
 
 
 class FieldMismatchError(ValueError):
@@ -154,8 +153,7 @@ def check_irreducible(modulus: Sequence[int], p: int) -> bool:
                for d in range(1, deg // 2 + 1) for divisor in _monic(p, d))
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Frozen):
     """The ground field: GF(p) (degree 1), GF(p^degree) = GF(p)[t]/(modulus),
     or the rationals (characteristic 0).
 
@@ -163,9 +161,12 @@ class FieldSpec:
     first; it is present exactly when degree > 1.
     """
 
-    characteristic: int
-    degree: int = 1
-    modulus: Optional[tuple[int, ...]] = None
+    __slots__ = __match_args__ = ("characteristic", "degree", "modulus")
+
+    def __init__(self, characteristic: int, degree: int = 1,
+                 modulus: Sequence[int] | None = None) -> None:
+        self._fill(characteristic, degree, modulus)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         p, k = self.characteristic, self.degree
@@ -204,8 +205,9 @@ class FieldSpec:
             raise ValueError("the rationals are infinite")
         return self.characteristic**self.degree
 
-    def element(self, value: EntryLike) -> "FieldElement":
-        """Coerce a raw value into the field.
+    def element(self, value) -> "FieldElement":
+        """Coerce a raw value (an int, a Fraction, a coefficient sequence or a
+        FieldElement) into the field.
 
         Integers map through the canonical image n -> n * 1 (reduction mod p;
         exact at characteristic 0), rationals require characteristic 0, and
@@ -245,7 +247,7 @@ class FieldSpec:
         if p == 0:
             raise ValueError("cannot enumerate the rationals")
         for coeffs in itertools.product(range(p), repeat=k):
-            yield FieldElement(self, coeffs)
+            yield FieldElement._trusted(self, coeffs)
 
     def __str__(self) -> str:
         if self.characteristic == 0:
@@ -255,14 +257,16 @@ class FieldSpec:
         return f"GF({self.characteristic}^{self.degree})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Frozen):
     """One field element: a power-basis residue vector for p > 0, or a single
     exact rational for characteristic 0.  Build these via FieldSpec.element().
     """
 
-    spec: FieldSpec
-    coeffs: tuple
+    __slots__ = __match_args__ = ("spec", "coeffs")
+
+    def __init__(self, spec: FieldSpec, coeffs: Sequence) -> None:
+        self._fill(spec, coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -284,7 +288,7 @@ class FieldElement:
             raise ValueError("rational values need characteristic 0")
         return self.coeffs[0]
 
-    def _coerce(self, other) -> Optional["FieldElement"]:
+    def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
             if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatchError(
@@ -371,7 +375,7 @@ class FieldElement:
             e >>= 1
         return result
 
-    def in_prime_subfield(self) -> Optional[int]:
+    def in_prime_subfield(self) -> int | None:
         """The residue when this element lies in GF(p) inside GF(p^k), else None.
 
         In the power basis that holds exactly when every coordinate of degree
@@ -404,7 +408,8 @@ def _reduced(spec: FieldSpec, coeffs: Sequence) -> FieldElement:
     """The element of ``spec`` with power-basis coordinates ``coeffs`` (low
     degree first, at most ``spec.degree`` of them): reduced mod p, or kept
     exact at p = 0, then zero-padded to the degree.  Every ``FieldSpec.element``
-    result and every arithmetic result is built here."""
+    result and every arithmetic result is built here, unchecked: a reduced,
+    padded tuple is valid by construction."""
     p = spec.characteristic
     coeffs = tuple(c % p for c in coeffs) if p else tuple(coeffs)
-    return FieldElement(spec, coeffs + (0,) * (spec.degree - len(coeffs)))
+    return FieldElement._trusted(spec, coeffs + (0,) * (spec.degree - len(coeffs)))

@@ -13,10 +13,10 @@ the new system would need that matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .cartan import BValue, CartanDatum, b_row
+from .frozen import Frozen
 
 
 class ReflectionUndefinedError(ValueError):
@@ -28,15 +28,18 @@ class ReflectionUndefinedError(ValueError):
         self.j = j
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(Frozen):
     """Integer coordinates in the simple-root basis alpha_1, ..., alpha_n.
 
     Each coordinate must have the exact type ``int``: a float, a string or
     a bool is refused with TypeError rather than converted.
     """
 
-    coords: tuple[int, ...]
+    __slots__ = __match_args__ = ("coords",)
+
+    def __init__(self, coords: Sequence[int]) -> None:
+        self._fill(coords)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
@@ -52,14 +55,14 @@ class RootVector:
         return cls(tuple(1 if pos == i - 1 else 0 for pos in range(n)))
 
     def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-c for c in self.coords))
+        return RootVector._trusted(tuple(-c for c in self.coords))
 
     def __add__(self, other):
         if not isinstance(other, RootVector):
             return NotImplemented
         if len(other.coords) != len(self.coords):
             raise ValueError("rank mismatch")
-        return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return RootVector._trusted(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         if not isinstance(other, RootVector):
@@ -70,18 +73,18 @@ class RootVector:
         return RootVector(tuple(m * c for c in self.coords))
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
+class ReflectionResult(Frozen):
     """New simple roots sigma_1, ..., sigma_n after reflecting at index k.
 
     ``basis_matrix`` holds sigma_j in its j-th column, so it maps new-basis
     coordinates to old-basis coordinates.
     """
 
-    k: int
-    b_row: tuple[Optional[BValue], ...]
-    sigma: tuple[RootVector, ...]
-    basis_matrix: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("k", "b_row", "sigma", "basis_matrix")
+
+    def __init__(self, k: int, b_row: tuple[BValue | None, ...], sigma: tuple[RootVector, ...],
+                 basis_matrix: tuple[tuple[int, ...], ...]) -> None:
+        self._fill(k, b_row, sigma, basis_matrix)
 
 
 def basis_determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -137,8 +140,8 @@ def reflect(datum: CartanDatum, k: int) -> ReflectionResult:
     row_k = tuple(-1 if b is None else b.value for b in bounds)
     matrix = tuple(row_k if r == k - 1 else (0,) * r + (1,) + (0,) * (n - r - 1)
                    for r in range(n))
-    sigma = tuple(RootVector(col) for col in zip(*matrix))
-    return ReflectionResult(k=k, b_row=bounds, sigma=sigma, basis_matrix=matrix)
+    sigma = tuple(map(RootVector._trusted, zip(*matrix)))
+    return ReflectionResult._trusted(k, bounds, sigma, matrix)
 
 
 def unimodularity_check(result: ReflectionResult) -> bool:

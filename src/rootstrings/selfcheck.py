@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterator
+from collections.abc import Iterator
 
 from .cartan import Parity, _first_zero, _row_ladder
 from .field import (

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from rootstrings.cli import main
+from rootstrings.field import FieldElement
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,3 +55,24 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+@pytest.fixture
+def elements_built(monkeypatch):
+    """A list that gains every FieldElement built from now on, through the
+    public constructor (its ``__post_init__``) or the unchecked ``_trusted``."""
+    built = []
+    post_init, trusted = FieldElement.__post_init__, FieldElement._trusted
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_trusted(cls, *values):
+        element = trusted(*values)
+        built.append(element)
+        return element
+
+    monkeypatch.setattr(FieldElement, "__post_init__", counting_post_init)
+    monkeypatch.setattr(FieldElement, "_trusted", classmethod(counting_trusted))
+    return built

@@ -3,6 +3,8 @@ benchmark tracer keeps on its public names."""
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +14,12 @@ import rootstrings.field
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rootstrings"
+
+
+#: Modules whose import costs a cold CLI start milliseconds: dataclasses pulls
+#: in inspect (and with it ast, dis and tokenize), and annotations are never
+#: evaluated, so typing serves nothing at run time.
+HEAVY_IMPORTS = ("dataclasses", "inspect", "typing")
 
 
 def package_trees():
@@ -29,10 +37,8 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_package_imports_only_the_standard_library():
-    # the package is stdlib-only: test-time tools such as sympy or hypothesis
-    # must never become runtime dependencies
-    found = []
+def package_imports():
+    """(place, module) for every absolute import in the package."""
     for path, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -41,10 +47,32 @@ def test_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}"
-                      for name in names
-                      if name.split(".")[0] not in sys.stdlib_module_names]
+            yield from ((f"{path.relative_to(PACKAGE)}:{node.lineno}", name) for name in names)
+
+
+def test_package_imports_only_the_standard_library():
+    # the package is stdlib-only: test-time tools such as sympy or hypothesis
+    # must never become runtime dependencies
+    found = [f"{where}: {name}" for where, name in package_imports()
+             if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_package_imports_no_heavy_module():
+    found = [f"{where}: {name}" for where, name in package_imports()
+             if name.split(".")[0] in HEAVY_IMPORTS]
+    assert found == []
+
+
+def test_cli_import_loads_no_heavy_module():
+    # -S keeps site's .pth hooks, which may import typing themselves, out of
+    # the child, so only the package and the stdlib it needs are loaded
+    code = ("import sys, rootstrings.cli; "
+            f"print(' '.join(m for m in {HEAVY_IMPORTS!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.split() == []
 
 
 def test_no_json_call_in_the_package_indents():
@@ -66,10 +94,18 @@ def test_bench_tracer_installs_on_the_package():
     b_closed = rootstrings.cartan.b_closed
     post_init = rootstrings.field.FieldElement.__dict__["__post_init__"]
     tracer = tracing.Tracer()
+    spec = rootstrings.field.FieldSpec(7)
     try:
         tracer.install()
         assert rootstrings.cartan.b_closed is not b_closed
         assert rootstrings.field.FieldElement.__dict__["__post_init__"] is not post_init
+        # field.elements_built counts validated constructions: the public
+        # constructor makes one, the trusted path behind spec.element none
+        built = tracer.counts["elements_built"]
+        rootstrings.field.FieldElement(spec, (1,))
+        assert tracer.counts["elements_built"] == built + 1
+        spec.element(1)
+        assert tracer.counts["elements_built"] == built + 1
     finally:
         tracer.uninstall()
     assert rootstrings.cartan.b_closed is b_closed
