@@ -18,9 +18,9 @@ from fractions import Fraction
 from .frozen import Frozen
 
 #: Largest supported extension degree.  The bound computations only ever
-#: inspect a single ratio, so large fields add nothing.  The cost of the
-#: trial-division irreducibility test grows as p^(degree/2): at degree 8 it
-#: already takes seconds over GF(31).
+#: inspect a single ratio, so larger fields add nothing.  The cap limits
+#: scope, not cost: ``check_irreducible`` validates a modulus with about
+#: degree/2 * log2(p) products modulo it.
 MAX_EXTENSION_DEGREE = 8
 
 
@@ -128,18 +128,16 @@ def _poly_inv(a: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
     return _poly_divmod(inv, modulus, p)[1]
 
 
-def _monic(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """Monic polynomials of the given degree over GF(p), coefficients low
-    degree first, in lexicographic order."""
-    return (tail + (1,) for tail in itertools.product(range(p), repeat=degree))
-
-
 def check_irreducible(modulus: Sequence[int], p: int) -> bool:
     """Whether a monic polynomial over GF(p) is irreducible.
 
-    Coefficients are listed low degree first.  Decided by trial division
-    against every monic polynomial of degree up to half the input's own;
-    acceptable because supported degrees are small.
+    Coefficients are listed low degree first.  Decided by Ben-Or's test
+    (Ben-Or, FOCS 1981): x^(p^i) - x is the product of the monic
+    irreducibles whose degree divides i, and a reducible f of degree k has
+    an irreducible factor of degree at most k/2, so f is irreducible exactly
+    when gcd(f, x^(p^i) - x) = 1 for i = 1, ..., k/2.  Each x^(p^i) mod f
+    is the previous one raised to the p-th power by square-and-multiply:
+    about k/2 * log2(p) products modulo f in all.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -149,8 +147,20 @@ def check_irreducible(modulus: Sequence[int], p: int) -> bool:
     deg = len(coeffs) - 1
     if deg < 2:
         raise ValueError("modulus must have degree at least 2")
-    return all(_poly_divmod(coeffs, divisor, p)[1]
-               for d in range(1, deg // 2 + 1) for divisor in _monic(p, d))
+    x = [0, 1]
+    h = x
+    for _ in range(deg // 2):
+        base = h
+        for bit in bin(p)[3:]:
+            h = _poly_divmod(_poly_mul(h, h, p), coeffs, p)[1]
+            if bit == "1":
+                h = _poly_divmod(_poly_mul(h, base, p), coeffs, p)[1]
+        a, b = coeffs, _poly_sub(h, x, p)
+        while b:
+            a, b = b, _poly_divmod(a, b, p)[1]
+        if len(a) > 1:
+            return False
+    return True
 
 
 class FieldSpec(Frozen):

@@ -19,10 +19,15 @@ from .field import (
     FieldElement,
     FieldSpec,
     FieldSpecError,
-    _monic,
     check_irreducible,
     is_prime,
 )
+
+
+def _monic(p: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """Monic polynomials of the given degree over GF(p), coefficients low
+    degree first, in lexicographic order."""
+    return (tail + (1,) for tail in itertools.product(range(p), repeat=degree))
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:

@@ -1,9 +1,12 @@
-"""Closed forms of the d-sequence, kept as test oracles for the recursion walk.
+"""Test oracles that share no code with the routines they check.
 
-They multiply field elements by integers, so they share no code with
-``cartan._walk``, which adds residue coordinates step by step.
+The closed forms of the d-sequence multiply field elements by integers, so
+they share no code with ``cartan._walk``, which adds residue coordinates step
+by step.  Trial division decides irreducibility by brute force, independently
+of ``field.check_irreducible``'s gcd test.
 """
 
+import itertools
 import math
 
 from rootstrings.field import FieldElement
@@ -25,3 +28,24 @@ def d_closed_odd(a_kj: FieldElement, a_kk: FieldElement, m: int) -> FieldElement
     if m % 2 == 0:
         return a_kj + (m // 2) * a_kk
     return ((m + 1) // 2) * a_kk
+
+
+def irreducible_by_trial_division(f, p: int) -> bool:
+    """Whether the monic polynomial ``f`` (coefficients low degree first) is
+    irreducible over GF(p): no monic polynomial of degree 1 to deg(f)/2
+    divides it.  Costs p^(deg(f)/2) divisions, so only small fields."""
+    k = len(f) - 1
+    return all(any(_remainder(f, tail + (1,), p))
+               for d in range(1, k // 2 + 1)
+               for tail in itertools.product(range(p), repeat=d))
+
+
+def _remainder(f, g, p: int) -> list[int]:
+    """f mod g over GF(p), for a monic g: deg(g) coefficients, low first."""
+    r = list(f)
+    d = len(g) - 1
+    for top in range(len(r) - 1, d - 1, -1):
+        c = r[top] % p
+        for i, gi in enumerate(g):
+            r[top - d + i] -= c * gi
+    return [c % p for c in r[:d]]

@@ -413,3 +413,21 @@ def test_golden_outputs_through_python_m(golden_name, argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == b""
     assert proc.stdout == (GOLDEN / golden_name).read_bytes()
+
+
+def test_large_extension_document_through_python_m(tmp_path):
+    # GF(101^8): validating the modulus by trial division would take hours
+    doc = tmp_path / "gf101_8.json"
+    doc.write_text(json.dumps({
+        "characteristic": 101,
+        "extension": {"degree": 8, "modulus": [97, 2, 89, 34, 66, 52, 60, 48, 1]},
+        "matrix": [[2, [0, 1]], [[3, 0, 5], 2]],
+        "parities": ["ev", "od"],
+    }))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "rootstrings", "table", "--input", str(doc)],
+                          capture_output=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    report = json.loads(proc.stdout)
+    assert report["field"]["modulus"] == [97, 2, 89, 34, 66, 52, 60, 48, 1]

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from rootstrings.field import (
     check_irreducible,
     is_prime,
 )
+
+from oracles import irreducible_by_trial_division
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -103,12 +107,70 @@ def test_check_irreducible():
     assert check_irreducible((1, 0, 1), 3)          # t^2 + 1, -1 not a square
     assert not check_irreducible((1, 0, 1), 5)      # (t + 2)(t + 3)
     assert check_irreducible((1, 1, 0, 1), 5)
+    assert not check_irreducible((1, 0, 1, 0, 1), 2)  # (t^2 + t + 1)^2, no root
     with pytest.raises(ValueError):
         check_irreducible((1, 1, 1), 4)
     with pytest.raises(ValueError):
         check_irreducible((1, 1, 2), 3)              # not monic
     with pytest.raises(ValueError):
         check_irreducible((1, 1), 3)                 # degree too small
+
+
+@pytest.mark.parametrize("p,degree", [(2, k) for k in range(2, 9)] + [(3, k) for k in range(2, 6)]
+                         + [(5, k) for k in range(2, 5)] + [(7, 2), (7, 3)])
+def test_check_irreducible_agrees_with_trial_division(p, degree):
+    for tail in itertools.product(range(p), repeat=degree):
+        modulus = tail + (1,)
+        assert check_irreducible(modulus, p) == irreducible_by_trial_division(modulus, p), modulus
+
+
+#: The largest prime below PRIMALITY_LIMIT.
+PRIME_25_DIGITS = 3317044064679887385961813
+
+#: Irreducible moduli drawn once with bench/gf.py's
+#: random_irreducible(random.Random(8), p, k), in this order.  Trial division
+#: would take seconds on the first, hours on the second and third, and far
+#: longer on the last.
+LARGE_IRREDUCIBLE_MODULI = [
+    (31, (7, 11, 30, 12, 4, 6, 22, 1, 1)),
+    (1009, (87, 140, 253, 830, 1)),
+    (101, (97, 2, 89, 34, 66, 52, 60, 48, 1)),
+    (PRIME_25_DIGITS, (2549792362574847926590229, 2360971194696771839981663,
+                       917228617240603801733904, 678893910174108430521004,
+                       3182900582783350892015695, 1573698219930573435450033,
+                       14210745258827422613918, 2413107794804744612360683, 1)),
+]
+
+#: Two irreducible quartics at PRIME_25_DIGITS, drawn next from the same
+#: generator; their product is reducible but has no linear factor.
+QUARTICS_25_DIGITS = [
+    (859769020124824075986367, 2084352397297732880424586,
+     403063589167540984067444, 1083111745979429885661123, 1),
+    (948654200790449002724307, 2965098090323632438255513,
+     386254692761648576743896, 1948234091596666700428640, 1),
+]
+
+
+@pytest.mark.parametrize("p,modulus", LARGE_IRREDUCIBLE_MODULI,
+                         ids=lambda v: f"p{v}" if isinstance(v, int) else f"degree{len(v) - 1}")
+def test_large_extension_validates_within_a_second(p, modulus):
+    start = time.perf_counter()
+    spec = FieldSpec(p, len(modulus) - 1, modulus)
+    assert time.perf_counter() - start < 1.0
+    assert spec.modulus == modulus
+
+
+def test_large_reducible_modulus_refused_within_a_second():
+    f, g = QUARTICS_25_DIGITS
+    product = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            product[i + j] = (product[i + j] + fi * gj) % PRIME_25_DIGITS
+    start = time.perf_counter()
+    with pytest.raises(FieldSpecError) as info:
+        FieldSpec(PRIME_25_DIGITS, 8, product)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.code == "reducible-modulus"
 
 
 # --- element coercion -----------------------------------------------------
