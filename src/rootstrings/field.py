@@ -185,10 +185,14 @@ class FieldSpec(Frozen):
         except ValueError as exc:
             raise FieldSpecError("bad-characteristic", f"characteristic {exc}") from None
         if not valid:
-            raise FieldSpecError("bad-characteristic", "characteristic must be 0 or a prime")
-        if not _is_int(k) or not 1 <= k <= MAX_EXTENSION_DEGREE:
+            shown = f" {p}" if _is_int(p) else ""     # a refusal names a bad int
             raise FieldSpecError(
-                "bad-extension", f"extension degree must lie in [1, {MAX_EXTENSION_DEGREE}]")
+                "bad-characteristic", f"characteristic{shown} must be 0 or a prime")
+        if not _is_int(k) or not 1 <= k <= MAX_EXTENSION_DEGREE:
+            shown = f" {k}" if _is_int(k) else ""
+            raise FieldSpecError(
+                "bad-extension",
+                f"extension degree{shown} must lie in [1, {MAX_EXTENSION_DEGREE}]")
         if p == 0 and k != 1:
             raise FieldSpecError("bad-extension", "characteristic 0 only supports degree 1")
         if k == 1:
@@ -267,6 +271,18 @@ class FieldSpec(Frozen):
         return f"GF({self.characteristic}^{self.degree})"
 
 
+def _coerced(op):
+    """The binary operator ``op`` with its other operand sent through
+    ``FieldSpec.element``, which returns a same-field element as it is, maps
+    an int to its image and refuses an element of another field with
+    FieldMismatchError.  Any other operand, bools included, is NotImplemented."""
+    def coerced(self, other):
+        if isinstance(other, FieldElement) or _is_int(other):
+            return op(self, self.spec.element(other))
+        return NotImplemented
+    return coerced
+
+
 class FieldElement(Frozen):
     """One field element: a power-basis residue vector for p > 0, or a single
     exact rational for characteristic 0.  Build these via FieldSpec.element().
@@ -298,50 +314,32 @@ class FieldElement(Frozen):
             raise ValueError("rational values need characteristic 0")
         return self.coeffs[0]
 
-    def _coerce(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise FieldMismatchError(
-                    f"cannot combine elements of {self.spec} and {other.spec}")
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.spec.element(other)
-        return None
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
+    @_coerced
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return _reduced(self.spec, [a + b for a, b in zip(self.coeffs, rhs.coeffs)])
+        return _reduced(self.spec, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
         return _reduced(self.spec, [-c for c in self.coeffs])
 
+    @_coerced
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return self + (-other)
 
+    @_coerced
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
+        return other - self
 
+    @_coerced
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
         spec = self.spec
         if spec.degree == 1:
-            return _reduced(spec, (self.coeffs[0] * rhs.coeffs[0],))
-        prod = _poly_mul(self.coeffs, rhs.coeffs, spec.characteristic)
+            return _reduced(spec, (self.coeffs[0] * other.coeffs[0],))
+        prod = _poly_mul(self.coeffs, other.coeffs, spec.characteristic)
         return _reduced(spec, _poly_divmod(prod, spec.modulus, spec.characteristic)[1])
 
     __rmul__ = __mul__
@@ -358,17 +356,13 @@ class FieldElement(Frozen):
         # extended Euclid, independent of __mul__
         return _reduced(spec, _poly_inv(self.coeffs, spec.modulus, p))
 
+    @_coerced
     def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
+        return self * other.inverse()
 
+    @_coerced
     def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
+        return other * self.inverse()
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or isinstance(exponent, bool):

@@ -94,9 +94,14 @@ def basis_determinant(matrix: Sequence[Sequence[int]]) -> int:
     pivot equals the previous one: its update would be x * prev // prev = x.
     The basis matrix of a reflection is the identity except for one row, so
     its determinant then costs O(n^2), not O(n^3).
+
+    Each entry must have the exact type ``int``, as in ``RootVector``: a
+    float, a string or a bool is refused with TypeError rather than converted.
     """
     n = len(matrix)
-    rows = [list(map(int, row)) for row in matrix]
+    rows = [list(row) for row in matrix]
+    if not all(set(map(type, row)) <= {int} for row in rows):
+        raise TypeError("determinant entries must be ints")
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     if n == 0:

@@ -14,39 +14,31 @@ import operator
 from collections.abc import Iterator
 
 from .cartan import Parity, _first_zero, _row_ladder
-from .field import (
-    MAX_EXTENSION_DEGREE,
-    FieldElement,
-    FieldSpec,
-    FieldSpecError,
-    check_irreducible,
-    is_prime,
-)
-
-
-def _monic(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """Monic polynomials of the given degree over GF(p), coefficients low
-    degree first, in lexicographic order."""
-    return (tail + (1,) for tail in itertools.product(range(p), repeat=degree))
+from .field import FieldElement, FieldSpec, FieldSpecError
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of the given degree over GF(p)."""
-    for candidate in _monic(p, degree):
-        if check_irreducible(candidate, p):
-            return candidate
-    raise RuntimeError(f"no irreducible of degree {degree} over GF({p})")
+    """Lexicographically first monic irreducible of the given degree over
+    GF(p), for degrees 2 to ``MAX_EXTENSION_DEGREE``: ``field_for``'s modulus."""
+    if degree < 2:
+        raise ValueError("an irreducible modulus needs degree at least 2")
+    return field_for(p, degree).modulus
 
 
 def field_for(p: int, degree: int) -> FieldSpec:
-    """GF(p^degree), presented by ``find_irreducible``'s modulus.  The search
-    builds each candidate's ``FieldSpec`` directly, so each candidate's
-    irreducibility is tested once."""
-    if degree == 1:
-        return FieldSpec(p)
-    for candidate in _monic(p, degree):
+    """GF(p^degree).  At degree > 1 the modulus is the first monic irreducible
+    in lexicographic order (coefficients low degree first, the constant term
+    most significant).  Each candidate's irreducibility is tested once, by
+    its own ``FieldSpec``, which also refuses a bad p or degree.  p = 0 is
+    refused as well: a sweep needs a finite field."""
+    if p == 0:
+        raise ValueError("a sweep needs a finite field, not characteristic 0")
+    if degree <= 1:
+        return FieldSpec(p, degree)     # GF(p), or FieldSpec refuses p or degree
+    FieldSpec(p)                        # refuses a bad p before range(p) is enumerated
+    for tail in itertools.product(range(p), repeat=degree):
         try:
-            return FieldSpec(p, degree, candidate)
+            return FieldSpec(p, degree, tail + (1,))
         except FieldSpecError as exc:
             if exc.code != "reducible-modulus":
                 raise
@@ -121,21 +113,16 @@ def check_field(spec: FieldSpec) -> dict:
 def run_selfcheck(primes: list[int], degrees: list[int]) -> dict:
     """Run check_field over the cartesian product of primes and degrees.
 
-    Raises ValueError, before any sweep, for a non-prime, a degree outside
-    [1, MAX_EXTENSION_DEGREE], or a prime or degree listed twice.
+    Raises ValueError, before any sweep, for a prime or degree listed twice,
+    or for a field that ``field_for`` refuses.
     """
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-    for d in degrees:
-        if not 1 <= d <= MAX_EXTENSION_DEGREE:
-            raise ValueError(f"degree {d} out of range [1, {MAX_EXTENSION_DEGREE}]")
     # a repeated value would only sweep the same fields again
     for name, values in (("prime", primes), ("degree", degrees)):
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise ValueError(f"{name} {repeated} is listed more than once")
-    fields = [check_field(field_for(p, d)) for p in primes for d in degrees]
+    specs = [field_for(p, d) for p in primes for d in degrees]
+    fields = [check_field(spec) for spec in specs]
     total_cases = sum(f["cases"] for f in fields)
     total_mismatches = sum(f["failures"] for f in fields)
     return {

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,29 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(function)`` replaces ``function`` in every rootstrings
+    namespace that holds it by a counting wrapper, and returns the list that
+    gains the arguments of each call from then on."""
+
+    def count(original):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "rootstrings" or name.startswith("rootstrings."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    return count
 
 
 @pytest.fixture

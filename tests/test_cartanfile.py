@@ -160,19 +160,8 @@ def test_nesting_near_the_recursion_limit_gets_a_coded_error():
 
 @pytest.mark.parametrize("fixture,check", [("prime.json", "is_prime"),
                                            ("extension.json", "check_irreducible")])
-def test_field_validated_once_per_parse(fixtures_dir, monkeypatch, fixture, check):
-    original = getattr(field, check)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name == "rootstrings" or name.startswith("rootstrings."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+def test_field_validated_once_per_parse(fixtures_dir, count_calls, fixture, check):
+    calls = count_calls(getattr(field, check))
     parse_cartan((fixtures_dir / fixture).read_text())
     assert len(calls) == 1
 
@@ -249,6 +238,17 @@ def test_equal_hashing_bad_entry_after_a_good_one_is_rejected(text, where):
         parse_cartan(text)
     assert info.value.code == "bad-entry"
     assert str(info.value).startswith(where + ":")
+
+
+def test_string_equal_to_a_list_repr_is_not_taken_from_the_list_memo():
+    # row 1 memoises the list [0, 1] under its repr "[0, 1]"; row 2 is all
+    # ints and strings, so its string "[0, 1]" is memoised by value, and one
+    # shared memo would hand it the element t that the list stored
+    text = doc(extension=GF9_EXTENSION, matrix=[[[0, 1], 1], ["[0, 1]", 2]])
+    with pytest.raises(CartanFileError) as info:
+        parse_cartan(text)
+    assert info.value.code == "bad-entry"
+    assert str(info.value).startswith("entry (2, 1):")
 
 
 def test_strict_mode_rejects_a_repeated_unreduced_entry():

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import time
 from fractions import Fraction
 
@@ -294,6 +295,48 @@ def test_integer_operands_coerce_in_arithmetic():
     assert 2 * a == GF5.element(1)
     assert 1 - a == GF5.element(3)
     assert 6 / GF5.element(2) == GF5.element(3)
+
+
+# every operator that takes a second operand coerces it through FieldSpec.element
+BINARY_OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+BINARY_METHODS = ["__add__", "__radd__", "__sub__", "__rsub__",
+                  "__mul__", "__rmul__", "__truediv__", "__rtruediv__"]
+# (field, a nonzero element of it, an element of another field)
+OPERAND_CASES = [
+    (GF7, GF7.element(3), GF5.element(1)),
+    (GF9, GF9.element([1, 2]), FieldSpec(3, 2, (2, 2, 1)).element([1, 2])),
+    (Q, Q.element(Fraction(2, 3)), GF7.element(1)),
+]
+operand_cases = pytest.mark.parametrize("spec,x,foreign", OPERAND_CASES,
+                                        ids=[str(case[0]) for case in OPERAND_CASES])
+
+
+@operand_cases
+@pytest.mark.parametrize("op", BINARY_OPERATORS, ids=lambda op: op.__name__)
+def test_int_operand_acts_as_its_image(spec, x, foreign, op):
+    # 5, -4 and 10**30 have nonzero images in GF(7), GF(9) and Q
+    for n in (5, -4, 10**30):
+        assert op(x, n) == op(x, spec.element(n))
+        assert op(n, x) == op(spec.element(n), x)
+
+
+@operand_cases
+@pytest.mark.parametrize("method", BINARY_METHODS)
+def test_operand_of_another_field_raises_mismatch(spec, x, foreign, method):
+    with pytest.raises(FieldMismatchError):
+        getattr(x, method)(foreign)
+
+
+@operand_cases
+@pytest.mark.parametrize("value", [True, 1.5, Fraction(1, 2), "1", None], ids=repr)
+def test_operand_neither_element_nor_int_raises_type_error(spec, x, foreign, value):
+    for method in BINARY_METHODS:
+        assert getattr(x, method)(value) is NotImplemented
+    for op in BINARY_OPERATORS:
+        with pytest.raises(TypeError):
+            op(x, value)
+        with pytest.raises(TypeError):
+            op(value, x)
 
 
 # --- prime subfield -------------------------------------------------------

@@ -37,6 +37,16 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_never_reads_debug():
+    # python -O sets __debug__ to False; with no assert statement either, no
+    # code path of the package can differ under -O
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path, tree in package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert found == []
+
+
 def package_imports():
     """(place, module) for every absolute import in the package."""
     for path, tree in package_trees():

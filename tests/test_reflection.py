@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -86,6 +87,19 @@ def test_basis_determinant_small_cases():
     assert basis_determinant(()) == 1
     with pytest.raises(ValueError):
         basis_determinant(((1, 2),))
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.7]],
+    [["3"]],
+    [[True, 0], [0, 2]],
+    [[1, 0], [0, 2.9]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, Fraction(2)]],
+], ids=repr)
+def test_basis_determinant_refuses_non_int_entries(matrix):
+    # as for RootVector: a float, a string or a bool is refused, not converted
+    with pytest.raises(TypeError):
+        basis_determinant(matrix)
 
 
 @given(st.integers(1, 4).flatmap(

@@ -1,5 +1,4 @@
 import itertools
-import sys
 
 import pytest
 
@@ -9,22 +8,6 @@ from rootstrings.field import FieldSpec
 from rootstrings.selfcheck import check_field, field_for, find_irreducible, run_selfcheck
 
 
-def _count_calls(monkeypatch, original):
-    """Replace ``original`` in every rootstrings namespace by a counting wrapper."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name == "rootstrings" or name.startswith("rootstrings."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
-
-
 @pytest.mark.parametrize("p,degree,modulus", [
     (2, 2, (1, 1, 1)),
     (3, 2, (1, 0, 1)),
@@ -32,8 +15,8 @@ def _count_calls(monkeypatch, original):
     (5, 2, (1, 1, 1)),
     (3, 3, (1, 0, 2, 1)),
 ])
-def test_each_candidate_modulus_tested_once(monkeypatch, p, degree, modulus):
-    calls = _count_calls(monkeypatch, field.check_irreducible)
+def test_each_candidate_modulus_tested_once(count_calls, p, degree, modulus):
+    calls = count_calls(field.check_irreducible)
     # candidates run in lexicographic order, the constant term most significant
     tried = 1 + sum(c * p ** (degree - 1 - i) for i, c in enumerate(modulus[:-1]))
     assert field_for(p, degree).modulus == modulus
@@ -49,12 +32,32 @@ def test_find_irreducible_needs_degree_two():
         find_irreducible(4, 2)
 
 
-def test_find_irreducible_beyond_field_spec_degrees():
-    # FieldSpec stops at MAX_EXTENSION_DEGREE; the modulus search does not
-    assert field.MAX_EXTENSION_DEGREE < 9
-    assert find_irreducible(2, 9) == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+@pytest.mark.parametrize("p,degree,code", [
+    (-3, 2, "bad-characteristic"),
+    (-3, 1, "bad-characteristic"),
+    (1, 2, "bad-characteristic"),
+    (4, 2, "bad-characteristic"),
+    (10**25, 2, "bad-characteristic"),
+    (2, -1, "bad-extension"),
+    (2, 0, "bad-extension"),
+    (2, 9, "bad-extension"),
+])
+def test_field_for_leaves_refusals_to_field_spec(p, degree, code):
     with pytest.raises(field.FieldSpecError) as excinfo:
-        field_for(2, 9)
+        field_for(p, degree)
+    assert excinfo.value.code == code
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_field_for_refuses_characteristic_zero(degree):
+    # FieldSpec(0) is Q, but a sweep enumerates its field
+    with pytest.raises(ValueError, match="finite field"):
+        field_for(0, degree)
+
+
+def test_find_irreducible_stops_where_field_spec_does():
+    with pytest.raises(field.FieldSpecError) as excinfo:
+        find_irreducible(2, field.MAX_EXTENSION_DEGREE + 1)
     assert excinfo.value.code == "bad-extension"
 
 
@@ -95,9 +98,23 @@ def test_a_walk_that_misses_its_zero_raises_on_both_routes(monkeypatch):
 @pytest.mark.parametrize("primes,degrees,message", [
     ([3, 3], [1], "prime 3 is listed more than once"),
     ([2, 3], [1, 2, 1], "degree 1 is listed more than once"),
+    ([0], [1], "finite field"),
+    ([1], [1], "characteristic 1 must be 0 or a prime"),
+    ([2, 9], [1, 2], "characteristic 9 must be 0 or a prime"),
+    ([10**25], [1, 2], f"characteristic {10**25} is not below"),
+    ([2, 3], [1, -1], "extension degree -1 must lie in"),
+    ([2], [0], "extension degree 0 must lie in"),
+    ([2, 3], [2, 9], "extension degree 9 must lie in"),
 ])
-def test_repeated_prime_or_degree_refused_before_any_sweep(monkeypatch, primes, degrees, message):
-    swept = _count_calls(monkeypatch, check_field)
+def test_repeated_prime_or_degree_refused_before_any_sweep(count_calls, primes, degrees,
+                                                           message):
+    swept = count_calls(check_field)
     with pytest.raises(ValueError, match=message):
         run_selfcheck(primes, degrees)
     assert swept == []
+
+
+def test_selfcheck_decides_primality_once(count_calls):
+    calls = count_calls(field.is_prime)
+    run_selfcheck([7], [1])
+    assert calls == [(7,)]
