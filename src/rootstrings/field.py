@@ -11,6 +11,7 @@ values are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
@@ -163,6 +164,16 @@ def check_irreducible(modulus: Sequence[int], p: int) -> bool:
     return True
 
 
+def _check_degree(k) -> None:
+    """Refuse an extension degree outside [1, ``MAX_EXTENSION_DEGREE``], for
+    ``FieldSpec`` and for callers that must refuse a degree before they
+    build a modulus of that length."""
+    if not _is_int(k) or not 1 <= k <= MAX_EXTENSION_DEGREE:
+        shown = f" {k}" if _is_int(k) else ""     # a refusal names a bad int
+        raise FieldSpecError(
+            "bad-extension", f"extension degree{shown} must lie in [1, {MAX_EXTENSION_DEGREE}]")
+
+
 class FieldSpec(Frozen):
     """The ground field: GF(p) (degree 1), GF(p^degree) = GF(p)[t]/(modulus),
     or the rationals (characteristic 0).
@@ -188,11 +199,7 @@ class FieldSpec(Frozen):
             shown = f" {p}" if _is_int(p) else ""     # a refusal names a bad int
             raise FieldSpecError(
                 "bad-characteristic", f"characteristic{shown} must be 0 or a prime")
-        if not _is_int(k) or not 1 <= k <= MAX_EXTENSION_DEGREE:
-            shown = f" {k}" if _is_int(k) else ""
-            raise FieldSpecError(
-                "bad-extension",
-                f"extension degree{shown} must lie in [1, {MAX_EXTENSION_DEGREE}]")
+        _check_degree(k)
         if p == 0 and k != 1:
             raise FieldSpecError("bad-extension", "characteristic 0 only supports degree 1")
         if k == 1:
@@ -280,7 +287,7 @@ def _coerced(op):
         if isinstance(other, FieldElement) or _is_int(other):
             return op(self, self.spec.element(other))
         return NotImplemented
-    return coerced
+    return functools.wraps(op)(coerced)
 
 
 class FieldElement(Frozen):

@@ -14,7 +14,7 @@ import operator
 from collections.abc import Iterator
 
 from .cartan import Parity, _first_zero, _row_ladder
-from .field import FieldElement, FieldSpec, FieldSpecError
+from .field import FieldElement, FieldSpec, FieldSpecError, _check_degree
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
@@ -28,21 +28,23 @@ def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
 def field_for(p: int, degree: int) -> FieldSpec:
     """GF(p^degree).  At degree > 1 the modulus is the first monic irreducible
     in lexicographic order (coefficients low degree first, the constant term
-    most significant).  Each candidate's irreducibility is tested once, by
-    its own ``FieldSpec``, which also refuses a bad p or degree.  p = 0 is
-    refused as well: a sweep needs a finite field."""
+    most significant).  Candidates are built one at a time, each tested once
+    by its own ``FieldSpec``, so the first one refuses a bad p before
+    anything of size p is built.  p = 0 is refused as well: a sweep needs a
+    finite field."""
     if p == 0:
         raise ValueError("a sweep needs a finite field, not characteristic 0")
     if degree <= 1:
         return FieldSpec(p, degree)     # GF(p), or FieldSpec refuses p or degree
-    FieldSpec(p)                        # refuses a bad p before range(p) is enumerated
-    for tail in itertools.product(range(p), repeat=degree):
+    _check_degree(degree)               # before a candidate of degree + 1 coefficients
+    # candidate n: the base-p digits of n, most significant first, then 1;
+    # every prime has a monic irreducible of each degree, so n stays below p^degree
+    for n in itertools.count():
         try:
-            return FieldSpec(p, degree, tail + (1,))
+            return FieldSpec(p, degree, (*(n // p**i % p for i in range(degree - 1, -1, -1)), 1))
         except FieldSpecError as exc:
             if exc.code != "reducible-modulus":
                 raise
-    raise RuntimeError(f"no irreducible of degree {degree} over GF({p})")
 
 
 def sweep_pairs(spec: FieldSpec) -> Iterator[tuple[Parity, FieldElement, FieldElement]]:
@@ -76,7 +78,6 @@ def check_field(spec: FieldSpec) -> dict:
     ConsistencyError from ``_first_zero``.
     """
     p = spec.characteristic
-    cases = 0
     mismatches = []
     b_counts: dict[int, int] = {}
     for (parity, a_kk), row in itertools.groupby(sweep_pairs(spec), operator.itemgetter(0, 1)):
@@ -85,7 +86,6 @@ def check_field(spec: FieldSpec) -> dict:
         for _, _, a_kj in row:
             closed = ladder(a_kj.coeffs)
             recursive = _first_zero(a_kj, a_kk, parity)
-            cases += 1
             if closed.value != recursive or recursive > ceiling:
                 mismatches.append({
                     "parity": parity.value,
@@ -100,7 +100,7 @@ def check_field(spec: FieldSpec) -> dict:
     report = {
         "characteristic": p,
         "degree": spec.degree,
-        "cases": cases,
+        "cases": len(mismatches) + sum(b_counts.values()),
         "mismatches": mismatches,
         "failures": len(mismatches),
         "b_counts": [[b, n] for b, n in sorted(b_counts.items())],
@@ -113,21 +113,25 @@ def check_field(spec: FieldSpec) -> dict:
 def run_selfcheck(primes: list[int], degrees: list[int]) -> dict:
     """Run check_field over the cartesian product of primes and degrees.
 
-    Raises ValueError, before any sweep, for a prime or degree listed twice,
-    or for a field that ``field_for`` refuses.
+    Raises ValueError, before any sweep or modulus search, for a prime or
+    degree listed twice, or for one that ``field_for`` or ``FieldSpec``
+    refuses.
     """
     # a repeated value would only sweep the same fields again
     for name, values in (("prime", primes), ("degree", degrees)):
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise ValueError(f"{name} {repeated} is listed more than once")
-    specs = [field_for(p, d) for p in primes for d in degrees]
+    # every prime, then every degree, is checked before the first modulus
+    # search, which may try p^(degree - 1) candidates
+    bases = [field_for(p, 1) for p in primes]
+    for degree in degrees:
+        _check_degree(degree)
+    specs = [b if d == 1 else field_for(b.characteristic, d) for b in bases for d in degrees]
     fields = [check_field(spec) for spec in specs]
-    total_cases = sum(f["cases"] for f in fields)
-    total_mismatches = sum(f["failures"] for f in fields)
     return {
         "fields": fields,
-        "total_cases": total_cases,
-        "total_mismatches": total_mismatches,
-        "ok": total_mismatches == 0,
+        "total_cases": sum(f["cases"] for f in fields),
+        "total_mismatches": sum(f["failures"] for f in fields),
+        "ok": not any(f["failures"] for f in fields),
     }

@@ -311,6 +311,13 @@ operand_cases = pytest.mark.parametrize("spec,x,foreign", OPERAND_CASES,
                                         ids=[str(case[0]) for case in OPERAND_CASES])
 
 
+@pytest.mark.parametrize("method", ["__add__", "__sub__", "__rsub__",
+                                    "__mul__", "__truediv__", "__rtruediv__"])
+def test_coerced_operators_keep_their_names(method):
+    # tracebacks and help(FieldElement) name the operator, not its coercion
+    assert getattr(FieldElement, method).__qualname__ == f"FieldElement.{method}"
+
+
 @operand_cases
 @pytest.mark.parametrize("op", BINARY_OPERATORS, ids=lambda op: op.__name__)
 def test_int_operand_acts_as_its_image(spec, x, foreign, op):
