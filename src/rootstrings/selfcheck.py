@@ -3,17 +3,18 @@
 For a chosen set of finite fields this sweeps every rank-2 configuration
 (parity of the reflecting root, diagonal entry, off-diagonal entry) and
 checks that the closed-form bound matches the value found by scanning the
-d-sequence.  Any disagreement would falsify one of the two routes, so a
-clean sweep is strong evidence both are implemented correctly.
+d-sequence.  Both routes work a row (parity, diagonal entry) at a time: one
+closed-form ladder and one recursion walk per row, each then asked for
+every off-diagonal entry.  Any disagreement would falsify one of the two
+routes, so a clean sweep is strong evidence both are implemented correctly.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Iterator
 
-from .cartan import Parity, _first_zero, _row_ladder
+from .cartan import Parity, _row_ladder, _row_walk
 from .field import FieldElement, FieldSpec, FieldSpecError, _check_degree
 
 
@@ -67,36 +68,40 @@ def bound_ceiling(p: int, parity: Parity) -> int:
 
 
 def check_field(spec: FieldSpec) -> dict:
-    """Sweep all (parity, A_kk, A_kj) cases over one field.
+    """Sweep all (parity, A_kk, A_kj) cases over one field, in
+    ``sweep_pairs`` order.
 
-    The closed form builds one row ladder per (parity, A_kk) and applies it
-    to every A_kj; the recursion walks each triple on its own.  No datum is
-    built per case.  Returns a report dict with the case count, any
-    failures, and the distribution of bounds seen.  A failure -- the routes
-    disagree, or the bound exceeds ``bound_ceiling`` -- records both routes'
-    answers and the ceiling.  A walk that misses its guaranteed zero raises
-    ConsistencyError from ``_first_zero``.
+    Each row (parity, A_kk) builds one closed-form ladder and one recursion
+    walk, ``_row_ladder`` and ``_row_walk``, and asks both for every A_kj.
+    No datum is built per case.  Returns a report dict with the case count,
+    any failures, and the distribution of bounds seen.  A failure -- the
+    routes disagree, or the bound exceeds ``bound_ceiling`` -- records both
+    routes' answers and the ceiling.  A walk that misses its guaranteed zero
+    raises ConsistencyError from ``_row_walk``.
     """
     p = spec.characteristic
+    elements = list(spec.elements())
     mismatches = []
     b_counts: dict[int, int] = {}
-    for (parity, a_kk), row in itertools.groupby(sweep_pairs(spec), operator.itemgetter(0, 1)):
-        ladder = _row_ladder(parity, a_kk)
+    for parity in (Parity.EVEN, Parity.ODD):
         ceiling = bound_ceiling(p, parity)
-        for _, _, a_kj in row:
-            closed = ladder(a_kj.coeffs)
-            recursive = _first_zero(a_kj, a_kk, parity)
-            if closed.value != recursive or recursive > ceiling:
-                mismatches.append({
-                    "parity": parity.value,
-                    "a_kk": list(a_kk.coeffs),
-                    "a_kj": list(a_kj.coeffs),
-                    "closed": closed.value,
-                    "recursive": recursive,
-                    "ceiling": ceiling,
-                })
-            else:
-                b_counts[recursive] = b_counts.get(recursive, 0) + 1
+        for a_kk in elements:
+            ladder = _row_ladder(parity, a_kk)
+            first_zero = _row_walk(parity, a_kk)
+            for a_kj in elements:
+                closed = ladder(a_kj.coeffs)
+                recursive = first_zero(a_kj.coeffs)
+                if closed.value != recursive or recursive > ceiling:
+                    mismatches.append({
+                        "parity": parity.value,
+                        "a_kk": list(a_kk.coeffs),
+                        "a_kj": list(a_kj.coeffs),
+                        "closed": closed.value,
+                        "recursive": recursive,
+                        "ceiling": ceiling,
+                    })
+                else:
+                    b_counts[recursive] = b_counts.get(recursive, 0) + 1
     report = {
         "characteristic": p,
         "degree": spec.degree,

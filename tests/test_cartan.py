@@ -1,9 +1,10 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootstrings.cartan import (
@@ -12,7 +13,9 @@ from rootstrings.cartan import (
     CartanDatum,
     DSequence,
     Parity,
+    _first_zero,
     _row_ladder,
+    _row_walk,
     b_closed,
     b_recursive,
     b_table,
@@ -20,9 +23,9 @@ from rootstrings.cartan import (
     d_sequence,
     pair_datum,
 )
-from rootstrings.field import FieldElement, FieldSpec
+from rootstrings.field import FieldElement, FieldSpec, FieldSpecError, is_prime
 from rootstrings.reflection import ReflectionUndefinedError, reflect
-from rootstrings.selfcheck import sweep_pairs
+from rootstrings.selfcheck import field_for, sweep_pairs
 
 from oracles import d_closed_even, d_closed_odd
 
@@ -542,6 +545,59 @@ def test_d_sequence_matches_iterated_d_next_rationals(a_kk, a_kj, parity):
     for m in range(13):
         d = d_next(d, datum.entry(1, 2), datum.entry(1, 1), m, parity)
         assert seq[m] == d
+
+
+# --- the row walk against the per-triple walk ---------------------------------
+
+@pytest.mark.parametrize("p,degree", [
+    (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+    (5, 1), (5, 2), (7, 1), (7, 2), (23, 1), (11, 2)])
+def test_row_walk_matches_first_zero_everywhere(p, degree):
+    spec = field_for(p, degree)
+    elements = list(spec.elements())
+    for parity in Parity:
+        for a_kk in elements:
+            first_zero = _row_walk(parity, a_kk)
+            assert ([first_zero(a_kj.coeffs) for a_kj in elements]
+                    == [_first_zero(a_kj, a_kk, parity) for a_kj in elements]), \
+                (str(spec), parity, str(a_kk))
+
+
+def _prime_from(n):
+    return next(m for m in itertools.count(n) if is_prime(m))
+
+
+@st.composite
+def row_walk_fields(draw):
+    """GF(p) with p up to about 10^5, its number of digits drawn first, or
+    GF(p^2) or GF(p^3) with p between 100 and 300 and a random modulus."""
+    if draw(st.booleans()):
+        digits = draw(st.integers(1, 5))
+        return FieldSpec(_prime_from(draw(st.integers(10 ** (digits - 1) + 1, 10 ** digits))))
+    p, degree = _prime_from(draw(st.integers(100, 300))), draw(st.integers(2, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while True:
+        try:
+            return FieldSpec(p, degree, (*(rng.randrange(p) for _ in range(degree)), 1))
+        except FieldSpecError as exc:
+            assert exc.code == "reducible-modulus"
+
+
+# a row walk at p near 10^5 takes about a third of a second
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), spec=row_walk_fields(), parity=st.sampled_from(Parity))
+def test_row_walk_matches_first_zero_on_random_triples(data, spec, parity):
+    p, degree = spec.characteristic, spec.degree
+    coords = st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree).map(tuple)
+    kk = data.draw(coords)
+    # half the time A_kj = c * A_kk, the one A_kj a step with alpha_m != 0 settles
+    if data.draw(st.booleans()):
+        c = data.draw(st.integers(0, p - 1))
+        kj = tuple(c * b % p for b in kk)
+    else:
+        kj = data.draw(coords)
+    a_kk, a_kj = FieldElement(spec, kk), FieldElement(spec, kj)
+    assert _row_walk(parity, a_kk)(kj) == _first_zero(a_kj, a_kk, parity)
 
 
 def _raise(*args, **kwargs):

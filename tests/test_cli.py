@@ -337,8 +337,8 @@ def test_route_disagreement_exits_2(run_cli, monkeypatch):
 
 def test_selfcheck_mismatch_exits_2(run_cli, monkeypatch):
     # the recursion finds d_0 = 0 everywhere
-    monkeypatch.setattr(rootstrings.selfcheck, "_first_zero",
-                        lambda a_kj, a_kk, parity, *cap: 0)
+    monkeypatch.setattr(rootstrings.selfcheck, "_row_walk",
+                        lambda parity, a_kk: lambda kj: 0)
     code, out, _ = run_cli("selfcheck", "--primes", "2", "--degrees", "1")
     assert code == 2
     report = json.loads(out)
@@ -352,8 +352,8 @@ def test_selfcheck_ceiling_violation_exits_2(run_cli, monkeypatch):
     too_big = lambda a_kk: 2 * a_kk.spec.characteristic
     monkeypatch.setattr(rootstrings.selfcheck, "_row_ladder",
                         lambda parity, a_kk: lambda kj: BValue(too_big(a_kk)))
-    monkeypatch.setattr(rootstrings.selfcheck, "_first_zero",
-                        lambda a_kj, a_kk, parity, *cap: too_big(a_kk))
+    monkeypatch.setattr(rootstrings.selfcheck, "_row_walk",
+                        lambda parity, a_kk: lambda kj: too_big(a_kk))
     code, out, _ = run_cli("selfcheck", "--primes", "2", "--degrees", "1")
     assert code == 2
     report = json.loads(out)

@@ -85,14 +85,29 @@ def test_check_field_builds_one_ladder_per_row_and_no_datum(spec, monkeypatch):
     assert data == []
 
 
-def test_a_walk_that_misses_its_zero_raises_on_both_routes(monkeypatch):
-    # no step of the faulty walk vanishes; _first_zero alone decides that the
-    # zero guaranteed by m = 2p - 1 is missing, for b_recursive and check_field
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(3, 2, (1, 0, 1)), FieldSpec(7)], ids=str)
+def test_check_field_builds_one_row_walk_per_row_and_walks_no_triple(spec, count_calls):
+    walks = count_calls(cartan._row_walk)
+    triples = count_calls(cartan._first_zero)
+    assert check_field(spec)["cases"] == 2 * spec.order ** 2
+    assert len(walks) == 2 * spec.order
+    assert triples == []
+
+
+def test_a_walk_that_misses_its_zero_raises(monkeypatch):
+    # no step of the faulty walk vanishes; _first_zero decides that the zero
+    # guaranteed by m = 2p - 1 is missing
     monkeypatch.setattr(cartan, "_walk", lambda a_kj, a_kk, parity: itertools.repeat((1,)))
     datum = cartan.pair_datum(FieldSpec(3), 2, 1, cartan.Parity.ODD)
     with pytest.raises(ConsistencyError, match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(od, 2, 1\)"):
         cartan.b_recursive(datum, 1, 2)
-    with pytest.raises(ConsistencyError, match="up to m = 5"):
+
+
+def test_a_row_walk_that_misses_its_zero_raises(monkeypatch):
+    # every step of the faulty walk reads d_m = A_kk, which vanishes for no
+    # A_kj once A_kk != 0: the first such row, (ev, 1), finds no zero for A_kj = 0
+    monkeypatch.setattr(cartan, "_linear_walk", lambda sign, p: itertools.repeat((0, 1)))
+    with pytest.raises(ConsistencyError, match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(ev, 1, 0\)"):
         check_field(FieldSpec(3))
 
 
