@@ -10,15 +10,17 @@ parity at p = 2, and 2p - 1 for odd parity).
 """
 
 import argparse
+import itertools
 from collections import Counter
 
 from rootstrings.cartan import Parity, b_closed, pair_datum
-from rootstrings.selfcheck import bound_ceiling, field_for, sweep_pairs
+from rootstrings.selfcheck import bound_ceiling, field_for
 
 
 def survey(spec) -> dict[Parity, Counter]:
     counts = {parity: Counter() for parity in Parity}
-    for parity, a_kk, a_kj in sweep_pairs(spec):
+    elements = list(spec.elements())
+    for parity, a_kk, a_kj in itertools.product(Parity, elements, elements):
         datum = pair_datum(spec, a_kk, a_kj, parity)
         counts[parity][int(b_closed(datum, 1, 2))] += 1
     return counts

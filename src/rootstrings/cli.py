@@ -170,7 +170,7 @@ def _emit(text: str, args) -> None:
     temporary file beside the target, which then replaces it.  An error on
     the temporary file names the --output path, which is the one the user
     knows."""
-    if not getattr(args, "output", None):
+    if not args.output:
         sys.stdout.write(text)
         return
     tmp = f"{args.output}.{os.getpid()}.tmp"

@@ -51,8 +51,11 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the first 13 prime bases.
 
-    Exact for every n below ``PRIMALITY_LIMIT``; larger n raise ValueError.
+    Exact for every n below ``PRIMALITY_LIMIT``; larger n raise ValueError,
+    and an n that is not an int (a bool included) raises TypeError.
     """
+    if not _is_int(n):
+        raise TypeError(f"primality needs an int, not {type(n).__name__}")
     if n >= PRIMALITY_LIMIT:
         raise ValueError(f"{n} is not below {PRIMALITY_LIMIT}, the bound for deciding primality")
     if n < 2:
@@ -98,35 +101,18 @@ def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trimmed(out)
 
 
-def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+def _poly_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """a mod b over GF(p), for a nonzero b."""
     rem = _trimmed(a)
     div = _trimmed(b)
-    if not div:
-        raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(div[-1], p - 2, p)
-    quo = [0] * max(len(rem) - len(div) + 1, 0)
     while len(rem) >= len(div):
         shift = len(rem) - len(div)
         c = (rem[-1] * inv_lead) % p
-        quo[shift] = c
         for i, bi in enumerate(div):
             rem[shift + i] = (rem[shift + i] - c * bi) % p
         rem = _trimmed(rem)
-    return quo, rem
-
-
-def _poly_inv(a: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
-    # extended Euclid in GF(p)[t]; the modulus is irreducible and a != 0,
-    # so the gcd is a nonzero constant
-    r0, r1 = list(modulus), _trimmed(a)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-    c = pow(r0[0], p - 2, p)
-    inv = [(c * s) % p for s in s0]
-    return _poly_divmod(inv, modulus, p)[1]
+    return rem
 
 
 def check_irreducible(modulus: Sequence[int], p: int) -> bool:
@@ -138,10 +124,13 @@ def check_irreducible(modulus: Sequence[int], p: int) -> bool:
     an irreducible factor of degree at most k/2, so f is irreducible exactly
     when gcd(f, x^(p^i) - x) = 1 for i = 1, ..., k/2.  Each x^(p^i) mod f
     is the previous one raised to the p-th power by square-and-multiply:
-    about k/2 * log2(p) products modulo f in all.
+    about k/2 * log2(p) products modulo f in all.  A p or coefficient that
+    is not an int (a bool included) raises TypeError.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
+    if not all(_is_int(c) for c in modulus):
+        raise TypeError("modulus coefficients must be ints")
     coeffs = [c % p for c in modulus]
     if not coeffs or coeffs[-1] != 1:
         raise ValueError("modulus must be monic")
@@ -153,12 +142,12 @@ def check_irreducible(modulus: Sequence[int], p: int) -> bool:
     for _ in range(deg // 2):
         base = h
         for bit in bin(p)[3:]:
-            h = _poly_divmod(_poly_mul(h, h, p), coeffs, p)[1]
+            h = _poly_mod(_poly_mul(h, h, p), coeffs, p)
             if bit == "1":
-                h = _poly_divmod(_poly_mul(h, base, p), coeffs, p)[1]
+                h = _poly_mod(_poly_mul(h, base, p), coeffs, p)
         a, b = coeffs, _poly_sub(h, x, p)
         while b:
-            a, b = b, _poly_divmod(a, b, p)[1]
+            a, b = b, _poly_mod(a, b, p)
         if len(a) > 1:
             return False
     return True
@@ -347,12 +336,14 @@ class FieldElement(Frozen):
         if spec.degree == 1:
             return _reduced(spec, (self.coeffs[0] * other.coeffs[0],))
         prod = _poly_mul(self.coeffs, other.coeffs, spec.characteristic)
-        return _reduced(spec, _poly_divmod(prod, spec.modulus, spec.characteristic)[1])
+        return _reduced(spec, _poly_mod(prod, spec.modulus, spec.characteristic))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse; zero raises ZeroDivisionError."""
+        """Multiplicative inverse; zero raises ZeroDivisionError.  Over GF(q),
+        q = p^k with k > 1, it is x^(q-2), since x^(q-1) = 1 (Lagrange),
+        through ``__pow__`` and so through the one multiplication."""
         if not self:
             raise ZeroDivisionError(f"division by zero in {self.spec}")
         spec = self.spec
@@ -360,8 +351,7 @@ class FieldElement(Frozen):
         if spec.degree == 1:
             c = self.coeffs[0]
             return _reduced(spec, (pow(c, -1, p) if p else 1 / c,))
-        # extended Euclid, independent of __mul__
-        return _reduced(spec, _poly_inv(self.coeffs, spec.modulus, p))
+        return self ** (spec.order - 2)
 
     @_coerced
     def __truediv__(self, other):

@@ -12,10 +12,10 @@ routes, so a clean sweep is strong evidence both are implemented correctly.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 
-from .cartan import Parity, _row_ladder, _row_walk
-from .field import FieldElement, FieldSpec, FieldSpecError, _check_degree
+from .cartan import Parity, _last_step, _row_ladder, _row_walk
+from .cartanfile import field_doc
+from .field import FieldSpec, FieldSpecError, _check_degree
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
@@ -48,28 +48,18 @@ def field_for(p: int, degree: int) -> FieldSpec:
                 raise
 
 
-def sweep_pairs(spec: FieldSpec) -> Iterator[tuple[Parity, FieldElement, FieldElement]]:
-    """Every rank-2 configuration (parity, A_kk, A_kj) over a finite field.
-
-    Parity varies slowest, then A_kk, then A_kj, each in ``spec.elements()``
-    order; the elements are enumerated once.
-    """
-    elements = list(spec.elements())
-    return itertools.product((Parity.EVEN, Parity.ODD), elements, elements)
-
-
 def bound_ceiling(p: int, parity: Parity) -> int:
     """Largest bound B_kj possible in characteristic p > 0: the d-sequence
     vanishes by m = p - 1 for an even generator (m = 3 when p = 2) and by
     m = 2p - 1 for an odd one."""
     if parity is Parity.ODD:
-        return 2 * p - 1
+        return _last_step(p)
     return 3 if p == 2 else p - 1
 
 
 def check_field(spec: FieldSpec) -> dict:
-    """Sweep all (parity, A_kk, A_kj) cases over one field, in
-    ``sweep_pairs`` order.
+    """Sweep all (parity, A_kk, A_kj) cases over one field: parity varies
+    slowest, then A_kk, then A_kj, each in ``spec.elements()`` order.
 
     Each row (parity, A_kk) builds one closed-form ladder and one recursion
     walk, ``_row_ladder`` and ``_row_walk``, and asks both for every A_kj.
@@ -83,7 +73,7 @@ def check_field(spec: FieldSpec) -> dict:
     elements = list(spec.elements())
     mismatches = []
     b_counts: dict[int, int] = {}
-    for parity in (Parity.EVEN, Parity.ODD):
+    for parity in Parity:
         ceiling = bound_ceiling(p, parity)
         for a_kk in elements:
             ladder = _row_ladder(parity, a_kk)
@@ -102,17 +92,13 @@ def check_field(spec: FieldSpec) -> dict:
                     })
                 else:
                     b_counts[recursive] = b_counts.get(recursive, 0) + 1
-    report = {
-        "characteristic": p,
-        "degree": spec.degree,
+    return {
+        **field_doc(spec),
         "cases": len(mismatches) + sum(b_counts.values()),
         "mismatches": mismatches,
         "failures": len(mismatches),
         "b_counts": [[b, n] for b, n in sorted(b_counts.items())],
     }
-    if spec.modulus is not None:
-        report["modulus"] = list(spec.modulus)
-    return report
 
 
 def run_selfcheck(primes: list[int], degrees: list[int]) -> dict:

@@ -3,12 +3,14 @@
 The closed forms of the d-sequence multiply field elements by integers, so
 they share no code with ``cartan._walk``, which adds residue coordinates step
 by step.  Trial division decides irreducibility by brute force, independently
-of ``field.check_irreducible``'s gcd test.
+of ``field.check_irreducible``'s gcd test.  ``sweep_pairs`` enumerates the
+rank-2 configurations that the exhaustive tests walk.
 """
 
 import itertools
 import math
 
+from rootstrings.cartan import Parity
 from rootstrings.field import FieldElement
 
 
@@ -49,3 +51,13 @@ def _remainder(f, g, p: int) -> list[int]:
         for i, gi in enumerate(g):
             r[top - d + i] -= c * gi
     return [c % p for c in r[:d]]
+
+
+def sweep_pairs(spec):
+    """Every rank-2 configuration (parity, A_kk, A_kj) over a finite field.
+
+    Parity varies slowest, then A_kk, then A_kj, each in ``spec.elements()``
+    order, the order in which ``selfcheck.check_field`` sweeps them.
+    """
+    elements = list(spec.elements())
+    return itertools.product(Parity, elements, elements)

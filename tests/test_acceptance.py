@@ -20,9 +20,9 @@ from rootstrings.cartanfile import parse_cartan, serialize_cartan
 from rootstrings.cli import main
 from rootstrings.field import FieldSpec
 from rootstrings.reflection import RootVector, basis_determinant, reflect
-from rootstrings.selfcheck import sweep_pairs
 
 from conftest import FIXTURES, GOLDEN, GOLDEN_CASES, with_fixture_paths
+from oracles import sweep_pairs
 
 GF2 = FieldSpec(2)
 GF4 = FieldSpec(2, 2, (1, 1, 1))

@@ -25,9 +25,9 @@ from rootstrings.cartan import (
 )
 from rootstrings.field import FieldElement, FieldSpec, FieldSpecError, is_prime
 from rootstrings.reflection import ReflectionUndefinedError, reflect
-from rootstrings.selfcheck import field_for, sweep_pairs
+from rootstrings.selfcheck import field_for
 
-from oracles import d_closed_even, d_closed_odd
+from oracles import d_closed_even, d_closed_odd, sweep_pairs
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)

@@ -27,6 +27,7 @@ GF7 = FieldSpec(7)
 GF4 = FieldSpec(2, 2, (1, 1, 1))
 GF9 = FieldSpec(3, 2, (1, 0, 1))
 GF125 = FieldSpec(5, 3, (1, 1, 0, 1))
+GF256 = FieldSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))
 Q = FieldSpec(0)
 
 SMALL_FIELDS = [GF2, GF3, GF5, GF4, GF9]
@@ -35,6 +36,9 @@ SMALL_FIELDS = [GF2, GF3, GF5, GF4, GF9]
 def test_is_prime():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    for n in (7.0, "7", True, Fraction(7)):          # refused, not converted
+        with pytest.raises(TypeError):
+            is_prime(n)
 
 
 def _trial_division(n):
@@ -115,6 +119,10 @@ def test_check_irreducible():
         check_irreducible((1, 1, 2), 3)              # not monic
     with pytest.raises(ValueError):
         check_irreducible((1, 1), 3)                 # degree too small
+    for modulus, p in [((1.5, 0, 1), 3), (("1", 0, 1), 3), ((True, 0, 1), 3),
+                       ((1, 0, 1), 3.0), ((1, 0, 1), True)]:
+        with pytest.raises(TypeError):               # refused, not converted
+            check_irreducible(modulus, p)
 
 
 @pytest.mark.parametrize("p,degree", [(2, k) for k in range(2, 9)] + [(3, k) for k in range(2, 6)]
@@ -265,7 +273,8 @@ def test_associativity_and_distributivity_all_triples(spec):
                 assert a * (b + c) == a * b + a * c
 
 
-@pytest.mark.parametrize("spec", SMALL_FIELDS, ids=str)
+# degree 8 is MAX_EXTENSION_DEGREE
+@pytest.mark.parametrize("spec", [*SMALL_FIELDS, GF125, GF256], ids=str)
 def test_inverses_and_division(spec):
     one = spec.one()
     for a in spec.elements():
