@@ -15,7 +15,7 @@ import itertools
 
 from .cartan import Parity, _last_step, _row_ladder, _row_walk
 from .cartanfile import field_doc
-from .field import FieldSpec, FieldSpecError, _check_degree
+from .field import FieldSpec, _ben_or, _check_degree
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
@@ -29,23 +29,23 @@ def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
 def field_for(p: int, degree: int) -> FieldSpec:
     """GF(p^degree).  At degree > 1 the modulus is the first monic irreducible
     in lexicographic order (coefficients low degree first, the constant term
-    most significant).  Candidates are built one at a time, each tested once
-    by its own ``FieldSpec``, so the first one refuses a bad p before
-    anything of size p is built.  p = 0 is refused as well: a sweep needs a
-    finite field."""
+    most significant).  There a bad degree is refused before a bad p, and
+    both before any candidate is built.  Candidates with constant term 0 are
+    skipped, since t divides them; each other one gets one ``_ben_or`` test,
+    about degree/2 * log2(p) products, and about one candidate in degree is
+    irreducible.  p = 0 is refused as well: a sweep needs a finite field."""
     if p == 0:
         raise ValueError("a sweep needs a finite field, not characteristic 0")
     if degree <= 1:
         return FieldSpec(p, degree)     # GF(p), or FieldSpec refuses p or degree
     _check_degree(degree)               # before a candidate of degree + 1 coefficients
+    FieldSpec(p)                        # refuses a p that is not prime
     # candidate n: the base-p digits of n, most significant first, then 1;
     # every prime has a monic irreducible of each degree, so n stays below p^degree
-    for n in itertools.count():
-        try:
-            return FieldSpec(p, degree, (*(n // p**i % p for i in range(degree - 1, -1, -1)), 1))
-        except FieldSpecError as exc:
-            if exc.code != "reducible-modulus":
-                raise
+    for n in itertools.count(p ** (degree - 1)):
+        modulus = (*(n // p**i % p for i in range(degree - 1, -1, -1)), 1)
+        if _ben_or(modulus, p):
+            return FieldSpec._trusted(p, degree, modulus)
 
 
 def bound_ceiling(p: int, parity: Parity) -> int:

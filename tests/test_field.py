@@ -96,6 +96,12 @@ def test_bad_specs_rejected(kwargs):
         FieldSpec(**kwargs)
 
 
+def test_extension_spec_decides_primality_once(count_calls):
+    calls = count_calls(is_prime)
+    FieldSpec(7, 2, (1, 0, 1))
+    assert calls == [(7,)]
+
+
 def test_spec_str_and_order():
     assert str(GF3) == "GF(3)"
     assert str(GF9) == "GF(3^2)"

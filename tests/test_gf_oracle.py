@@ -6,12 +6,15 @@ its own division routine."""
 import importlib.util
 import random
 import sys
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootstrings.field import FieldSpec, check_irreducible
+from rootstrings.selfcheck import find_irreducible
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,6 +69,16 @@ def padded(coeffs, k):
 def test_check_irreducible_agrees_with_rabin(data, p, k):
     f = data.draw(monic(p, k))
     assert check_irreducible(f, p) == gf.is_irreducible(list(f), p)
+
+
+@pytest.mark.parametrize("p,k", [(7, 8), (13, 8), (1000000007, 2),
+                                 (3317044064679887385961813, 2)])
+def test_modulus_search_is_quick_and_irreducible(p, k):
+    # the searches skip the p^(k - 1) candidates with constant term 0
+    start = time.perf_counter()
+    modulus = find_irreducible(p, k)
+    assert time.perf_counter() - start < 1.0
+    assert gf.is_irreducible(list(modulus), p)
 
 
 @oracle_settings

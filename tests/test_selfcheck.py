@@ -7,6 +7,8 @@ from rootstrings.cartan import CartanDatum, ConsistencyError
 from rootstrings.field import FieldSpec
 from rootstrings.selfcheck import check_field, field_for, find_irreducible, run_selfcheck
 
+from oracles import irreducible_by_trial_division
+
 
 @pytest.mark.parametrize("p,degree,modulus", [
     (2, 2, (1, 1, 1)),
@@ -16,13 +18,35 @@ from rootstrings.selfcheck import check_field, field_for, find_irreducible, run_
     (3, 3, (1, 0, 2, 1)),
 ])
 def test_each_candidate_modulus_tested_once(count_calls, p, degree, modulus):
-    calls = count_calls(field.check_irreducible)
-    # candidates run in lexicographic order, the constant term most significant
-    tried = 1 + sum(c * p ** (degree - 1 - i) for i, c in enumerate(modulus[:-1]))
+    calls = count_calls(field._ben_or)
+    # candidates run in lexicographic order, the constant term most significant,
+    # from the first one whose constant term is not 0, n = p^(degree - 1)
+    n = sum(c * p ** (degree - 1 - i) for i, c in enumerate(modulus[:-1]))
+    tried = n - p ** (degree - 1) + 1
     assert field_for(p, degree).modulus == modulus
     assert len(calls) == tried
     assert find_irreducible(p, degree) == modulus
     assert len(calls) == 2 * tried
+    assert all(candidate[0] != 0 for candidate, _ in calls)
+    assert len({candidate for candidate, _ in calls}) == tried
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_skipping_constant_term_zero_keeps_the_first_irreducible(p, degree):
+    # the full lexicographic order, constant term 0 included, decided by brute force
+    first = next(tail + (1,) for tail in itertools.product(range(p), repeat=degree)
+                 if irreducible_by_trial_division(tail + (1,), p))
+    assert field_for(p, degree).modulus == first
+
+
+def test_selfcheck_over_gf_32_decides_each_fact_once(count_calls):
+    # the modulus 1 + t^3 + t^5 is the third candidate whose constant term is 1
+    primality = count_calls(field.is_prime)
+    searched = count_calls(field._ben_or)
+    assert run_selfcheck([2], [5])["ok"]
+    assert len(primality) <= 2
+    assert len(searched) == 3
 
 
 def test_find_irreducible_needs_degree_two():
@@ -50,16 +74,18 @@ def test_field_for_refuses_characteristic_zero(degree):
         field_for(0, degree)
 
 
-def test_find_irreducible_stops_where_field_spec_does(monkeypatch):
-    # the degree is refused before a candidate of its length is built, so
-    # even an absurd degree costs nothing
+def test_find_irreducible_stops_where_field_spec_does(count_calls, monkeypatch):
+    # the degree is refused before p is checked or a candidate of its length
+    # is built, so even an absurd degree costs nothing
     def built(self):
-        raise AssertionError(f"candidate {self.modulus} built")
+        raise AssertionError(f"{self} built")
 
+    searched = count_calls(field._ben_or)
     monkeypatch.setattr(FieldSpec, "__post_init__", built)
     with pytest.raises(field.FieldSpecError) as excinfo:
         find_irreducible(2, field.MAX_EXTENSION_DEGREE + 1)
     assert excinfo.value.code == "bad-extension"
+    assert searched == []
 
 
 @pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(3, 2, (1, 0, 1)), FieldSpec(7)], ids=str)
@@ -122,20 +148,17 @@ def test_a_row_walk_that_misses_its_zero_raises(monkeypatch):
     ([2], [0], "extension degree 0 must lie in"),
     ([2, 3], [2, 9], "extension degree 9 must lie in"),
     ([3317044064679887385961813], [9], "extension degree 9 must lie in"),
-    # a modulus search over GF(p^2) tries about p candidates, so a large
-    # prime would hold back the refusal of a later bad value
+    # a bad value listed after a large prime is refused before any modulus
+    # search over that prime's extension begins
     ([10007], [2, 9], "extension degree 9 must lie in"),
     ([10007, 4], [2], "characteristic 4 must be 0 or a prime"),
 ])
-def test_repeated_prime_or_degree_refused_before_any_sweep(count_calls, monkeypatch, primes,
-                                                           degrees, message):
-    def searched(modulus, p):
-        raise AssertionError(f"a modulus search over GF({p}) began")
-
+def test_repeated_prime_or_degree_refused_before_any_sweep(count_calls, primes, degrees, message):
     swept = count_calls(check_field)
-    monkeypatch.setattr(field, "check_irreducible", searched)
+    searched = count_calls(field._ben_or)
     with pytest.raises(ValueError, match=message):
         run_selfcheck(primes, degrees)
+    assert searched == []
     assert swept == []
 
 
