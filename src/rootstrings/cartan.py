@@ -33,7 +33,6 @@ import math
 import operator
 from collections.abc import Callable, Iterator
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache, total_ordering
 
 from .field import FieldElement, FieldSpec
@@ -464,6 +463,7 @@ def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
 
 _COEFFS = operator.attrgetter("coeffs")
 _FIRST = operator.itemgetter(0)
+_RATIO = operator.methodcaller("as_integer_ratio")
 
 
 def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:
@@ -483,7 +483,7 @@ def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:
     # Fraction, whose hash computes a modular inverse, so the row is keyed
     # on its integer pair (numerator, denominator) instead
     keys = (coeffs if datum.spec.characteristic
-            else list(map(Fraction.as_integer_ratio, map(_FIRST, coeffs))))
+            else list(map(_RATIO, map(_FIRST, coeffs))))
     bounds = {key: ladder(c) for key, c in dict(zip(keys, coeffs)).items()}
     out = list(map(bounds.__getitem__, keys))
     out.insert(k - 1, None)

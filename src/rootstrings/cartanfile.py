@@ -30,11 +30,10 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .cartan import BValue, CartanDatum, Parity
-from .field import FieldElement, FieldSpec, FieldSpecError
+from .field import FieldElement, FieldSpec, FieldSpecError, _fraction
 
 _TOP_KEYS = {"characteristic", "extension", "matrix", "parities"}
 #: Rows whose entries all have one of these exact types are memoised by value.
@@ -152,7 +151,7 @@ def _parse_entry(spec: FieldSpec, value, strict: bool, row: int, col: int) -> Fi
         # Fraction alone would also read decimals and exponents, and the
         # cost of an exponent grows with it: "1e5000000" takes seconds
         try:
-            value = Fraction(value)
+            value = _fraction()(value)
         except (ValueError, ZeroDivisionError) as exc:   # n/0, or too many digits
             raise CartanFileError(
                 "bad-entry", f"{where}: cannot parse rational {value!r}") from exc

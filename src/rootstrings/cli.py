@@ -11,8 +11,9 @@ Subcommands:
 ``main`` runs each request from end to end: it reads and parses the
 ``--input`` document, computes through one subcommand handler, and renders
 the report.  A handler returns only its own report keys; ``main`` writes
-``command`` and, for a datum, ``field``.  The argument parser is built once,
-at import.
+``command`` and, for a datum, ``field``.  ``_parse`` reads argv from the
+``_COMMANDS`` table, in the forms argparse accepts, without importing
+argparse: a cold start pays for no parser it does not use.
 
 All reports are canonical JSON on stdout (or --output FILE).  Exit codes:
 0 success, 1 invalid input, 2 internal inconsistency (the two routes
@@ -21,10 +22,11 @@ disagree), 3 reflection undefined (some bound is infinite).
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .cartan import (DEFAULT_SCAN_CAP, ConsistencyError, b_closed, b_recursive, b_table,
                      d_sequence)
@@ -45,20 +47,17 @@ EXIT_INCONSISTENT = 2
 EXIT_REFLECTION_UNDEFINED = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad arguments; remap to 1."""
+class _Usage(Exception):
+    """An argv that the CLI refuses; ``main`` prints it as one ``error[usage]``
+    line and exits 1."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error[usage]: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION_ERROR)
+
+class _Help(Exception):
+    """-h or --help came before any refusal; ``main`` prints this help text."""
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return [int(part) for part in text.split(",")]
 
 
 def _load_datum(args):
@@ -133,7 +132,8 @@ _K = ("--k", dict(type=int, required=True, help="reflecting index (1-based)"))
 _J = ("--j", dict(type=int, required=True, help="target index (1-based)"))
 _OUTPUT = ("--output", dict(help="write the report here instead of stdout"))
 
-#: (name, handler, help, flags before --output) per subcommand.
+#: (name, handler, help, flags before --output) per subcommand; each flag's
+#: options are those of argparse's ``add_argument``, which ``_parse`` reads.
 _COMMANDS = (
     ("bkj", cmd_bkj, "compute one bound by both routes", (*_INPUT, _K, _J, (
         "--max-m", dict(type=int, default=DEFAULT_SCAN_CAP,
@@ -150,19 +150,123 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="rootstrings",
-                     description="Root-string bounds from Cartan data.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text, flags in _COMMANDS:
-        sp = sub.add_parser(name, help=help_text)
-        for flag, options in (*flags, _OUTPUT):
-            sp.add_argument(flag, **options)
-        sp.set_defaults(handler=handler)
-    return parser
+#: subcommand -> (handler, help, {option string: (dest, options)}), from _COMMANDS
+_TABLES = {name: (handler, help_text, {flag: (flag[2:].replace("-", "_"), options)
+                                      for flag, options in (*flags, _OUTPUT)})
+           for name, handler, help_text, flags in _COMMANDS}
+_HELP = ("-h", "--help")
+#: tokens that argparse reads as values although they start with "-"
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_EXPECTS = {int: "an integer", _int_list: "comma-separated integers"}
 
 
-_PARSER = build_parser()
+def _option(token: str, names: Sequence[str]) -> tuple[str, str | None] | None:
+    """How argparse reads ``token`` among the option strings ``names``: None
+    for a value, else (option string, the text after "=" or None), with the
+    option string "" for an unknown option.  A prefix of exactly one long
+    option stands for it; a prefix of several is refused."""
+    if token == "--":       # argparse versions differ on what follows it
+        raise _Usage("a bare -- is not accepted")
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, tail = token.partition("=")
+    explicit = tail if eq else None
+    if eq and head in names:
+        return head, explicit
+    if token.startswith("--"):
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise _Usage(f"ambiguous flag {token}: it could be {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    elif token.startswith("-h"):    # argparse reads -hX as -h given the value X
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` as argparse reads it with a parser built from
+    ``_COMMANDS``: the same values, and a refusal (``_Usage``) wherever
+    argparse refuses.  Tokens are read left to right.  A bad value, a flag
+    without its value or an ambiguous prefix is refused at once; -h or
+    --help before that raises ``_Help``.  A missing subcommand or required
+    flag is refused at the end, and then an unknown flag or a stray value."""
+    tokens = list(argv)
+    kinds = [_option(token, _HELP) for token in tokens]
+    flags: dict = {}
+    args = None                 # until the subcommand is read
+    seen = set()
+    strays = []
+    i = 0
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind is None and args is None:
+            # the first value names the subcommand, which reads the rest of argv
+            if token not in _TABLES:
+                raise _Usage(f"unknown subcommand {token!r}, not one of {', '.join(_TABLES)}")
+            handler, _, flags = _TABLES[token]
+            args = SimpleNamespace(command=token, handler=handler, **{
+                dest: options.get("default", False if options.get("action") else None)
+                for dest, options in flags.values()})
+            tokens = tokens[i:]
+            kinds = [_option(t, (*_HELP, *flags)) for t in tokens]
+            i = 0
+        elif kind is None:
+            strays.append(f"unexpected argument {token!r}")
+        elif not kind[0]:
+            strays.append(f"unknown flag {token}")
+        else:
+            flag, value = kind
+            dest, options = flags.get(flag, (None, {"action": "help"}))     # -h, --help
+            if options.get("action"):
+                if value is not None:
+                    raise _Usage(f"{flag} takes no value")
+                if dest is None:
+                    raise _Help(_help_text(args and args.command))
+                value = True
+            else:
+                if value is None:
+                    if i == len(tokens) or kinds[i] is not None:
+                        raise _Usage(f"{flag} needs a value")
+                    value = tokens[i]
+                    i += 1
+                convert = options.get("type", str)
+                try:
+                    value = convert(value)
+                except ValueError:
+                    raise _Usage(f"{flag} expects {_EXPECTS[convert]}, got {value!r}") from None
+            setattr(args, dest, value)
+            seen.add(flag)
+    if args is None:
+        raise _Usage(f"missing subcommand, one of {', '.join(_TABLES)}")
+    missing = [flag for flag, (_, options) in flags.items()
+               if options.get("required") and flag not in seen]
+    if missing:
+        raise _Usage(f"{args.command} needs {', '.join(missing)}")
+    if strays:
+        raise _Usage(strays[0])
+    return args
+
+
+def _help_text(command: str | None) -> str:
+    if command is None:
+        head = ("usage: rootstrings {" + ",".join(_TABLES) + "} [flags]\n\n"
+                "Root-string bounds from Cartan data.\n\nsubcommands:")
+        rows = [(name, help_text) for name, (_, help_text, _) in _TABLES.items()]
+    else:
+        _, help_text, flags = _TABLES[command]
+        head = f"usage: rootstrings {command} [flags]\n\n{help_text}\n\nflags:"
+        rows = [(flag if options.get("action") else f"{flag} {dest.upper()}",
+                 options["help"] + ("; required" if options.get("required") else ""))
+                for flag, (dest, options) in flags.items()]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    return head + "".join(f"\n  {left:<{width}}  {right}" for left, right in rows) + "\n"
 
 
 def _emit(text: str, args) -> None:
@@ -192,12 +296,16 @@ def _emit(text: str, args) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as exc:
+        print(f"error[usage]: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION_ERROR
+    except _Help as exc:
+        sys.stdout.write(str(exc))
+        return EXIT_OK
     try:
         doc = {"command": args.command}
-        if "input" in args:             # every subcommand but selfcheck reads one datum
+        if hasattr(args, "input"):           # every subcommand but selfcheck reads one datum
             datum = _load_datum(args)
             doc["field"] = field_doc(datum.spec)
             doc.update(args.handler(datum, args))

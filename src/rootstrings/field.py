@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 
 from .frozen import Frozen
 
@@ -41,6 +40,16 @@ class FieldSpecError(ValueError):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+@functools.cache
+def _fraction() -> type:
+    """The class ``fractions.Fraction``, imported on first use.  Only
+    characteristic 0 needs it, and the import, which brings ``decimal`` and
+    ``numbers``, would cost every cold start milliseconds; so no module of
+    the package imports ``fractions`` but this function."""
+    from fractions import Fraction
+    return Fraction
 
 
 #: Miller-Rabin with the first 13 prime bases is exact below this bound,
@@ -240,9 +249,10 @@ class FieldSpec(Frozen):
         if isinstance(value, bool):
             raise TypeError("booleans are not field entries")
         if self.characteristic == 0:
-            if not isinstance(value, (int, Fraction)):
+            fraction = _fraction()
+            if not isinstance(value, (int, fraction)):
                 raise TypeError(f"cannot coerce {value!r} into the rationals")
-            return _reduced(self, (Fraction(value),))
+            return _reduced(self, (fraction(value),))
         if isinstance(value, int):
             return _reduced(self, (value,))
         if isinstance(value, (list, tuple)):
@@ -302,7 +312,7 @@ class FieldElement(Frozen):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         p, k = self.spec.characteristic, self.spec.degree
         if p == 0:
-            if len(self.coeffs) != 1 or not isinstance(self.coeffs[0], Fraction):
+            if len(self.coeffs) != 1 or not isinstance(self.coeffs[0], _fraction()):
                 raise ValueError("characteristic-0 elements hold a single Fraction")
             return
         if len(self.coeffs) != k:

@@ -27,19 +27,25 @@ def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
 
 
 def field_for(p: int, degree: int) -> FieldSpec:
-    """GF(p^degree).  At degree > 1 the modulus is the first monic irreducible
-    in lexicographic order (coefficients low degree first, the constant term
-    most significant).  There a bad degree is refused before a bad p, and
-    both before any candidate is built.  Candidates with constant term 0 are
-    skipped, since t divides them; each other one gets one ``_ben_or`` test,
-    about degree/2 * log2(p) products, and about one candidate in degree is
-    irreducible.  p = 0 is refused as well: a sweep needs a finite field."""
+    """GF(p^degree).  At degree > 1 the modulus is ``_extension``'s, and a
+    bad degree is refused before a bad p, both before any candidate is
+    built.  p = 0 is refused as well: a sweep needs a finite field."""
     if p == 0:
         raise ValueError("a sweep needs a finite field, not characteristic 0")
     if degree <= 1:
         return FieldSpec(p, degree)     # GF(p), or FieldSpec refuses p or degree
     _check_degree(degree)               # before a candidate of degree + 1 coefficients
-    FieldSpec(p)                        # refuses a p that is not prime
+    return _extension(FieldSpec(p), degree)
+
+
+def _extension(base: FieldSpec, degree: int) -> FieldSpec:
+    """GF(p^degree) over the validated GF(p) ``base``, for a degree that
+    ``_check_degree`` has passed.  The modulus is the first monic irreducible
+    in lexicographic order (coefficients low degree first, the constant term
+    most significant).  Candidates with constant term 0 are skipped, since t
+    divides them; each other one gets one ``_ben_or`` test, about degree/2 *
+    log2(p) products, and about one candidate in degree is irreducible."""
+    p = base.characteristic
     # candidate n: the base-p digits of n, most significant first, then 1;
     # every prime has a monic irreducible of each degree, so n stays below p^degree
     for n in itertools.count(p ** (degree - 1)):
@@ -118,7 +124,7 @@ def run_selfcheck(primes: list[int], degrees: list[int]) -> dict:
     bases = [field_for(p, 1) for p in primes]
     for degree in degrees:
         _check_degree(degree)
-    specs = [b if d == 1 else field_for(b.characteristic, d) for b in bases for d in degrees]
+    specs = [b if d == 1 else _extension(b, d) for b in bases for d in degrees]
     fields = [check_field(spec) for spec in specs]
     return {
         "fields": fields,

@@ -4,12 +4,16 @@ The closed forms of the d-sequence multiply field elements by integers, so
 they share no code with ``cartan._walk``, which adds residue coordinates step
 by step.  Trial division decides irreducibility by brute force, independently
 of ``field.check_irreducible``'s gcd test.  ``sweep_pairs`` enumerates the
-rank-2 configurations that the exhaustive tests walk.
+rank-2 configurations that the exhaustive tests walk.  ``build_parser``
+builds argparse's parser from the CLI's flag table, which ``cli._parse``
+reads by its own code.
 """
 
+import argparse
 import itertools
 import math
 
+from rootstrings import cli
 from rootstrings.cartan import Parity
 from rootstrings.field import FieldElement
 
@@ -61,3 +65,23 @@ def sweep_pairs(spec):
     """
     elements = list(spec.elements())
     return itertools.product(Parity, elements, elements)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits with status 2 on bad arguments; the CLI exits 1."""
+
+    def error(self, message):
+        raise SystemExit(cli.EXIT_VALIDATION_ERROR)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``cli._COMMANDS``: one subparser per
+    subcommand, each flag added with its table options, then ``--output``."""
+    parser = _Parser(prog="rootstrings", description="Root-string bounds from Cartan data.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, help_text, flags in cli._COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, options in (*flags, cli._OUTPUT):
+            sp.add_argument(flag, **options)
+        sp.set_defaults(handler=handler)
+    return parser

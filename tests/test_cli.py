@@ -1,4 +1,5 @@
-import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -8,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rootstrings.cli
 import rootstrings.selfcheck
@@ -15,6 +18,7 @@ from rootstrings.cartan import BValue
 from rootstrings.field import PRIMALITY_LIMIT
 
 from conftest import FIXTURES, GOLDEN, GOLDEN_CASES, with_fixture_paths
+from oracles import build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -309,20 +313,108 @@ def test_help_exits_0(run_cli):
     assert "bkj" in out and "selfcheck" in out
 
 
-def test_parser_built_once_per_process(run_cli, monkeypatch):
-    table = ("table", "--input", str(FIXTURES / "prime.json"))
-    assert run_cli(*table)[0] == 0
-    built = []
-    original = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert run_cli(*table)[0] == 0
+def test_cli_reads_argv_without_argparse(run_cli, monkeypatch):
+    # None in sys.modules makes any import of argparse raise ImportError
+    monkeypatch.setitem(sys.modules, "argparse", None)
+    assert run_cli("table", "--input", str(FIXTURES / "prime.json"))[0] == 0
     assert run_cli("selfcheck", "--primes", "2")[0] == 0
-    assert built == []
+    assert run_cli("bkj", "--help")[0] == 0
+    assert run_cli("bkj", "--k", "x")[0] == 1
+
+
+@pytest.mark.parametrize("argv,named", [
+    ([], "subcommand"),
+    (["frobnicate"], "frobnicate"),
+    (["bkj", "--input", "x.json", "--k", "1"], "--j"),
+    (["bkj", "--input", "x.json", "--k", "x", "--j", "2"], "--k"),
+    (["table", "--input", "x.json", "--frob"], "--frob"),
+    (["selfcheck", "--primes", "2,x"], "--primes"),
+], ids=["no-arguments", "unknown-subcommand", "missing-j", "bad-int", "unknown-flag",
+        "bad-primes"])
+def test_usage_refusal_is_one_stderr_line(run_cli, argv, named):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[usage]: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert named in err
+
+
+# --- argv as argparse reads it ------------------------------------------------------
+
+ORACLE = build_parser()
+SUBCOMMANDS = [name for name, *_ in rootstrings.cli._COMMANDS]
+FLAGS = sorted({flag for *_, flags in rootstrings.cli._COMMANDS
+                for flag, _ in (*flags, rootstrings.cli._OUTPUT)} | {"--help", "--frob"})
+VALUES = ["3", "-3", "+7", " 7", "0", "x", "", "1,2", "2,x", "-1.5", "a.json", "-x", "--k", "-h"]
+
+
+@st.composite
+def flag_tokens(draw):
+    """A flag or a prefix of it of at least three characters, alone, with
+    its value as the next token, or with "=value"."""
+    flag = draw(st.sampled_from(FLAGS))
+    flag = flag[:draw(st.integers(3, len(flag)))]
+    value = draw(st.sampled_from(VALUES))
+    return draw(st.sampled_from([[flag], [flag, value], [f"{flag}={value}"]]))
+
+
+argv_tokens = st.lists(flag_tokens() | st.sampled_from(
+    [["-h"], ["x"], ["-x"], ["-3"], [""]]), max_size=6).map(lambda parts: sum(parts, []))
+
+
+@st.composite
+def argvs(draw):
+    """Flags before and after a subcommand, which may be missing or unknown.
+    Left out, because argparse 3.10 to 3.13 read them differently: a bare
+    "--", single-dash clusters such as -hh, and tokens that start with "-"
+    and hold a space."""
+    before = draw(st.lists(st.sampled_from([["-h"], ["--he"], ["--frob"], ["-x"]]),
+                           max_size=1).map(lambda parts: sum(parts, [])))
+    command = draw(st.lists(st.sampled_from([*SUBCOMMANDS, "frobnicate", "bk"]),
+                            max_size=1))
+    return before + command + draw(argv_tokens)
+
+
+def argparse_reading(argv):
+    """(exit code, parsed values) from argparse: (1, None) for a refusal,
+    (0, None) for help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return None, vars(ORACLE.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, None
+
+
+def cli_reading(argv):
+    try:
+        return None, vars(rootstrings.cli._parse(argv))
+    except rootstrings.cli._Usage:
+        return 1, None
+    except rootstrings.cli._Help:
+        return 0, None
+
+
+@settings(max_examples=400)
+@given(argvs())
+def test_argv_is_read_as_argparse_reads_it(argv):
+    assert cli_reading(argv) == argparse_reading(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bkj", "--inp", "a.json", "--k=1", "--j", "+7", "--max", "-3", "--k", "2"],
+    ["dseq", "--input=a.json", "--strict", "--j", " 4", "--k", "1", "--max-m", "0"],
+    ["selfcheck", "--pr", "2,3", "--degrees=1,2", "--out=", "--h"],
+    ["--he", "table"],
+    ["table", "--strict=", "--input", "a.json"],
+    ["reflect", "--input", "a.json", "--k", "1", "--output"],
+    ["reflect", "--input", "--k", "1"],
+    ["table", "--input", "a.json", "stray", "-h"],
+    ["table", "-h", "--bogus"],
+], ids=["prefixes-repeats-negative", "equals-forms", "help-after-values", "top-level-prefix",
+        "switch-with-value", "missing-value", "next-token-a-flag", "help-after-stray",
+        "help-before-unknown"])
+def test_argv_examples_read_as_argparse_reads_them(argv):
+    assert cli_reading(argv) == argparse_reading(argv)
 
 
 def test_route_disagreement_exits_2(run_cli, monkeypatch):

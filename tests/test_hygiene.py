@@ -8,18 +8,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rootstrings.cartan
 import rootstrings.cli
 import rootstrings.field
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rootstrings"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 #: Modules whose import costs a cold CLI start milliseconds: dataclasses pulls
 #: in inspect (and with it ast, dis and tokenize), and annotations are never
 #: evaluated, so typing serves nothing at run time.
 HEAVY_IMPORTS = ("dataclasses", "inspect", "typing")
+#: Modules that a finite-field request leaves unloaded: the CLI reads argv
+#: itself, so argparse and with it gettext and locale stay out, and only
+#: characteristic 0 needs fractions, which brings decimal.
+LAZY_IMPORTS = ("argparse", "gettext", "locale", "fractions", "decimal")
 
 
 def package_trees():
@@ -48,8 +55,12 @@ def test_package_never_reads_debug():
 
 
 def package_imports():
-    """(place, module) for every absolute import in the package."""
+    """(place, module, whether the import runs when the module is imported)
+    for every absolute import in the package."""
     for path, tree in package_trees():
+        in_functions = {id(inner) for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for inner in ast.walk(node)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -57,32 +68,59 @@ def package_imports():
                 names = [node.module]
             else:
                 continue
-            yield from ((f"{path.relative_to(PACKAGE)}:{node.lineno}", name) for name in names)
+            yield from ((f"{path.relative_to(PACKAGE)}:{node.lineno}", name,
+                         id(node) not in in_functions) for name in names)
 
 
 def test_package_imports_only_the_standard_library():
     # the package is stdlib-only: test-time tools such as sympy or hypothesis
     # must never become runtime dependencies
-    found = [f"{where}: {name}" for where, name in package_imports()
+    found = [f"{where}: {name}" for where, name, _ in package_imports()
              if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
 
 
 def test_package_imports_no_heavy_module():
-    found = [f"{where}: {name}" for where, name in package_imports()
+    found = [f"{where}: {name}" for where, name, _ in package_imports()
              if name.split(".")[0] in HEAVY_IMPORTS]
     assert found == []
+
+
+def test_package_imports_argparse_nowhere_and_fractions_only_in_a_function():
+    found = [f"{where}: {name}" for where, name, eager in package_imports()
+             if name == "argparse" or name == "fractions" and eager]
+    assert found == []
+    assert [name for _, name, _ in package_imports()].count("fractions") == 1
 
 
 def test_cli_import_loads_no_heavy_module():
     # -S keeps site's .pth hooks, which may import typing themselves, out of
     # the child, so only the package and the stdlib it needs are loaded
+    unwanted = (*HEAVY_IMPORTS, *LAZY_IMPORTS)
     code = ("import sys, rootstrings.cli; "
-            f"print(' '.join(m for m in {HEAVY_IMPORTS!r} if m in sys.modules))")
+            f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     child = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                            capture_output=True, text=True, check=True)
     assert child.stdout.split() == []
+
+
+@pytest.mark.parametrize("fixture", ["prime.json", "extension.json", "char0.json"])
+def test_cli_request_loads_only_what_it_uses(fixture):
+    # -X importtime lists the modules the run imports, the package's and
+    # runpy's included, so this reads what a whole -m request loads
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "rootstrings",
+                            "table", "--input", str(FIXTURES / fixture)],
+                           env=env, capture_output=True, text=True, check=True)
+    loaded = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"rootstrings", "rootstrings.cli"} <= loaded
+    unwanted = set(LAZY_IMPORTS)
+    if fixture == "char0.json":
+        assert "fractions" in loaded
+        unwanted -= {"fractions", "decimal"}
+    assert sorted(unwanted & loaded) == []
 
 
 def test_no_json_call_in_the_package_indents():

@@ -45,7 +45,7 @@ def test_selfcheck_over_gf_32_decides_each_fact_once(count_calls):
     primality = count_calls(field.is_prime)
     searched = count_calls(field._ben_or)
     assert run_selfcheck([2], [5])["ok"]
-    assert len(primality) <= 2
+    assert primality == [(2,)]
     assert len(searched) == 3
 
 
@@ -162,7 +162,11 @@ def test_repeated_prime_or_degree_refused_before_any_sweep(count_calls, primes, 
     assert swept == []
 
 
-def test_selfcheck_decides_primality_once(count_calls):
+@pytest.mark.parametrize("primes,degrees", [([7], [1]), ([2], [5]), ([3], [1, 2])],
+                         ids=["GF7", "GF32", "GF3-GF9"])
+def test_selfcheck_decides_primality_once(count_calls, primes, degrees):
+    # the extension fields are searched over the GF(p) already built, so p is
+    # not decided again per degree
     calls = count_calls(field.is_prime)
-    run_selfcheck([7], [1])
-    assert calls == [(7,)]
+    run_selfcheck(primes, degrees)
+    assert calls == [(primes[0],)]
