@@ -13,9 +13,14 @@ vanishes.  Two independent routes compute it here:
 * ``b_closed`` evaluates a closed-form case ladder on (i_k, A_kk, A_kj),
   built once per row from (i_k, A_kk) and applied to each A_kj.
 
-For ``selfcheck``'s exhaustive sweeps, ``_row_walk`` runs the recursion a
-row at a time: over GF(p^k) d_m is GF(p)-linear in A_kj and A_kk, so one
-walk of its two coefficients settles the first zero of every A_kj.
+The recursion only adds and scales by the integer m, so its step is written
+once, in ``_walk_coordinate``, on ints at every characteristic: over
+GF(p^k) each power-basis coordinate walks on its own, reduced mod p, and
+over Q the walk yields L * d_m, where L is the lcm of the denominators of
+A_kj and A_kk, an int that vanishes exactly when d_m does.  For
+``selfcheck``'s exhaustive sweeps, ``_row_walk`` runs the recursion a row at
+a time: over GF(p^k) d_m is GF(p)-linear in A_kj and A_kk, so two walks of
+the same step, one per coefficient, settle the first zero of every A_kj.
 
 In positive characteristic the sequence is guaranteed to vanish by
 m = 2p - 1, so every bound is finite; in characteristic 0 the bound can be
@@ -35,7 +40,7 @@ from collections.abc import Callable, Iterator
 from enum import Enum
 from functools import lru_cache, total_ordering
 
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _fraction
 from .frozen import Frozen
 
 
@@ -242,10 +247,10 @@ def d_next(d_prev: FieldElement, a_kj: FieldElement, a_kk: FieldElement,
     return step if parity is Parity.EVEN else -step
 
 
-def _walk_coordinate(a: int | Fraction, c: int | Fraction, sign: int,
-                     p: int) -> Iterator[int | Fraction]:
-    """One power-basis coordinate of d_0, d_1, ...: A_kk's coordinate is
-    ``a``, A_kj's is ``c``.  Reduced mod p when p > 0; never ends."""
+def _walk_coordinate(a: int, c: int, sign: int, p: int) -> Iterator[int]:
+    """The one recursion step, on the ints of one coordinate of d_0, d_1, ...:
+    A_kk's coordinate is ``a`` and A_kj's is ``c``.  Reduced mod p when
+    p > 0; never ends."""
     d = 0
     while True:     # c = A_kj + m * A_kk at step m
         d = sign * (d - c) % p if p else sign * (d - c)
@@ -253,18 +258,28 @@ def _walk_coordinate(a: int | Fraction, c: int | Fraction, sign: int,
         c += a
 
 
+def _scale(a_kj: FieldElement, a_kk: FieldElement) -> int:
+    """L, the lcm of the denominators of A_kj and A_kk: 1 over GF(q), whose
+    coordinates are ints, so L * x is an int for both at every characteristic."""
+    return math.lcm(*(x.denominator for x in a_kj.coeffs + a_kk.coeffs))
+
+
 def _walk(a_kj: FieldElement, a_kk: FieldElement,
-          parity: Parity) -> Iterator[tuple]:
-    """d_0, d_1, ... as coordinate tuples laid out like ``FieldElement.coeffs``,
-    without building field elements.
+          parity: Parity) -> Iterator[tuple[int, ...]]:
+    """L * d_0, L * d_1, ... as int coordinate tuples laid out like
+    ``FieldElement.coeffs``, without building field elements; L is
+    ``_scale``, 1 at p > 0.
 
     The recursion only adds and scales by the integer m, and GF(p) acts
-    coordinate-wise in the power basis, so each coordinate walks on its own
-    (a ``Fraction`` at p = 0).  As for a field element, a step is zero when
-    no coordinate is nonzero.  The iterator never ends.
+    coordinate-wise in the power basis, so each coordinate walks on its own.
+    At p = 0 the walk runs on L * A_kj and L * A_kk, so every step is the
+    int L * d_m, which vanishes exactly when d_m does.  As for a field
+    element, a step is zero when no coordinate is nonzero.  The iterator
+    never ends.
     """
-    p, sign = a_kk.spec.characteristic, parity.sign
-    return zip(*(_walk_coordinate(a, c, sign, p) for a, c in zip(a_kk.coeffs, a_kj.coeffs)))
+    p, sign, scale = a_kk.spec.characteristic, parity.sign, _scale(a_kj, a_kk)
+    return zip(*(_walk_coordinate(int(a * scale), int(c * scale), sign, p)
+                 for a, c in zip(a_kk.coeffs, a_kj.coeffs)))
 
 
 def _last_step(p: int) -> int:
@@ -300,16 +315,15 @@ def _first_zero(a_kj: FieldElement, a_kk: FieldElement, parity: Parity,
         return None
 
 
-def _linear_walk(sign: int, p: int) -> Iterator[tuple[int, int]]:
-    """(alpha_m, beta_m) mod p for m = 0, 1, ...: the recursion is GF(p)-linear
-    in A_kj and A_kk, so d_m = alpha_m * A_kj + beta_m * A_kk, where
-    alpha_{-1} = beta_{-1} = 0, alpha_m = sign * (alpha_{m-1} - 1) and
-    beta_m = sign * (beta_{m-1} - m).  The iterator never ends."""
-    alpha = beta = 0
-    for m in itertools.count():
-        alpha = sign * (alpha - 1) % p
-        beta = sign * (beta - m) % p
-        yield alpha, beta
+@lru_cache(maxsize=1)
+def _coefficients(sign: int, p: int) -> tuple[tuple[int, int], ...]:
+    """(alpha_m, beta_m) for m = 0, ..., ``_last_step(p)``: the walks of
+    ``_walk_coordinate`` at (A_kj, A_kk) = (1, 0) and (0, 1), so that
+    d_m = alpha_m * A_kj + beta_m * A_kk at p > 0.  They depend on p and the
+    parity only, and ``selfcheck`` sweeps every row of one parity in turn,
+    so it walks them once per field and parity."""
+    walks = (_walk_coordinate(a, 1 - a, sign, p) for a in (0, 1))
+    return tuple(itertools.islice(zip(*walks), _last_step(p) + 1))
 
 
 def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], int]:
@@ -317,20 +331,19 @@ def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], int]:
     a function from the coordinates of A_kj (laid out like
     ``FieldElement.coeffs``) to the first m >= 0 with d_m = 0.
 
-    One walk of ``_linear_walk`` to ``_last_step`` settles every A_kj of the
-    row, in O(p + q) over GF(q) instead of O(p) per A_kj.  At step m, if
-    alpha_m != 0 exactly one A_kj has d_m = 0, namely c * A_kk with
-    c = -beta_m / alpha_m in GF(p); it gets m unless an earlier step gave it
-    one.  If alpha_m = 0, d_m = beta_m * A_kk, so when that vanishes every
+    The recursion is GF(p)-linear in A_kj and A_kk, so d_m = alpha_m * A_kj
+    + beta_m * A_kk (``_coefficients``).  One pass over the pairs to
+    ``_last_step`` settles every A_kj of the row, in O(p + q) over GF(q)
+    instead of O(p) per A_kj.  At step m, if alpha_m != 0 exactly one A_kj
+    has d_m = 0, namely c * A_kk with c = -beta_m / alpha_m in GF(p); it
+    gets m unless an earlier step gave it one.  If alpha_m = 0, d_m = beta_m * A_kk, so when that vanishes every
     A_kj still without a zero gets m, and the walk stops.  An A_kj that gets
     no m raises ``_missed_zero``.  Nothing here reads the closed form.
     """
-    spec = a_kk.spec
-    p, kk = spec.characteristic, a_kk.coeffs
+    p, kk = a_kk.spec.characteristic, a_kk.coeffs
     zeros: dict[tuple, int] = {}
     rest = None                     # the m every other A_kj gets, if any
-    steps = itertools.islice(_linear_walk(parity.sign, p), _last_step(p) + 1)
-    for m, (alpha, beta) in enumerate(steps):
+    for m, (alpha, beta) in enumerate(_coefficients(parity.sign, p)):
         if alpha:
             c = -beta * pow(alpha, -1, p) % p
             zeros.setdefault(tuple(c * b % p for b in kk), m)
@@ -342,7 +355,7 @@ def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], int]:
     def first_zero(kj: tuple) -> int:
         m = zero_of(kj, rest)
         if m is None:
-            raise _missed_zero(parity, a_kk, FieldElement._trusted(spec, kj))
+            raise _missed_zero(parity, a_kk, FieldElement._trusted(a_kk.spec, kj))
         return m
 
     return first_zero
@@ -351,17 +364,20 @@ def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], int]:
 def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
     """Iterate the recursion from d_{-1} = 0 up to index ``last``.
 
-    The walk runs on residue coordinates; only the returned values are built
-    as field elements.
+    The walk runs on int coordinates; only the returned values are built as
+    field elements.  At p = 0 the walk holds L * d_m (``_walk``), so each
+    returned value is divided by L.
     """
     parity, a_kk, a_kj = _pair(datum, k, j)
     if last < -1:
         raise ValueError("last index must be >= -1")
     spec = datum.spec
-    walk = _walk(a_kj, a_kk, parity)
-    values = [spec.zero()]
-    values += (FieldElement._trusted(spec, d) for d in itertools.islice(walk, last + 1))
-    return DSequence._trusted(k, j, tuple(values))
+    walk = itertools.islice(_walk(a_kj, a_kk, parity), last + 1)
+    if not spec.characteristic:
+        scale, fraction = _scale(a_kj, a_kk), _fraction()
+        walk = ((fraction(d, scale),) for d, in walk)
+    values = (spec.zero(), *(FieldElement._trusted(spec, d) for d in walk))
+    return DSequence._trusted(k, j, values)
 
 
 def b_recursive(datum: CartanDatum, k: int, j: int, *,
@@ -372,7 +388,7 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *,
     p > 0, and to ``scan_cap`` in characteristic 0.  There a scan that comes
     up empty cannot certify infinity on its own, so the closed form then
     decides between an infinite bound and a too-small cap.  The walk runs on
-    residue coordinates and builds no field element per step.  A negative
+    int coordinates and builds no field element per step.  A negative
     cap is refused at every characteristic.
     """
     parity, a_kk, a_kj = _pair(datum, k, j)

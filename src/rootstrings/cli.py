@@ -60,6 +60,14 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+def _path(text: str) -> str:
+    """A file name, refused when empty: an unset variable in ``--output "$OUT"``
+    must not send the report to stdout."""
+    if not text:
+        raise ValueError("empty path")
+    return text
+
+
 def _load_datum(args):
     with open(args.input, encoding="utf-8") as handle:
         try:
@@ -130,7 +138,7 @@ _INPUT = (("--input", dict(required=True, help="Cartan-data JSON file")),
                             help="reject entries that are not reduced mod p")))
 _K = ("--k", dict(type=int, required=True, help="reflecting index (1-based)"))
 _J = ("--j", dict(type=int, required=True, help="target index (1-based)"))
-_OUTPUT = ("--output", dict(help="write the report here instead of stdout"))
+_OUTPUT = ("--output", dict(type=_path, help="write the report here instead of stdout"))
 
 #: (name, handler, help, flags before --output) per subcommand; each flag's
 #: options are those of argparse's ``add_argument``, which ``_parse`` reads.
@@ -157,7 +165,7 @@ _TABLES = {name: (handler, help_text, {flag: (flag[2:].replace("-", "_"), option
 _HELP = ("-h", "--help")
 #: tokens that argparse reads as values although they start with "-"
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-_EXPECTS = {int: "an integer", _int_list: "comma-separated integers"}
+_EXPECTS = {int: "an integer", _int_list: "comma-separated integers", _path: "a file name"}
 
 
 def _option(token: str, names: Sequence[str]) -> tuple[str, str | None] | None:
@@ -274,7 +282,7 @@ def _emit(text: str, args) -> None:
     temporary file beside the target, which then replaces it.  An error on
     the temporary file names the --output path, which is the one the user
     knows."""
-    if not args.output:
+    if args.output is None:
         sys.stdout.write(text)
         return
     tmp = f"{args.output}.{os.getpid()}.tmp"

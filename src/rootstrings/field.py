@@ -101,16 +101,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trimmed(out)
 
 
-def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _trimmed(out)
-
-
 def _poly_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """a mod b over GF(p), for a nonzero b."""
     rem = _trimmed(a)
@@ -154,15 +144,16 @@ def _ben_or(coeffs: Sequence[int], p: int) -> bool:
     when gcd(f, x^(p^i) - x) = 1 for i = 1, ..., k/2.  Each x^(p^i) mod f
     is the previous one raised to the p-th power by square-and-multiply:
     about k/2 * log2(p) products modulo f in all."""
-    x = [0, 1]
-    h = x
+    h = [0, 1]
     for _ in range((len(coeffs) - 1) // 2):
         base = h
         for bit in bin(p)[3:]:
             h = _poly_mod(_poly_mul(h, h, p), coeffs, p)
             if bit == "1":
                 h = _poly_mod(_poly_mul(h, base, p), coeffs, p)
-        a, b = coeffs, _poly_sub(h, x, p)
+        b = h + [0] * (2 - len(h))      # h - x differs from h only at x^1
+        b[1] = (b[1] - 1) % p
+        a, b = coeffs, _trimmed(b)
         while b:
             a, b = b, _poly_mod(a, b, p)
         if len(a) > 1:

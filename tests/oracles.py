@@ -1,8 +1,9 @@
 """Test oracles that share no code with the routines they check.
 
 The closed forms of the d-sequence multiply field elements by integers, so
-they share no code with ``cartan._walk``, which adds residue coordinates step
-by step.  Trial division decides irreducibility by brute force, independently
+they share no code with ``cartan._walk``, which adds int coordinates step by
+step.  ``fraction_walk`` walks the recursion over Q on ``Fraction``s, with
+no denominators cleared, as ``cartan`` once did.  Trial division decides irreducibility by brute force, independently
 of ``field.check_irreducible``'s gcd test.  ``sweep_pairs`` enumerates the
 rank-2 configurations that the exhaustive tests walk.  ``build_parser``
 builds argparse's parser from the CLI's flag table, which ``cli._parse``
@@ -12,6 +13,8 @@ reads by its own code.
 import argparse
 import itertools
 import math
+from collections.abc import Iterator
+from fractions import Fraction
 
 from rootstrings import cli
 from rootstrings.cartan import Parity
@@ -34,6 +37,17 @@ def d_closed_odd(a_kj: FieldElement, a_kk: FieldElement, m: int) -> FieldElement
     if m % 2 == 0:
         return a_kj + (m // 2) * a_kk
     return ((m + 1) // 2) * a_kk
+
+
+def fraction_walk(a_kj: Fraction, a_kk: Fraction, parity: Parity) -> Iterator[Fraction]:
+    """d_0, d_1, ... over Q, on the rationals themselves:
+    d_m = (-1)^parity * (d_{m-1} - A_kj - m*A_kk) from d_{-1} = 0.  The
+    iterator never ends."""
+    d, c, sign = Fraction(0), Fraction(a_kj), parity.sign
+    while True:     # c = A_kj + m * A_kk at step m
+        d = sign * (d - c)
+        yield d
+        c += a_kk
 
 
 def irreducible_by_trial_division(f, p: int) -> bool:

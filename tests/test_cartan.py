@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from rootstrings.cartan import (
     _first_zero,
     _row_ladder,
     _row_walk,
+    _walk,
     b_closed,
     b_recursive,
     b_table,
@@ -27,7 +29,7 @@ from rootstrings.field import FieldElement, FieldSpec, FieldSpecError, is_prime
 from rootstrings.reflection import ReflectionUndefinedError, reflect
 from rootstrings.selfcheck import field_for
 
-from oracles import d_closed_even, d_closed_odd, sweep_pairs
+from oracles import d_closed_even, d_closed_odd, fraction_walk, sweep_pairs
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -545,6 +547,44 @@ def test_d_sequence_matches_iterated_d_next_rationals(a_kk, a_kj, parity):
     for m in range(13):
         d = d_next(d, datum.entry(1, 2), datum.entry(1, 1), m, parity)
         assert seq[m] == d
+
+
+# --- the integer walk over Q against the Fraction walk ---------------------------
+
+rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def rational_pairs(draw):
+    """(A_kk, A_kj) with numerators and denominators up to 10^6; half the
+    time A_kj = -n/2 * A_kk for some n up to 300, so that a zero often
+    lies within the cap of the test below."""
+    a_kk = draw(rationals)
+    if draw(st.booleans()):
+        return a_kk, Fraction(-draw(st.integers(0, 300)), 2) * a_kk
+    return a_kk, draw(rationals)
+
+
+@settings(max_examples=150)
+@given(pair=rational_pairs(), parity=st.sampled_from(Parity), cap=st.integers(0, 300))
+def test_integer_walk_over_q_matches_the_fraction_walk(pair, parity, cap):
+    a_kk, a_kj = pair
+    datum = pair_datum(Q, a_kk, a_kj, parity)
+    expected = list(itertools.islice(fraction_walk(a_kj, a_kk, parity), cap + 1))
+    zero = next((m for m, d in enumerate(expected) if d == 0), None)
+    assert _first_zero(datum.entry(1, 2), datum.entry(1, 1), parity, cap) == zero
+    assert [d.rational for d in d_sequence(datum, 1, 2, cap).values[1:]] == expected
+    steps = itertools.islice(_walk(datum.entry(1, 2), datum.entry(1, 1), parity), cap + 1)
+    assert all(type(c) is int for step in steps for c in step)
+
+
+def test_q_walk_to_a_cap_of_a_million_is_quick():
+    # A_kj / A_kk = 1/2 is no -m/2 for an m >= 0, so the bound is infinite
+    # and the walk runs to the cap before the closed form certifies it
+    datum = pair_datum(Q, 2, 1, Parity.EVEN)
+    start = time.perf_counter()
+    assert b_recursive(datum, 1, 2, scan_cap=10**6) == INFINITY
+    assert time.perf_counter() - start < 1.5
 
 
 # --- the row walk against the per-triple walk ---------------------------------

@@ -65,6 +65,16 @@ def test_output_flag_writes_identical_bytes(run_cli, tmp_path):
     assert target.read_text() == (GOLDEN / "prime_table.json").read_text()
 
 
+@pytest.mark.parametrize("form", [["--output", ""], ["--output="]], ids=["separate", "equals"])
+def test_empty_output_is_refused(run_cli, tmp_path, monkeypatch, form):
+    # an unset $OUT in --output "$OUT" must not send the report to stdout
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli("table", "--input", str(FIXTURES / "prime.json"), *form)
+    assert (code, out) == (1, "")
+    assert err == "error[usage]: --output expects a file name, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_exits_1(run_cli, tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "x.json"
     code, out, err = run_cli("table", "--input", str(FIXTURES / "prime.json"),
@@ -403,16 +413,17 @@ def test_argv_is_read_as_argparse_reads_it(argv):
 @pytest.mark.parametrize("argv", [
     ["bkj", "--inp", "a.json", "--k=1", "--j", "+7", "--max", "-3", "--k", "2"],
     ["dseq", "--input=a.json", "--strict", "--j", " 4", "--k", "1", "--max-m", "0"],
-    ["selfcheck", "--pr", "2,3", "--degrees=1,2", "--out=", "--h"],
+    ["selfcheck", "--pr", "2,3", "--degrees=1,2", "--out=r.json", "--h"],
     ["--he", "table"],
     ["table", "--strict=", "--input", "a.json"],
     ["reflect", "--input", "a.json", "--k", "1", "--output"],
     ["reflect", "--input", "--k", "1"],
     ["table", "--input", "a.json", "stray", "-h"],
     ["table", "-h", "--bogus"],
+    ["table", "--input", "a.json", "--output=", "-h"],
 ], ids=["prefixes-repeats-negative", "equals-forms", "help-after-values", "top-level-prefix",
         "switch-with-value", "missing-value", "next-token-a-flag", "help-after-stray",
-        "help-before-unknown"])
+        "help-before-unknown", "empty-output"])
 def test_argv_examples_read_as_argparse_reads_them(argv):
     assert cli_reading(argv) == argparse_reading(argv)
 

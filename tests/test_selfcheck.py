@@ -132,7 +132,7 @@ def test_a_walk_that_misses_its_zero_raises(monkeypatch):
 def test_a_row_walk_that_misses_its_zero_raises(monkeypatch):
     # every step of the faulty walk reads d_m = A_kk, which vanishes for no
     # A_kj once A_kk != 0: the first such row, (ev, 1), finds no zero for A_kj = 0
-    monkeypatch.setattr(cartan, "_linear_walk", lambda sign, p: itertools.repeat((0, 1)))
+    monkeypatch.setattr(cartan, "_coefficients", lambda sign, p: ((0, 1),) * (2 * p))
     with pytest.raises(ConsistencyError, match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(ev, 1, 0\)"):
         check_field(FieldSpec(3))
 
