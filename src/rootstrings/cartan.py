@@ -18,9 +18,11 @@ once, in ``_walk_coordinate``, on ints at every characteristic: over
 GF(p^k) each power-basis coordinate walks on its own, reduced mod p, and
 over Q the walk yields L * d_m, where L is the lcm of the denominators of
 A_kj and A_kk, an int that vanishes exactly when d_m does.  For
-``selfcheck``'s exhaustive sweeps, ``_row_walk`` runs the recursion a row at
-a time: over GF(p^k) d_m is GF(p)-linear in A_kj and A_kk, so two walks of
-the same step, one per coefficient, settle the first zero of every A_kj.
+``selfcheck``'s exhaustive sweeps, ``_row_walk`` answers a row at a time:
+over GF(p^k) d_m = alpha_m * A_kj + beta_m * A_kk, where alpha_m and beta_m
+depend only on p and the parity, so ``_zero_table`` walks the same step
+once per (p, parity) and records where A_kj = c * A_kk first vanishes for
+each c in GF(p); each row then builds one dict of p keys, in O(p * k).
 
 In positive characteristic the sequence is guaranteed to vanish by
 m = 2p - 1, so every bound is finite; in characteristic 0 the bound can be
@@ -302,7 +304,7 @@ def _first_zero(a_kj: FieldElement, a_kk: FieldElement, parity: Parity,
     In characteristic p > 0 the walk stops at ``_last_step`` and a miss
     raises ``_missed_zero``; ``scan_cap`` is not read.  In characteristic 0
     the walk stops at m = ``scan_cap`` and a miss returns None.  It is the
-    oracle of ``_row_walk``, which settles a whole row in one walk.
+    oracle of ``_row_walk``, which settles a whole row from one table.
     """
     p = a_kk.spec.characteristic
     last = _last_step(p) if p else scan_cap
@@ -316,14 +318,30 @@ def _first_zero(a_kj: FieldElement, a_kk: FieldElement, parity: Parity,
 
 
 @lru_cache(maxsize=1)
-def _coefficients(sign: int, p: int) -> tuple[tuple[int, int], ...]:
-    """(alpha_m, beta_m) for m = 0, ..., ``_last_step(p)``: the walks of
-    ``_walk_coordinate`` at (A_kj, A_kk) = (1, 0) and (0, 1), so that
-    d_m = alpha_m * A_kj + beta_m * A_kk at p > 0.  They depend on p and the
-    parity only, and ``selfcheck`` sweeps every row of one parity in turn,
-    so it walks them once per field and parity."""
-    walks = (_walk_coordinate(a, 1 - a, sign, p) for a in (0, 1))
-    return tuple(itertools.islice(zip(*walks), _last_step(p) + 1))
+def _zero_table(sign: int, p: int) -> tuple[dict[int, int], int | None, int | None]:
+    """(first, stop, flat): where d_m = alpha_m * A_kj + beta_m * A_kk first
+    vanishes at p > 0, for the parity of ``sign``.
+
+    (alpha_m, beta_m) are the walks of ``_walk_coordinate`` at (A_kj, A_kk)
+    = (1, 0) and (0, 1), up to ``_last_step(p)``; they depend on p and the
+    parity only.  ``stop`` is the first m with alpha_m = beta_m = 0, where
+    d_m vanishes whatever A_kj and A_kk are, and ``flat`` the first m with
+    alpha_m = 0.  ``first[c]``, for c in GF(p), is the first m before
+    ``stop`` with alpha_m != 0 and alpha_m * c + beta_m = 0, and c is absent
+    where there is none; the dict runs in descending m.  ``stop`` and
+    ``flat`` are None where the walk finds none.  ``selfcheck`` sweeps every row of one parity in turn, so
+    the table is built once per field and parity, with one modular inverse
+    per step.
+    """
+    walks = zip(*(_walk_coordinate(a, 1 - a, sign, p) for a in (0, 1)))
+    steps = list(itertools.islice(walks, _last_step(p) + 1))
+    stop = next((m for m, step in enumerate(steps) if step == (0, 0)), None)
+    flat = next((m for m, (alpha, _) in enumerate(steps) if not alpha), None)
+    first: dict[int, int] = {}
+    for m, (alpha, beta) in enumerate(steps[:stop]):
+        if alpha:
+            first.setdefault(-beta * pow(alpha, -1, p) % p, m)
+    return dict(reversed(first.items())), stop, flat
 
 
 def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], int]:
@@ -332,25 +350,20 @@ def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], int]:
     ``FieldElement.coeffs``) to the first m >= 0 with d_m = 0.
 
     The recursion is GF(p)-linear in A_kj and A_kk, so d_m = alpha_m * A_kj
-    + beta_m * A_kk (``_coefficients``).  One pass over the pairs to
-    ``_last_step`` settles every A_kj of the row, in O(p + q) over GF(q)
-    instead of O(p) per A_kj.  At step m, if alpha_m != 0 exactly one A_kj
-    has d_m = 0, namely c * A_kk with c = -beta_m / alpha_m in GF(p); it
-    gets m unless an earlier step gave it one.  If alpha_m = 0, d_m = beta_m * A_kk, so when that vanishes every
-    A_kj still without a zero gets m, and the walk stops.  An A_kj that gets
-    no m raises ``_missed_zero``.  Nothing here reads the closed form.
+    + beta_m * A_kk, and ``_zero_table`` holds where it first vanishes.  If
+    A_kj = c * A_kk with c in GF(p), d_m = (alpha_m * c + beta_m) * A_kk, so
+    A_kj gets ``first[c]``, or ``stop`` if c is absent.  Any other A_kj is
+    independent of a nonzero A_kk, so it gets ``stop``; if A_kk = 0, every
+    nonzero A_kj gets ``flat``, since d_m = alpha_m * A_kj.  The row is one dict of the p points
+    c * A_kk, built in O(p * k) over GF(p^k) with no walk and no modular
+    inverse; built in descending m, its one key at A_kk = 0, the zero
+    tuple, keeps the least m.  An A_kj that gets no m raises
+    ``_missed_zero``.  Nothing here reads the closed form.
     """
     p, kk = a_kk.spec.characteristic, a_kk.coeffs
-    zeros: dict[tuple, int] = {}
-    rest = None                     # the m every other A_kj gets, if any
-    for m, (alpha, beta) in enumerate(_coefficients(parity.sign, p)):
-        if alpha:
-            c = -beta * pow(alpha, -1, p) % p
-            zeros.setdefault(tuple(c * b % p for b in kk), m)
-        elif not beta or not any(kk):
-            rest = m
-            break
-    zero_of = zeros.get
+    first, stop, flat = _zero_table(parity.sign, p)
+    zero_of = {tuple(c * b % p for b in kk): m for c, m in first.items()}.get
+    rest = stop if any(kk) else flat
 
     def first_zero(kj: tuple) -> int:
         m = zero_of(kj, rest)

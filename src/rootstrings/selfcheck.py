@@ -4,9 +4,10 @@ For a chosen set of finite fields this sweeps every rank-2 configuration
 (parity of the reflecting root, diagonal entry, off-diagonal entry) and
 checks that the closed-form bound matches the value found by scanning the
 d-sequence.  Both routes work a row (parity, diagonal entry) at a time: one
-closed-form ladder and one recursion walk per row, each then asked for
-every off-diagonal entry.  Any disagreement would falsify one of the two
-routes, so a clean sweep is strong evidence both are implemented correctly.
+closed-form ladder and one row of the recursion's first zeros per row, each
+then asked for every off-diagonal entry.  Any disagreement would falsify
+one of the two routes, so a clean sweep is strong evidence both are
+implemented correctly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ import itertools
 from .cartan import Parity, _last_step, _row_ladder, _row_walk
 from .cartanfile import field_doc
 from .field import FieldSpec, _ben_or, _check_degree
+
+#: The most cases, 2 * q^2 per field GF(q), that one ``run_selfcheck`` sweeps:
+#: at 1.0 to 1.6 microseconds per case in process, about 10 to 16 seconds.
+MAX_CASES = 10**7
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
@@ -67,13 +72,14 @@ def check_field(spec: FieldSpec) -> dict:
     """Sweep all (parity, A_kk, A_kj) cases over one field: parity varies
     slowest, then A_kk, then A_kj, each in ``spec.elements()`` order.
 
-    Each row (parity, A_kk) builds one closed-form ladder and one recursion
-    walk, ``_row_ladder`` and ``_row_walk``, and asks both for every A_kj.
-    No datum is built per case.  Returns a report dict with the case count,
-    any failures, and the distribution of bounds seen.  A failure -- the
-    routes disagree, or the bound exceeds ``bound_ceiling`` -- records both
-    routes' answers and the ceiling.  A walk that misses its guaranteed zero
-    raises ConsistencyError from ``_row_walk``.
+    Each row (parity, A_kk) builds one closed-form ladder and one row of the
+    recursion's first zeros, ``_row_ladder`` and ``_row_walk``, and asks
+    both for every A_kj.  No datum is built per case.  Returns a report
+    dict with the case count, any failures, and the distribution of bounds
+    seen.  A failure -- the routes disagree, or the bound exceeds
+    ``bound_ceiling`` -- records both routes' answers and the ceiling.  A
+    row that misses its guaranteed zero raises ConsistencyError from
+    ``_row_walk``.
     """
     p = spec.characteristic
     elements = list(spec.elements())
@@ -111,8 +117,8 @@ def run_selfcheck(primes: list[int], degrees: list[int]) -> dict:
     """Run check_field over the cartesian product of primes and degrees.
 
     Raises ValueError, before any sweep or modulus search, for a prime or
-    degree listed twice, or for one that ``field_for`` or ``FieldSpec``
-    refuses.
+    degree listed twice, for one that ``field_for`` or ``FieldSpec``
+    refuses, or for a sweep of more than ``MAX_CASES`` cases.
     """
     # a repeated value would only sweep the same fields again
     for name, values in (("prime", primes), ("degree", degrees)):
@@ -124,6 +130,9 @@ def run_selfcheck(primes: list[int], degrees: list[int]) -> dict:
     bases = [field_for(p, 1) for p in primes]
     for degree in degrees:
         _check_degree(degree)
+    cases = sum(2 * b.characteristic ** (2 * d) for b in bases for d in degrees)
+    if cases > MAX_CASES:
+        raise ValueError(f"the sweep would check {cases} cases, more than the limit of {MAX_CASES}")
     specs = [b if d == 1 else _extension(b, d) for b in bases for d in degrees]
     fields = [check_field(spec) for spec in specs]
     return {

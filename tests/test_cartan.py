@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootstrings import cartan
 from rootstrings.cartan import (
     INFINITY,
     BValue,
@@ -638,6 +639,33 @@ def test_row_walk_matches_first_zero_on_random_triples(data, spec, parity):
         kj = data.draw(coords)
     a_kk, a_kj = FieldElement(spec, kk), FieldElement(spec, kj)
     assert _row_walk(parity, a_kk)(kj) == _first_zero(a_kj, a_kk, parity)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_zero_table_follows_its_definition_on_any_coefficient_walk(monkeypatch, seed):
+    # the recursion's own (alpha_m, beta_m) reach each c at most once, and no
+    # new c after stop; seeded random pairs over GF(5) need not, so they pin
+    # the table's definition, read here without a modular inverse
+    p, rng = 5, random.Random(seed)
+    walks = [[rng.randrange(p) if rng.random() < 0.8 else 0 for _ in range(2 * p)]
+             for _ in range(2)]
+    monkeypatch.setattr(cartan, "_walk_coordinate", lambda a, c, sign, p: iter(walks[a]))
+    cartan._zero_table.cache_clear()
+    try:
+        first, stop, flat = cartan._zero_table(1, p)
+    finally:
+        cartan._zero_table.cache_clear()
+    steps = list(zip(*walks))
+    assert stop == next((m for m, step in enumerate(steps) if step == (0, 0)), None)
+    assert flat == next((m for m, (alpha, _) in enumerate(steps) if alpha == 0), None)
+    expected = {}
+    for c in range(p):
+        m = next((m for m, (alpha, beta) in enumerate(steps[:stop])
+                  if alpha and (alpha * c + beta) % p == 0), None)
+        if m is not None:
+            expected[c] = m
+    assert first == expected
+    assert list(first.values()) == sorted(first.values(), reverse=True)
 
 
 def _raise(*args, **kwargs):

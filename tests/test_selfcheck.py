@@ -1,8 +1,9 @@
 import itertools
+import json
 
 import pytest
 
-from rootstrings import cartan, field
+from rootstrings import cartan, field, selfcheck
 from rootstrings.cartan import CartanDatum, ConsistencyError
 from rootstrings.field import FieldSpec
 from rootstrings.selfcheck import check_field, field_for, find_irreducible, run_selfcheck
@@ -130,11 +131,33 @@ def test_a_walk_that_misses_its_zero_raises(monkeypatch):
 
 
 def test_a_row_walk_that_misses_its_zero_raises(monkeypatch):
-    # every step of the faulty walk reads d_m = A_kk, which vanishes for no
-    # A_kj once A_kk != 0: the first such row, (ev, 1), finds no zero for A_kj = 0
-    monkeypatch.setattr(cartan, "_coefficients", lambda sign, p: ((0, 1),) * (2 * p))
-    with pytest.raises(ConsistencyError, match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(ev, 1, 0\)"):
-        check_field(FieldSpec(3))
+    # each walk of the faulty step repeats its A_kk, so (alpha_m, beta_m) =
+    # (0, 1) at every step and d_m = A_kk, which vanishes for no A_kj once
+    # A_kk != 0: the first such row, (ev, 1), finds no zero for A_kj = 0
+    monkeypatch.setattr(cartan, "_walk_coordinate", lambda a, c, sign, p: itertools.repeat(a))
+    cartan._zero_table.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError,
+                           match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(ev, 1, 0\)"):
+            check_field(FieldSpec(3))
+    finally:
+        cartan._zero_table.cache_clear()
+
+
+def test_check_field_inverts_once_per_ladder_row_and_step(monkeypatch):
+    # each ladder row with A_kk != 0 inverts one coordinate, and the zero
+    # table inverts alpha_m at most once per step, once per parity
+    spec, calls = FieldSpec(13), []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(cartan, "pow", counting_pow, raising=False)
+    cartan._zero_table.cache_clear()
+    assert check_field(spec)["failures"] == 0
+    p = spec.characteristic
+    assert 0 < len(calls) <= 2 * spec.order + 2 * (2 * p)
 
 
 @pytest.mark.parametrize("primes,degrees,message", [
@@ -160,6 +183,44 @@ def test_repeated_prime_or_degree_refused_before_any_sweep(count_calls, primes, 
         run_selfcheck(primes, degrees)
     assert searched == []
     assert swept == []
+
+
+class _Reached(Exception):
+    pass
+
+
+def _unreachable(*args):
+    raise _Reached("a refused sweep began a modulus search or a sweep")
+
+
+@pytest.mark.parametrize("degrees", ["8", "2"])
+def test_a_sweep_over_the_case_limit_is_refused_before_any_search(monkeypatch, run_cli, degrees):
+    # 2 * 101^16 and 2 * 101^4 cases: GF(101^8) alone has about 10^16
+    # elements to build, and GF(101^2)'s sweep would take minutes
+    monkeypatch.setattr(selfcheck, "_extension", _unreachable)
+    monkeypatch.setattr(selfcheck, "check_field", _unreachable)
+    with pytest.raises(ValueError, match="more than the limit of 10000000$"):
+        run_selfcheck([101], [int(degrees)])
+    code, out, err = run_cli("selfcheck", "--primes", "101", "--degrees", degrees)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error[invalid]:")
+
+
+@pytest.mark.parametrize("limit,accepted", [(10**7, True), (274554, True), (274553, False)])
+def test_the_case_limit_counts_two_q_squared_per_field(monkeypatch, run_cli, limit, accepted):
+    # 2 * q^2 over the twelve fields GF(p^d), p = 2, 3, 5, 7 and d = 1, 2, 3
+    def sweep(spec):
+        return {"cases": 2 * spec.order ** 2, "failures": 0}
+
+    monkeypatch.setattr(selfcheck, "MAX_CASES", limit)
+    monkeypatch.setattr(selfcheck, "check_field", sweep)
+    code, out, err = run_cli("selfcheck", "--primes", "2,3,5,7", "--degrees", "1,2,3")
+    if accepted:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total_cases"] == 274554
+    else:
+        assert (code, out) == (1, "")
+        assert err == f"error[invalid]: the sweep would check 274554 cases, more than the limit of {limit}\n"
 
 
 @pytest.mark.parametrize("primes,degrees", [([7], [1]), ([2], [5]), ([3], [1, 2])],
