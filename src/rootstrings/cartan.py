@@ -10,8 +10,9 @@ equals the first index m >= 0 at which the scalar sequence
 vanishes.  Two independent routes compute it here:
 
 * ``b_recursive`` walks the sequence and returns the first zero, and
-* ``b_closed`` evaluates a closed-form case ladder on (i_k, A_kk, A_kj),
-  built once per row from (i_k, A_kk) and applied to each A_kj.
+* ``b_closed`` evaluates a closed-form case ladder on (i_k, A_kk, A_kj):
+  (i_k, A_kk) pick the row's rule once, and the rule is applied to each
+  A_kj.
 
 The recursion only adds and scales by the integer m, so its step is written
 once, in ``_walk_coordinate``, on ints at every characteristic: over
@@ -329,9 +330,9 @@ def _zero_table(sign: int, p: int) -> tuple[dict[int, int], int | None, int | No
     alpha_m = 0.  ``first[c]``, for c in GF(p), is the first m before
     ``stop`` with alpha_m != 0 and alpha_m * c + beta_m = 0, and c is absent
     where there is none; the dict runs in descending m.  ``stop`` and
-    ``flat`` are None where the walk finds none.  ``selfcheck`` sweeps every row of one parity in turn, so
-    the table is built once per field and parity, with one modular inverse
-    per step.
+    ``flat`` are None where the walk finds none.  ``selfcheck`` sweeps
+    every row of one parity in turn, so the table is built once per field
+    and parity, with one modular inverse per step.
     """
     walks = zip(*(_walk_coordinate(a, 1 - a, sign, p) for a in (0, 1)))
     steps = list(itertools.islice(walks, _last_step(p) + 1))
@@ -412,8 +413,8 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *,
         return BValue(m)
     closed = b_closed(datum, k, j)
     if closed.is_finite:
-        raise ValueError(
-            f"scan cap {scan_cap} is below the closed-form bound {closed}; raise scan_cap")
+        raise ValueError(f"scan cap {scan_cap} is below the closed-form bound {closed}; "
+                         "raise scan_cap (--max-m on the command line)")
     return INFINITY
 
 
@@ -439,47 +440,52 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]
     must be a non-negative integer, and otherwise the bound is infinite.
     Branch 4 never fires at p = 0, where every ratio is rational.
 
-    The row's facts are fixed here once: the zero test on A_kk, its first
-    nonzero coordinate i and that coordinate's inverse mod p.  GF(p) acts on
-    the power basis coordinate-wise, so c is read off coordinate i of A_kj
-    and checked against all the others; no field division happens.  At
-    p = 0, A_kk = y/z and A_kj = u/v in lowest terms (v, z > 0), and
+    The rule is chosen here, once per row, from the row's facts: A_kk = 0
+    (branches 1 and 2), even parity at p = 2 (branches 1 and 3), p > 0
+    (branches 4 and 5) or p = 0.  Only the first two test A_kj = 0: in the
+    others A_kj = 0 is c = 0, or m = 0 below, which branch 5 sends to 0.
+    At p > 0 the row fixes A_kk's first nonzero coordinate i, that
+    coordinate's inverse mod p and the branch-4 bound.  GF(p) acts on the
+    power basis coordinate-wise, so c is read off coordinate i of A_kj and
+    checked against all the others; no field division happens.  At p = 0,
+    A_kk = y/z and A_kj = u/v in lowest terms (v, z > 0), and
     m = -s * A_kj / A_kk = (-s*z*u) / (y*v) with s = 2 (even) or 1 (odd), so
     one integer ``divmod`` decides it; no Fraction is built.  Finite bounds
     come from a bounded cache and are shared between rows and calls.
     """
-    p = a_kk.spec.characteristic
-    even = parity is Parity.EVEN
-    kk = a_kk.coeffs
-    i = next((i for i, b in enumerate(kk) if b), None)     # None: A_kk = 0
-    inv = pow(kk[i], -1, p) if p and i is not None else None
-    if not p and i is not None:
-        # m = u * top / (v * bottom); divmod leaves no remainder exactly when
-        # the quotient is an integer, whatever the sign of the divisor
-        y, z = kk[0].as_integer_ratio()
-        top, bottom = (-2 if even else -1) * z, y
+    p, kk, even = a_kk.spec.characteristic, a_kk.coeffs, parity is Parity.EVEN
+    zero = _shared_bound(0)
+    if not any(kk):                                 # branches 1 and 2
+        other = (_shared_bound(p - 1) if p else INFINITY) if even else _shared_bound(1)
+        return lambda kj: other if any(kj) else zero
+    if even and p == 2:                             # branches 1 and 3
+        equal, unequal = _shared_bound(2), _shared_bound(3)
+        return lambda kj: (equal if kj == kk else unequal) if any(kj) else zero
+    if p:                                           # branches 4 and 5
+        i = next(i for i, b in enumerate(kk) if b)
+        inv = pow(kk[i], -1, p)
+        independent = _shared_bound(p - 1 if even else 2 * p - 1)
 
-    def bound(kj: tuple) -> BValue:
-        if not any(kj):
-            return _shared_bound(0)
-        if i is None:
-            if not even:
-                return _shared_bound(1)
-            return _shared_bound(p - 1) if p else INFINITY
-        if even and p == 2:
-            return _shared_bound(2 if kj == kk else 3)
-        if p:
+        def ratio_bound(kj: tuple) -> BValue:
             c = kj[i] * inv % p
             if len(kk) > 1 and any((a - c * b) % p for a, b in zip(kj, kk)):
-                return _shared_bound(p - 1 if even else 2 * p - 1)
+                return independent
             return _shared_bound(-2 * c % p if even else 2 * (-c % p))
+
+        return ratio_bound
+    # p = 0, branch 5: m = u * top / (v * bottom); divmod leaves no remainder
+    # exactly when the quotient is an integer, whatever the sign of the divisor
+    y, z = kk[0].as_integer_ratio()
+    top, bottom = (-2 if even else -1) * z, y
+
+    def rational_bound(kj: tuple) -> BValue:
         u, v = kj[0].as_integer_ratio()
         m, rest = divmod(u * top, v * bottom)
         if rest or m < 0:
             return INFINITY
         return _shared_bound(m if even else 2 * m)
 
-    return bound
+    return rational_bound
 
 
 def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:

@@ -339,8 +339,11 @@ def test_cli_reads_argv_without_argparse(run_cli, monkeypatch):
     (["bkj", "--input", "x.json", "--k", "x", "--j", "2"], "--k"),
     (["table", "--input", "x.json", "--frob"], "--frob"),
     (["selfcheck", "--primes", "2,x"], "--primes"),
+    (["table", "--"], "a bare -- is not accepted"),
+    (["table", "--=x"], "ambiguous flag --=x: it could be --help, --input, --strict, --output"),
+    (["table", "-hx"], "-h takes no value"),
 ], ids=["no-arguments", "unknown-subcommand", "missing-j", "bad-int", "unknown-flag",
-        "bad-primes"])
+        "bad-primes", "bare-double-dash", "empty-prefix", "help-with-value"])
 def test_usage_refusal_is_one_stderr_line(run_cli, argv, named):
     code, out, err = run_cli(*argv)
     assert (code, out) == (1, "")
@@ -487,6 +490,8 @@ def test_scan_cap_override_on_bkj(run_cli, tmp_path):
     code, _, err = run_cli("bkj", "--input", str(deep), "--k", "1", "--j", "2")
     assert code == 1                       # default cap of 1000 is too small
     assert "scan_cap" in err
+    assert err.startswith("error[invalid]: ") and err.count("\n") == 1
+    assert "--max-m" in err                # the flag a CLI user can raise
     code, out, _ = run_cli("bkj", "--input", str(deep), "--k", "1", "--j", "2",
                            "--max-m", "1500")
     assert code == 0

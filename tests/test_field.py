@@ -238,6 +238,7 @@ def test_element_validation():
         FieldElement(GF9, (1,))      # wrong coordinate count
     with pytest.raises(ValueError):
         FieldElement(Q, (1,))        # needs a Fraction
+    assert FieldElement(Q, (Fraction(1, 2),)).rational == Fraction(1, 2)
 
 
 # --- field axioms, exhaustively on small fields ----------------------------
@@ -359,6 +360,8 @@ def test_operand_neither_element_nor_int_raises_type_error(spec, x, foreign, val
             op(x, value)
         with pytest.raises(TypeError):
             op(value, x)
+    with pytest.raises(TypeError):      # an exponent must be an int too
+        x ** value
 
 
 # --- prime subfield -------------------------------------------------------
@@ -373,6 +376,11 @@ def test_prime_subfield_membership_matches_frobenius(spec):
         if residue is not None:
             assert spec.element(residue) == a
             assert 0 <= residue < p
+
+
+def test_rationals_cannot_be_enumerated():
+    with pytest.raises(ValueError, match="cannot enumerate"):
+        next(Q.elements())
 
 
 def test_prime_subfield_on_prime_field_is_total():

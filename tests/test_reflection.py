@@ -62,6 +62,10 @@ def test_simple_roots_and_arithmetic():
         RootVector.simple(3, 0)
     with pytest.raises(ValueError):
         a1 + RootVector.simple(2, 1)
+    with pytest.raises(TypeError):      # a tuple is not a root vector
+        RootVector((1, 2)) + (1, 2)
+    with pytest.raises(TypeError):
+        RootVector((1, 2)) - (1, 2)
 
 
 @pytest.mark.parametrize("coords", [(1.7, 3, 1), (1, "3", 1), (1, 3, True), [0, 2.0]])
