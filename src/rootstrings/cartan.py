@@ -11,8 +11,9 @@ vanishes.  Two independent routes compute it here:
 
 * ``b_recursive`` walks the sequence and returns the first zero, and
 * ``b_closed`` evaluates a closed-form case ladder on (i_k, A_kk, A_kj):
-  (i_k, A_kk) pick the row's rule once, and the rule is applied to each
-  A_kj.
+  (i_k, A_kk) pick the row's rule once, in ``_row_ladder``, and the rule
+  answers a list of A_kj at once.  ``b_closed`` asks it for one entry,
+  ``b_row`` for the row's distinct A_kj.
 
 The recursion only adds and scales by the integer m, so its step is written
 once, in ``_walk_coordinate``, on ints at every characteristic: over
@@ -23,7 +24,9 @@ A_kj and A_kk, an int that vanishes exactly when d_m does.  For
 over GF(p^k) d_m = alpha_m * A_kj + beta_m * A_kk, where alpha_m and beta_m
 depend only on p and the parity, so ``_zero_table`` walks the same step
 once per (p, parity) and records where A_kj = c * A_kk first vanishes for
-each c in GF(p); each row then builds one dict of p keys, in O(p * k).
+each c in GF(p); each row then builds one dict of p keys, in O(p * k), and
+maps its list of A_kj through it.  ``selfcheck`` asks both routes once per
+row and compares the two lists.
 
 In positive characteristic the sequence is guaranteed to vanish by
 m = 2p - 1, so every bound is finite; in characteristic 0 the bound can be
@@ -345,34 +348,37 @@ def _zero_table(sign: int, p: int) -> tuple[dict[int, int], int | None, int | No
     return dict(reversed(first.items())), stop, flat
 
 
-def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], int]:
+def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], list[int]]:
     """The recursion of one row, i_k = ``parity`` and A_kk = ``a_kk`` at p > 0:
-    a function from the coordinates of A_kj (laid out like
-    ``FieldElement.coeffs``) to the first m >= 0 with d_m = 0.
+    a function from a list of A_kj coordinate tuples (laid out like
+    ``FieldElement.coeffs``) to the list, in the same order, of the first
+    m >= 0 with d_m = 0 for each.
 
     The recursion is GF(p)-linear in A_kj and A_kk, so d_m = alpha_m * A_kj
     + beta_m * A_kk, and ``_zero_table`` holds where it first vanishes.  If
     A_kj = c * A_kk with c in GF(p), d_m = (alpha_m * c + beta_m) * A_kk, so
     A_kj gets ``first[c]``, or ``stop`` if c is absent.  Any other A_kj is
     independent of a nonzero A_kk, so it gets ``stop``; if A_kk = 0, every
-    nonzero A_kj gets ``flat``, since d_m = alpha_m * A_kj.  The row is one dict of the p points
-    c * A_kk, built in O(p * k) over GF(p^k) with no walk and no modular
-    inverse; built in descending m, its one key at A_kk = 0, the zero
-    tuple, keeps the least m.  An A_kj that gets no m raises
-    ``_missed_zero``.  Nothing here reads the closed form.
+    nonzero A_kj gets ``flat``, since d_m = alpha_m * A_kj.  The row is one
+    dict of the p points c * A_kk, built column by column in O(p * k) over
+    GF(p^k) with no walk and no modular inverse; built in descending m, its
+    one key at A_kk = 0, the zero tuple, keeps the least m.  The first A_kj
+    of the list that gets no m raises ``_missed_zero``.  Nothing here reads
+    the closed form.
     """
     p, kk = a_kk.spec.characteristic, a_kk.coeffs
     first, stop, flat = _zero_table(parity.sign, p)
-    zero_of = {tuple(c * b % p for b in kk): m for c, m in first.items()}.get
+    zero_of = dict(zip(zip(*[[c * b % p for c in first] for b in kk]), first.values()))
     rest = stop if any(kk) else flat
 
-    def first_zero(kj: tuple) -> int:
-        m = zero_of(kj, rest)
-        if m is None:
+    def first_zeros(kjs: list[tuple]) -> list[int]:
+        zeros = list(map(zero_of.get, kjs, itertools.repeat(rest)))
+        if rest is None and None in zeros:      # the dict's values are ints
+            kj = kjs[zeros.index(None)]
             raise _missed_zero(parity, a_kk, FieldElement._trusted(a_kk.spec, kj))
-        return m
+        return zeros
 
-    return first_zero
+    return first_zeros
 
 
 def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
@@ -418,10 +424,10 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *,
     return INFINITY
 
 
-def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]:
+def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], list[BValue]]:
     """The closed-form case ladder of one row, i_k = ``parity`` and A_kk =
-    ``a_kk``: a function from the coordinates of A_kj (laid out like
-    ``FieldElement.coeffs``) to B_kj.
+    ``a_kk``: a function from a list of A_kj coordinate tuples (laid out like
+    ``FieldElement.coeffs``) to the list of their B_kj, in the same order.
 
     One ladder serves every characteristic p (p = 0 for the rationals).
     With c the prime-field scalar such that A_kj = c * A_kk, when there is
@@ -444,56 +450,66 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]
     (branches 1 and 2), even parity at p = 2 (branches 1 and 3), p > 0
     (branches 4 and 5) or p = 0.  Only the first two test A_kj = 0: in the
     others A_kj = 0 is c = 0, or m = 0 below, which branch 5 sends to 0.
+    Branch 5 writes its bound as t * (-s * c mod p), with s = 2, t = 1
+    (even) or s = 1, t = 2 (odd).
+
     At p > 0 the row fixes A_kk's first nonzero coordinate i, that
     coordinate's inverse mod p and the branch-4 bound.  GF(p) acts on the
-    power basis coordinate-wise, so c is read off coordinate i of A_kj and
-    checked against all the others; no field division happens.  At p = 0,
-    A_kk = y/z and A_kj = u/v in lowest terms (v, z > 0), and
-    m = -s * A_kj / A_kk = (-s*z*u) / (y*v) with s = 2 (even) or 1 (odd), so
-    one integer ``divmod`` decides it; no Fraction is built.  Finite bounds
-    come from a bounded cache and are shared between rows and calls.
+    power basis coordinate-wise, so c is read off coordinate i of A_kj; no
+    field division happens.  At degree 1 every A_kj is c * A_kk, so the
+    list is one comprehension over its residues, with nothing of size p.
+    At degree > 1, a list of at least p entries first tabulates the row's
+    p points c * A_kk with their branch-5 bounds, and every entry is then
+    one lookup, the branch-4 bound where it misses; a shorter list checks
+    each entry's other coordinates against c.
+
+    At p = 0, A_kk = y/z and A_kj = u/v in lowest terms (v, z > 0), and
+    m = -s * A_kj / A_kk = (-s*z*u) / (y*v), so one integer ``divmod``
+    decides it; no Fraction is built.  Finite bounds come from a bounded
+    cache and are shared between rows and calls.
     """
     p, kk, even = a_kk.spec.characteristic, a_kk.coeffs, parity is Parity.EVEN
-    zero = _shared_bound(0)
+    zero, (s, t) = _shared_bound(0), ((2, 1) if even else (1, 2))
     if not any(kk):                                 # branches 1 and 2
         other = (_shared_bound(p - 1) if p else INFINITY) if even else _shared_bound(1)
-        return lambda kj: other if any(kj) else zero
+        return lambda kjs: [other if any(kj) else zero for kj in kjs]
     if even and p == 2:                             # branches 1 and 3
         equal, unequal = _shared_bound(2), _shared_bound(3)
-        return lambda kj: (equal if kj == kk else unequal) if any(kj) else zero
-    if p:                                           # branches 4 and 5
-        i = next(i for i, b in enumerate(kk) if b)
-        inv = pow(kk[i], -1, p)
-        independent = _shared_bound(p - 1 if even else 2 * p - 1)
+        return lambda kjs: [(equal if kj == kk else unequal) if any(kj) else zero for kj in kjs]
+    if p == 0:
+        # branch 5: m = u * top / (v * bottom); divmod leaves no remainder
+        # exactly when the quotient is an integer, whatever the sign of the divisor
+        y, z = kk[0].as_integer_ratio()
+        top, bottom = -s * z, y
+        return lambda kjs: [INFINITY if rest or m < 0 else _shared_bound(t * m)
+                            for u, v in (kj[0].as_integer_ratio() for kj in kjs)
+                            for m, rest in [divmod(u * top, v * bottom)]]
+    i = next(i for i, b in enumerate(kk) if b)      # branches 4 and 5
+    inv = pow(kk[i], -1, p)
+    if len(kk) == 1:
+        ratio = -s * inv % p                        # -s * c = A_kj * ratio
+        return lambda kjs: [_shared_bound(t * (kj[0] * ratio % p)) for kj in kjs]
+    independent = _shared_bound(p - 1 if even else 2 * p - 1)
 
-        def ratio_bound(kj: tuple) -> BValue:
-            c = kj[i] * inv % p
-            if len(kk) > 1 and any((a - c * b) % p for a, b in zip(kj, kk)):
-                return independent
-            return _shared_bound(-2 * c % p if even else 2 * (-c % p))
+    def ratio_bounds(kjs: list[tuple]) -> list[BValue]:
+        if p <= len(kjs):
+            points = zip(*[[c * b % p for c in range(p)] for b in kk])
+            bound_of = dict(zip(points, [_shared_bound(t * (-s * c % p)) for c in range(p)]))
+            return list(map(bound_of.get, kjs, itertools.repeat(independent)))
+        return [independent if any((a - c * b) % p for a, b in zip(kj, kk))
+                else _shared_bound(t * (-s * c % p))
+                for kj in kjs for c in [kj[i] * inv % p]]
 
-        return ratio_bound
-    # p = 0, branch 5: m = u * top / (v * bottom); divmod leaves no remainder
-    # exactly when the quotient is an integer, whatever the sign of the divisor
-    y, z = kk[0].as_integer_ratio()
-    top, bottom = (-2 if even else -1) * z, y
-
-    def rational_bound(kj: tuple) -> BValue:
-        u, v = kj[0].as_integer_ratio()
-        m, rest = divmod(u * top, v * bottom)
-        if rest or m < 0:
-            return INFINITY
-        return _shared_bound(m if even else 2 * m)
-
-    return rational_bound
+    return ratio_bounds
 
 
 def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
     """The bound B_kj from the closed-form case ladder of row k
-    (``_row_ladder``, whose docstring lists its branches).  It reads
-    power-basis coordinates and does no field division."""
+    (``_row_ladder``, whose docstring lists its branches), asked for a
+    one-entry list.  It reads power-basis coordinates and does no field
+    division."""
     parity, a_kk, a_kj = _pair(datum, k, j)
-    return _row_ladder(parity, a_kk)(a_kj.coeffs)
+    return _row_ladder(parity, a_kk)([a_kj.coeffs])[0]
 
 
 _COEFFS = operator.attrgetter("coeffs")
@@ -505,13 +521,12 @@ def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:
     """The bounds B_k1, ..., B_kn of row k, None at j = k.
 
     B_kj depends only on (i_k, A_kk, A_kj), and the first two are fixed along
-    row k, so the row's ladder is built once and runs once per distinct A_kj
-    of the row: at most q times over GF(q).  Equal A_kj get the same
-    ``BValue`` object.
+    row k, so the row's ladder is built once and asked once, for the list of
+    the row's distinct A_kj: at most q entries over GF(q).  Equal A_kj get
+    the same ``BValue`` object.
     """
     parity = datum.parity(k)        # IndexError outside [1, n]
     row = datum.entries[k - 1]
-    ladder = _row_ladder(parity, row[k - 1])
     coeffs = list(map(_COEFFS, row))
     del coeffs[k - 1]
     # over GF(q) the coordinates are tuples of ints; over Q they hold a
@@ -519,7 +534,8 @@ def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:
     # on its integer pair (numerator, denominator) instead
     keys = (coeffs if datum.spec.characteristic
             else list(map(_RATIO, map(_FIRST, coeffs))))
-    bounds = {key: ladder(c) for key, c in dict(zip(keys, coeffs)).items()}
+    distinct = dict(zip(keys, coeffs))
+    bounds = dict(zip(distinct, _row_ladder(parity, row[k - 1])(list(distinct.values()))))
     out = list(map(bounds.__getitem__, keys))
     out.insert(k - 1, None)
     return tuple(out)

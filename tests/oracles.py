@@ -7,17 +7,20 @@ no denominators cleared, as ``cartan`` once did.  Trial division decides irreduc
 of ``field.check_irreducible``'s gcd test.  ``sweep_pairs`` enumerates the
 rank-2 configurations that the exhaustive tests walk.  ``build_parser``
 builds argparse's parser from the CLI's flag table, which ``cli._parse``
-reads by its own code.
+reads by its own code.  ``entry_ladder`` is the closed-form ladder in the
+per-entry form it had before ``cartan._row_ladder`` answered whole lists,
+kept verbatim, so the row form is checked against the code it replaced; it
+shares only the cache of ``BValue`` objects, ``cartan._shared_bound``.
 """
 
 import argparse
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 
 from rootstrings import cli
-from rootstrings.cartan import Parity
+from rootstrings.cartan import INFINITY, BValue, Parity, _shared_bound
 from rootstrings.field import FieldElement
 
 
@@ -69,6 +72,46 @@ def _remainder(f, g, p: int) -> list[int]:
         for i, gi in enumerate(g):
             r[top - d + i] -= c * gi
     return [c % p for c in r[:d]]
+
+
+def entry_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]:
+    """The closed-form case ladder of one row as a function of one A_kj's
+    coordinates, one call per entry: ``cartan._row_ladder`` as it was before
+    it took a list, whose docstring lists the branches.  It tests
+    proportionality entry by entry and builds no table."""
+    p, kk, even = a_kk.spec.characteristic, a_kk.coeffs, parity is Parity.EVEN
+    zero = _shared_bound(0)
+    if not any(kk):                                 # branches 1 and 2
+        other = (_shared_bound(p - 1) if p else INFINITY) if even else _shared_bound(1)
+        return lambda kj: other if any(kj) else zero
+    if even and p == 2:                             # branches 1 and 3
+        equal, unequal = _shared_bound(2), _shared_bound(3)
+        return lambda kj: (equal if kj == kk else unequal) if any(kj) else zero
+    if p:                                           # branches 4 and 5
+        i = next(i for i, b in enumerate(kk) if b)
+        inv = pow(kk[i], -1, p)
+        independent = _shared_bound(p - 1 if even else 2 * p - 1)
+
+        def ratio_bound(kj: tuple) -> BValue:
+            c = kj[i] * inv % p
+            if len(kk) > 1 and any((a - c * b) % p for a, b in zip(kj, kk)):
+                return independent
+            return _shared_bound(-2 * c % p if even else 2 * (-c % p))
+
+        return ratio_bound
+    # p = 0, branch 5: m = u * top / (v * bottom); divmod leaves no remainder
+    # exactly when the quotient is an integer, whatever the sign of the divisor
+    y, z = kk[0].as_integer_ratio()
+    top, bottom = (-2 if even else -1) * z, y
+
+    def rational_bound(kj: tuple) -> BValue:
+        u, v = kj[0].as_integer_ratio()
+        m, rest = divmod(u * top, v * bottom)
+        if rest or m < 0:
+            return INFINITY
+        return _shared_bound(m if even else 2 * m)
+
+    return rational_bound
 
 
 def sweep_pairs(spec):

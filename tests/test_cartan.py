@@ -30,7 +30,7 @@ from rootstrings.field import FieldElement, FieldSpec, FieldSpecError, is_prime
 from rootstrings.reflection import ReflectionUndefinedError, reflect
 from rootstrings.selfcheck import field_for
 
-from oracles import d_closed_even, d_closed_odd, fraction_walk, sweep_pairs
+from oracles import d_closed_even, d_closed_odd, entry_ladder, fraction_walk, sweep_pairs
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -380,44 +380,46 @@ def test_b_table_matches_b_recursive_entry_by_entry(spec, n, seed):
 
 def count_ladders(monkeypatch):
     """Wrap the row ladder; returns the lists of ladders built (their parity
-    and A_kk) and of evaluations made (A_kj's coordinates)."""
-    built, evaluated = [], []
+    and A_kk) and of the lists each was asked for (A_kj's coordinates)."""
+    built, asked = [], []
 
     def counting(parity, a_kk):
         built.append((parity, a_kk))
         ladder = _row_ladder(parity, a_kk)
 
-        def evaluate(kj):
-            evaluated.append(kj)
-            return ladder(kj)
+        def evaluate(kjs):
+            asked.append(list(kjs))
+            return ladder(kjs)
 
         return evaluate
 
     monkeypatch.setattr("rootstrings.cartan._row_ladder", counting)
-    return built, evaluated
+    return built, asked
 
 
 @pytest.mark.parametrize("spec", [GF3, GF9, Q], ids=str)
 def test_b_table_runs_the_ladder_at_most_q_times_per_row(spec, monkeypatch):
-    # once per distinct A_kj of a row, j != k: at most q times over GF(q)
+    # one ladder per row, asked once for the row's distinct A_kj, j != k: at
+    # most q entries over GF(q)
     n = 40
     datum = random_datum(spec, n, 3)
     distinct = [len({a for j, a in enumerate(row) if j != k})
                 for k, row in enumerate(datum.entries)]
     expected = b_table(datum)
-    built, evaluated = count_ladders(monkeypatch)
+    built, asked = count_ladders(monkeypatch)
     assert b_table(datum) == expected
-    assert len(built) == n
-    assert len(evaluated) == sum(distinct)
+    assert len(built) == len(asked) == n
+    assert [len(kjs) for kjs in asked] == distinct
+    assert all(len(set(kjs)) == len(kjs) for kjs in asked)
     if spec.characteristic:
-        assert len(evaluated) <= n * spec.order
+        assert max(distinct) <= spec.order
     for k in range(1, n + 1):
-        evaluated.clear()
+        asked.clear()
         try:
             reflect(datum, k)
         except ReflectionUndefinedError:    # over Q, after the row's bounds
             pass
-        assert len(evaluated) == distinct[k - 1]
+        assert [len(kjs) for kjs in asked] == [distinct[k - 1]]
 
 
 def test_b_table_over_q_hashes_no_fraction(monkeypatch):
@@ -486,14 +488,13 @@ def test_row_ladder_ratio_branch_matches_division(spec):
     # at odd p the even ladder gives -2c mod p or p - 1
     p = spec.characteristic
     elems = list(spec.elements())
+    coeffs = [x.coeffs for x in elems]
     for y in elems[1:]:
-        ladders = {parity: _row_ladder(parity, y) for parity in Parity}
-        for x in elems:
+        bounds = {parity: _row_ladder(parity, y)(coeffs) for parity in Parity}
+        for x, odd, even in zip(elems, bounds[Parity.ODD], bounds[Parity.EVEN]):
             c = (x / y).in_prime_subfield()
-            odd = ladders[Parity.ODD](x.coeffs)
             assert odd == (2 * p - 1 if c is None else 2 * (-c % p)), (str(x), str(y))
             if p != 2:
-                even = ladders[Parity.EVEN](x.coeffs)
                 assert even == (p - 1 if c is None else -2 * c % p), (str(x), str(y))
 
 
@@ -503,14 +504,147 @@ def test_row_ladder_ratio_branch_at_characteristic_zero(x, y):
     c = a.rational / b.rational
     for parity, m, scale in [(Parity.EVEN, -2 * c, 1), (Parity.ODD, -c, 2)]:
         expected = scale * int(m) if m.denominator == 1 and m >= 0 else INFINITY
-        assert _row_ladder(parity, b)(a.coeffs) == expected
+        assert _row_ladder(parity, b)([a.coeffs]) == [expected]
 
 
-# --- the recursion kernel ----------------------------------------------------
+# --- the row ladder against the per-entry ladder ------------------------------
 
 GF1009 = FieldSpec(1009)
 GF1009_2 = FieldSpec(1009, 2, (998, 0, 1))     # t^2 - 11; 11 is not a square mod 1009
 
+
+@pytest.mark.parametrize("p,degree", [
+    (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
+    (3, 2), (5, 2), (3, 3), (2, 4), (2, 5)])
+def test_row_ladder_matches_the_entry_ladder_everywhere(p, degree):
+    # the whole row reaches the table at degree > 1, and each one-entry list,
+    # as b_closed asks it, the per-entry proportionality test
+    spec = field_for(p, degree)
+    elements = list(spec.elements())
+    coeffs = [a.coeffs for a in elements]
+    for parity in Parity:
+        for a_kk in elements:
+            expected = list(map(entry_ladder(parity, a_kk), coeffs))
+            ladder = _row_ladder(parity, a_kk)
+            assert ladder(coeffs) == expected, (str(spec), parity, str(a_kk))
+            assert [ladder([kj])[0] for kj in coeffs] == expected, (str(spec), parity, str(a_kk))
+
+
+#: The fields of the drawn-row test, by the path of the ladder they reach:
+#: degree 1 at a 13-digit prime; degree 2 at p near 1000, whose rows of at
+#: most 200 entries are shorter than p, so each entry is tested on its own;
+#: small p with rows of at least p entries, which reach the table; and Q.
+LADDER_FIELDS = {
+    "13-digit-prime": [FieldSpec(9999999999971)],
+    "p-near-1000-squared": [GF1009_2, FieldSpec(997, 2, (2, 0, 1))],
+    "small-p-long-rows": [GF4, GF8, GF9, GF25, GF27, FieldSpec(13, 2, (2, 0, 1)),
+                          FieldSpec(2, 4, (1, 1, 0, 0, 1))],
+    "rationals": [Q],
+}
+
+
+def draw_row(data, spec, kk, min_size):
+    """Between ``min_size`` and 200 A_kj coordinate tuples over ``spec``,
+    drawn with repeats from a pool of zero, prime-field multiples of A_kk
+    (halves of integers over Q) and other elements."""
+    p, degree = spec.characteristic, spec.degree
+    if p:
+        coords = st.tuples(*[st.integers(0, p - 1)] * degree)
+        multiples = st.integers(0, p - 1).map(lambda c: tuple(c * b % p for b in kk))
+    else:
+        coords = st.fractions(-10**6, 10**6, max_denominator=10**6).map(lambda x: (x,))
+        multiples = st.integers(-300, 300).map(lambda n: (Fraction(n, 2) * kk[0],))
+    zero = spec.zero().coeffs
+    pool = data.draw(st.lists(st.one_of(st.just(zero), multiples, coords), min_size=1, max_size=40))
+    return data.draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=200))
+
+
+@pytest.mark.parametrize("kind", LADDER_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), parity=st.sampled_from(Parity))
+def test_row_ladder_matches_the_entry_ladder_on_drawn_rows(kind, data, parity):
+    spec = data.draw(st.sampled_from(LADDER_FIELDS[kind]))
+    p, degree = spec.characteristic, spec.degree
+    if p:
+        nonzero = st.tuples(*[st.integers(0, p - 1)] * degree)
+    else:
+        nonzero = st.fractions(-10**6, 10**6, max_denominator=10**6).filter(bool).map(lambda x: (x,))
+    kk = data.draw(st.one_of(st.just(spec.zero().coeffs), nonzero))
+    kjs = draw_row(data, spec, kk, p if kind == "small-p-long-rows" else 0)
+    a_kk = FieldElement(spec, kk)
+    assert _row_ladder(parity, a_kk)(kjs) == list(map(entry_ladder(parity, a_kk), kjs))
+
+
+class _Counted:
+    """Patches ``cartan._shared_bound`` and ``cartan.dict`` to record each
+    bound asked for and the size of each dict built."""
+
+    def __init__(self, monkeypatch):
+        self.bounds, self.keys = [], []
+        shared = cartan._shared_bound
+
+        def counting_bound(b):
+            self.bounds.append(b)
+            return shared(b)
+
+        def counting_dict(*args):
+            built = dict(*args)
+            self.keys.append(len(built))
+            return built
+
+        monkeypatch.setattr(cartan, "_shared_bound", counting_bound)
+        monkeypatch.setattr(cartan, "dict", counting_dict, raising=False)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(9999999999971), GF1009_2, FieldSpec(23)], ids=str)
+def test_a_row_ladder_does_work_bounded_by_its_row(spec, monkeypatch):
+    # a row of 200 entries: at degree 1 nothing of size p is built at any p,
+    # not even where p is smaller than the row; at degree 2 with p above the
+    # row's length, each entry is tested on its own; each entry asks for at
+    # most one bound, beside the one or two each ladder fixes when it is built
+    p, degree = spec.characteristic, spec.degree
+    rng = random.Random(24)
+    for parity in Parity:
+        kk = tuple(rng.randrange(1, p) for _ in range(degree))
+        kjs = [tuple(rng.randrange(p) for _ in range(degree)) for _ in range(100)]
+        kjs += [tuple(rng.randrange(p) * b % p for b in kk) for _ in range(100)]
+        counted = _Counted(monkeypatch)
+        bounds = _row_ladder(parity, FieldElement(spec, kk))(kjs)
+        assert counted.keys == []
+        assert len(counted.bounds) <= len(kjs) + 2
+        monkeypatch.undo()
+        assert bounds == list(map(entry_ladder(parity, FieldElement(spec, kk)), kjs))
+
+
+@pytest.mark.parametrize("spec", [GF125, GF9, FieldSpec(13, 2, (2, 0, 1))], ids=str)
+def test_a_row_of_at_least_p_entries_tabulates_the_p_points_once(spec, monkeypatch):
+    # one dict of p keys and one bound per key; the entries only look it up
+    p, degree = spec.characteristic, spec.degree
+    kk, elements = (1,) * degree, [a.coeffs for a in spec.elements()]
+    for kjs in (elements[:p], elements):
+        counted = _Counted(monkeypatch)
+        _row_ladder(Parity.ODD, FieldElement(spec, kk))(kjs)
+        assert counted.keys == [p]
+        assert len(counted.bounds) == p + 2
+        monkeypatch.undo()
+
+
+def test_b_table_over_a_13_digit_prime_builds_nothing_of_size_p(monkeypatch):
+    # each row builds the two dicts of b_row, at most one key per entry each
+    spec = FieldSpec(9999999999971)
+    n, rng = 30, random.Random(7)
+    rows = [[rng.randrange(-50, 50) for _ in range(n)] for _ in range(n)]
+    datum = CartanDatum.build(spec, rows, [rng.choice(["ev", "od"]) for _ in range(n)])
+    counted = _Counted(monkeypatch)
+    table = b_table(datum)
+    assert len(counted.keys) == 2 * n and max(counted.keys) <= n - 1
+    assert len(counted.bounds) <= n * (n - 1) + 2 * n
+    monkeypatch.undo()
+    assert table == tuple(tuple(None if k == j else b_closed(datum, k, j)
+                                for j in range(1, n + 1)) for k in range(1, n + 1))
+
+
+# --- the recursion kernel ----------------------------------------------------
 
 @pytest.mark.parametrize("spec", [GF1009, GF1009_2], ids=str)
 def test_b_recursive_builds_no_element_per_step(spec, elements_built):
@@ -592,14 +726,14 @@ def test_q_walk_to_a_cap_of_a_million_is_quick():
 
 @pytest.mark.parametrize("p,degree", [
     (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
-    (5, 1), (5, 2), (7, 1), (7, 2), (23, 1), (11, 2)])
+    (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (11, 2)])
 def test_row_walk_matches_first_zero_everywhere(p, degree):
     spec = field_for(p, degree)
     elements = list(spec.elements())
+    coeffs = [a_kj.coeffs for a_kj in elements]
     for parity in Parity:
         for a_kk in elements:
-            first_zero = _row_walk(parity, a_kk)
-            assert ([first_zero(a_kj.coeffs) for a_kj in elements]
+            assert (_row_walk(parity, a_kk)(coeffs)
                     == [_first_zero(a_kj, a_kk, parity) for a_kj in elements]), \
                 (str(spec), parity, str(a_kk))
 
@@ -624,21 +758,21 @@ def row_walk_fields(draw):
             assert exc.code == "reducible-modulus"
 
 
-# a row walk at p near 10^5 takes about a third of a second
+# the triples of one example share their row (i_k, A_kk), asked as one list;
+# a row walk at p near 10^5 takes about a third of a second, and so does
+# each _first_zero there, so the drawn rows are short
 @settings(deadline=None, max_examples=40)
 @given(data=st.data(), spec=row_walk_fields(), parity=st.sampled_from(Parity))
 def test_row_walk_matches_first_zero_on_random_triples(data, spec, parity):
     p, degree = spec.characteristic, spec.degree
     coords = st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree).map(tuple)
     kk = data.draw(coords)
-    # half the time A_kj = c * A_kk, the one A_kj a step with alpha_m != 0 settles
-    if data.draw(st.booleans()):
-        c = data.draw(st.integers(0, p - 1))
-        kj = tuple(c * b % p for b in kk)
-    else:
-        kj = data.draw(coords)
-    a_kk, a_kj = FieldElement(spec, kk), FieldElement(spec, kj)
-    assert _row_walk(parity, a_kk)(kj) == _first_zero(a_kj, a_kk, parity)
+    # A_kj = c * A_kk is the one A_kj a step with alpha_m != 0 settles
+    multiples = st.integers(0, p - 1).map(lambda c: tuple(c * b % p for b in kk))
+    kjs = data.draw(st.lists(st.one_of(multiples, coords), min_size=1, max_size=6))
+    a_kk = FieldElement(spec, kk)
+    assert (_row_walk(parity, a_kk)(kjs)
+            == [_first_zero(FieldElement(spec, kj), a_kk, parity) for kj in kjs])
 
 
 @pytest.mark.parametrize("seed", range(40))

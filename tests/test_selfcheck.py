@@ -144,6 +144,59 @@ def test_a_row_walk_that_misses_its_zero_raises(monkeypatch):
         cartan._zero_table.cache_clear()
 
 
+def test_a_row_walk_names_the_first_a_kj_that_misses_its_zero(monkeypatch):
+    # a table without c = 1 and with no stop or flat: over GF(3) the first
+    # row, (ev, 0), gives A_kj = 0 the zero tuple's m, and A_kj = 1, its
+    # second column, is the first entry in sweep order that gets no m
+    monkeypatch.setattr(cartan, "_zero_table", lambda sign, p: ({2: 1, 0: 0}, None, None))
+    with pytest.raises(ConsistencyError, match=r"\(i_k, A_kk, A_kj\) = \(ev, 0, 1\)"):
+        check_field(FieldSpec(3))
+
+
+def test_two_wronged_entries_of_one_row_are_reported_in_sweep_order(monkeypatch):
+    # over GF(7), row (od, 3): the walk is wronged at A_kj = 5 and the
+    # ladder at A_kj = 2, so the row's lists differ; the row is then checked
+    # entry by entry, and its two mismatches come out in column order, each
+    # with both routes' values, while every other case still counts
+    spec = FieldSpec(7)
+    expected = check_field(spec)
+    row = (cartan.Parity.ODD, (3,))
+    a_kk = spec.element(3)
+    true_2, true_5 = cartan._row_walk(cartan.Parity.ODD, a_kk)([(2,), (5,)])
+
+    def wronged(route, column, shift):
+        def build(parity, a_kk):
+            answer = route(parity, a_kk)
+            if (parity, a_kk.coeffs) != row:
+                return answer
+
+            def answers(kjs):
+                out = answer(kjs)
+                out[column] = shift(out[column])
+                return out
+
+            return answers
+
+        return build
+
+    monkeypatch.setattr(selfcheck, "_row_walk", wronged(cartan._row_walk, 5, lambda m: m + 1))
+    monkeypatch.setattr(selfcheck, "_row_ladder",
+                        wronged(cartan._row_ladder, 2, lambda b: cartan.BValue(b.value + 2)))
+    report = check_field(spec)
+    assert report["mismatches"] == [
+        {"parity": "od", "a_kk": [3], "a_kj": [2], "closed": true_2 + 2, "recursive": true_2,
+         "ceiling": 13},
+        {"parity": "od", "a_kk": [3], "a_kj": [5], "closed": true_5, "recursive": true_5 + 1,
+         "ceiling": 13},
+    ]
+    assert report["failures"] == 2
+    assert report["cases"] == expected["cases"] == 2 * 7 ** 2
+    counts = dict(expected["b_counts"])
+    counts[true_2] -= 1
+    counts[true_5] -= 1
+    assert report["b_counts"] == [[b, n] for b, n in sorted(counts.items()) if n]
+
+
 def test_check_field_inverts_once_per_ladder_row_and_step(monkeypatch):
     # each ladder row with A_kk != 0 inverts one coordinate, and the zero
     # table inverts alpha_m at most once per step, once per parity
