@@ -13,7 +13,11 @@ vanishes.  Two independent routes compute it here:
 * ``b_closed`` evaluates a closed-form case ladder on (i_k, A_kk, A_kj):
   (i_k, A_kk) pick the row's rule once, in ``_row_ladder``, and the rule
   answers a list of A_kj at once.  ``b_closed`` asks it for one entry,
-  ``b_row`` for the row's distinct A_kj.
+  ``b_row`` for the whole row.
+
+Both routes answer in plain ints, with None for an infinite bound; only
+``_shared_bound``, called by ``b_closed`` and ``b_row``, turns a bound into
+a ``BValue``.
 
 The recursion only adds and scales by the integer m, so its step is written
 once, in ``_walk_coordinate``, on ints at every characteristic: over
@@ -139,11 +143,15 @@ class BValue(Frozen):
 #: The infinite bound.
 INFINITY = BValue(None)
 
-#: The ladder's finite bounds, shared: a ``BValue`` is immutable, so every
-#: row that reaches bound m can hand out one object, built once, unchecked:
-#: the ladder only asks for non-negative ints.  Bounds at large p or over Q
-#: have no upper limit, so the cache is bounded.
-_shared_bound = lru_cache(maxsize=1024)(BValue._trusted)
+
+@lru_cache(maxsize=1024)
+def _shared_bound(value: int | None) -> BValue:
+    """The ``BValue`` of a bound that a route answered as an int, or None for
+    infinity: the one place where a bound becomes a ``BValue``.  A ``BValue``
+    is immutable, so every entry with bound m can hand out one object, built
+    once, unchecked: the ladder answers only non-negative ints.  Bounds at
+    large p or over Q have no upper limit, so the cache is bounded."""
+    return INFINITY if value is None else BValue._trusted(value)
 
 
 class CartanDatum(Frozen):
@@ -424,10 +432,11 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *,
     return INFINITY
 
 
-def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], list[BValue]]:
+def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], list[int | None]]:
     """The closed-form case ladder of one row, i_k = ``parity`` and A_kk =
     ``a_kk``: a function from a list of A_kj coordinate tuples (laid out like
-    ``FieldElement.coeffs``) to the list of their B_kj, in the same order.
+    ``FieldElement.coeffs``) to the list of their B_kj as ints, in the same
+    order, with None for an infinite bound.
 
     One ladder serves every characteristic p (p = 0 for the rationals).
     With c the prime-field scalar such that A_kj = c * A_kk, when there is
@@ -450,8 +459,10 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], l
     (branches 1 and 2), even parity at p = 2 (branches 1 and 3), p > 0
     (branches 4 and 5) or p = 0.  Only the first two test A_kj = 0: in the
     others A_kj = 0 is c = 0, or m = 0 below, which branch 5 sends to 0.
-    Branch 5 writes its bound as t * (-s * c mod p), with s = 2, t = 1
-    (even) or s = 1, t = 2 (odd).
+    Branch 3 is one lookup in a dict of two keys, the zero tuple and A_kk;
+    branch 2 tests ``any`` instead, since over Q a lookup would hash
+    Fractions.  Branch 5 writes its bound as t * (-s * c mod p), with s = 2,
+    t = 1 (even) or s = 1, t = 2 (odd).
 
     At p > 0 the row fixes A_kk's first nonzero coordinate i, that
     coordinate's inverse mod p and the branch-4 bound.  GF(p) acts on the
@@ -465,39 +476,38 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], l
 
     At p = 0, A_kk = y/z and A_kj = u/v in lowest terms (v, z > 0), and
     m = -s * A_kj / A_kk = (-s*z*u) / (y*v), so one integer ``divmod``
-    decides it; no Fraction is built.  Finite bounds come from a bounded
-    cache and are shared between rows and calls.
+    decides it; no Fraction is built.
     """
     p, kk, even = a_kk.spec.characteristic, a_kk.coeffs, parity is Parity.EVEN
-    zero, (s, t) = _shared_bound(0), ((2, 1) if even else (1, 2))
+    s, t = (2, 1) if even else (1, 2)
     if not any(kk):                                 # branches 1 and 2
-        other = (_shared_bound(p - 1) if p else INFINITY) if even else _shared_bound(1)
-        return lambda kjs: [other if any(kj) else zero for kj in kjs]
+        other = (p - 1 if p else None) if even else 1
+        return lambda kjs: [other if any(kj) else 0 for kj in kjs]
     if even and p == 2:                             # branches 1 and 3
-        equal, unequal = _shared_bound(2), _shared_bound(3)
-        return lambda kjs: [(equal if kj == kk else unequal) if any(kj) else zero for kj in kjs]
+        bound_of = {(0,) * len(kk): 0, kk: 2}
+        return lambda kjs: list(map(bound_of.get, kjs, itertools.repeat(3)))
     if p == 0:
         # branch 5: m = u * top / (v * bottom); divmod leaves no remainder
         # exactly when the quotient is an integer, whatever the sign of the divisor
         y, z = kk[0].as_integer_ratio()
         top, bottom = -s * z, y
-        return lambda kjs: [INFINITY if rest or m < 0 else _shared_bound(t * m)
+        return lambda kjs: [None if rest or m < 0 else t * m
                             for u, v in (kj[0].as_integer_ratio() for kj in kjs)
                             for m, rest in [divmod(u * top, v * bottom)]]
     i = next(i for i, b in enumerate(kk) if b)      # branches 4 and 5
     inv = pow(kk[i], -1, p)
     if len(kk) == 1:
         ratio = -s * inv % p                        # -s * c = A_kj * ratio
-        return lambda kjs: [_shared_bound(t * (kj[0] * ratio % p)) for kj in kjs]
-    independent = _shared_bound(p - 1 if even else 2 * p - 1)
+        return lambda kjs: [t * (kj[0] * ratio % p) for kj in kjs]
+    independent = p - 1 if even else 2 * p - 1
 
-    def ratio_bounds(kjs: list[tuple]) -> list[BValue]:
+    def ratio_bounds(kjs: list[tuple]) -> list[int]:
         if p <= len(kjs):
             points = zip(*[[c * b % p for c in range(p)] for b in kk])
-            bound_of = dict(zip(points, [_shared_bound(t * (-s * c % p)) for c in range(p)]))
+            bound_of = dict(zip(points, [t * (-s * c % p) for c in range(p)]))
             return list(map(bound_of.get, kjs, itertools.repeat(independent)))
         return [independent if any((a - c * b) % p for a, b in zip(kj, kk))
-                else _shared_bound(t * (-s * c % p))
+                else t * (-s * c % p)
                 for kj in kjs for c in [kj[i] * inv % p]]
 
     return ratio_bounds
@@ -506,37 +516,24 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], l
 def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
     """The bound B_kj from the closed-form case ladder of row k
     (``_row_ladder``, whose docstring lists its branches), asked for a
-    one-entry list.  It reads power-basis coordinates and does no field
-    division."""
+    one-entry list, as a shared ``BValue``.  It reads power-basis
+    coordinates and does no field division."""
     parity, a_kk, a_kj = _pair(datum, k, j)
-    return _row_ladder(parity, a_kk)([a_kj.coeffs])[0]
-
-
-_COEFFS = operator.attrgetter("coeffs")
-_FIRST = operator.itemgetter(0)
-_RATIO = operator.methodcaller("as_integer_ratio")
+    return _shared_bound(_row_ladder(parity, a_kk)([a_kj.coeffs])[0])
 
 
 def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:
     """The bounds B_k1, ..., B_kn of row k, None at j = k.
 
     B_kj depends only on (i_k, A_kk, A_kj), and the first two are fixed along
-    row k, so the row's ladder is built once and asked once, for the list of
-    the row's distinct A_kj: at most q entries over GF(q).  Equal A_kj get
-    the same ``BValue`` object.
+    row k, so the row's ladder is built once and asked once, for the row's
+    n - 1 entries A_kj, j != k, in column order.  Each int it answers becomes
+    a ``BValue`` through ``_shared_bound``, so equal bounds are one object.
     """
     parity = datum.parity(k)        # IndexError outside [1, n]
     row = datum.entries[k - 1]
-    coeffs = list(map(_COEFFS, row))
-    del coeffs[k - 1]
-    # over GF(q) the coordinates are tuples of ints; over Q they hold a
-    # Fraction, whose hash computes a modular inverse, so the row is keyed
-    # on its integer pair (numerator, denominator) instead
-    keys = (coeffs if datum.spec.characteristic
-            else list(map(_RATIO, map(_FIRST, coeffs))))
-    distinct = dict(zip(keys, coeffs))
-    bounds = dict(zip(distinct, _row_ladder(parity, row[k - 1])(list(distinct.values()))))
-    out = list(map(bounds.__getitem__, keys))
+    kjs = [a.coeffs for j, a in enumerate(row, 1) if j != k]
+    out = list(map(_shared_bound, _row_ladder(parity, row[k - 1])(kjs)))
     out.insert(k - 1, None)
     return tuple(out)
 

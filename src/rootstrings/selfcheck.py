@@ -13,7 +13,6 @@ sweep is strong evidence both are implemented correctly.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 
 from .cartan import Parity, _last_step, _row_ladder, _row_walk
@@ -24,8 +23,6 @@ from .field import FieldSpec, _ben_or, _check_degree
 #: at 0.3 to 0.6 microseconds per case in process (CPython 3.11, 2-core
 #: x86_64), about 3 to 6 seconds.
 MAX_CASES = 10**7
-
-_VALUE = operator.attrgetter("value")
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
@@ -79,14 +76,14 @@ def check_field(spec: FieldSpec) -> dict:
 
     Each row (parity, A_kk) asks the closed-form ladder and the recursion's
     row of first zeros, ``_row_ladder`` and ``_row_walk``, once each, for
-    the list of every A_kj, and compares the two lists.  No datum is built
-    per case.  Returns a report dict with the case count, any failures, and
-    the distribution of bounds seen.  A row whose lists are equal and whose
-    largest bound is within ``bound_ceiling`` counts whole; any other row is
-    checked entry by entry, and a failure -- the routes disagree, or the
-    bound exceeds the ceiling -- records both routes' answers and the
-    ceiling.  A row that misses its guaranteed zero raises ConsistencyError
-    from ``_row_walk``.
+    the list of every A_kj, and compares the two lists of ints as they come.
+    No datum or ``BValue`` is built per case.  Returns a report dict with
+    the case count, any failures, and the distribution of bounds seen.  A
+    row whose lists are equal and whose largest bound is within
+    ``bound_ceiling`` counts whole; any other row is checked entry by entry,
+    and a failure -- the routes disagree, or the bound exceeds the ceiling
+    -- records both routes' answers and the ceiling.  A row that misses its
+    guaranteed zero raises ConsistencyError from ``_row_walk``.
     """
     p = spec.characteristic
     elements = list(spec.elements())
@@ -96,7 +93,7 @@ def check_field(spec: FieldSpec) -> dict:
     for parity in Parity:
         ceiling = bound_ceiling(p, parity)
         for a_kk in elements:
-            closed = list(map(_VALUE, _row_ladder(parity, a_kk)(coeffs)))
+            closed = _row_ladder(parity, a_kk)(coeffs)
             recursive = _row_walk(parity, a_kk)(coeffs)
             if closed == recursive and max(recursive) <= ceiling:
                 b_counts.update(recursive)
@@ -129,9 +126,11 @@ def run_selfcheck(primes: list[int], degrees: list[int]) -> dict:
     degree listed twice, for one that ``field_for`` or ``FieldSpec``
     refuses, or for a sweep of more than ``MAX_CASES`` cases.
     """
-    # a repeated value would only sweep the same fields again
+    # a repeated value would only sweep the same fields again; the first
+    # repeat in list order is named, found in one pass (set.add returns None)
     for name, values in (("prime", primes), ("degree", degrees)):
-        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        seen = set()
+        repeated = next((v for v in values if v in seen or seen.add(v)), None)
         if repeated is not None:
             raise ValueError(f"{name} {repeated} is listed more than once")
     # every prime, then every degree, is checked before the first modulus

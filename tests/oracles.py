@@ -10,7 +10,9 @@ builds argparse's parser from the CLI's flag table, which ``cli._parse``
 reads by its own code.  ``entry_ladder`` is the closed-form ladder in the
 per-entry form it had before ``cartan._row_ladder`` answered whole lists,
 kept verbatim, so the row form is checked against the code it replaced; it
-shares only the cache of ``BValue`` objects, ``cartan._shared_bound``.
+shares only ``cartan._shared_bound``, which turns an int bound into a
+``BValue``, and it still answers in ``BValue``s where the row form answers
+in ints, with None for infinity.
 """
 
 import argparse
@@ -77,8 +79,9 @@ def _remainder(f, g, p: int) -> list[int]:
 def entry_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]:
     """The closed-form case ladder of one row as a function of one A_kj's
     coordinates, one call per entry: ``cartan._row_ladder`` as it was before
-    it took a list, whose docstring lists the branches.  It tests
-    proportionality entry by entry and builds no table."""
+    it took a list and answered in ints, whose docstring lists the branches.
+    It tests proportionality entry by entry, builds no table, and answers a
+    ``BValue``, ``INFINITY`` for an infinite bound."""
     p, kk, even = a_kk.spec.characteristic, a_kk.coeffs, parity is Parity.EVEN
     zero = _shared_bound(0)
     if not any(kk):                                 # branches 1 and 2

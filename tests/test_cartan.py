@@ -79,7 +79,7 @@ def test_bvalue_rejects_non_bounds(bad):
 
 
 def test_public_bvalue_validates_while_the_ladder_shares_bounds():
-    # the ladder's shared bounds 1 and 0 are cached by value, and True == 1,
+    # the shared bounds 1 and 0 are cached by value, and True == 1,
     # 1.0 == 1; the public constructor must not hand those out
     datum = CartanDatum.build(GF3, [[0, 1, 0], [1, 0, 1], [2, 2, 2]], ["od", "ev", "ev"])
     assert b_table(datum)[0] == (None, BValue(1), BValue(0))
@@ -399,32 +399,31 @@ def count_ladders(monkeypatch):
 
 @pytest.mark.parametrize("spec", [GF3, GF9, Q], ids=str)
 def test_b_table_runs_the_ladder_at_most_q_times_per_row(spec, monkeypatch):
-    # one ladder per row, asked once for the row's distinct A_kj, j != k: at
-    # most q entries over GF(q)
+    # one ladder per row, built for the row's (i_k, A_kk) and asked once, for
+    # the row's n - 1 entries A_kj, j != k, in column order, repeats included
     n = 40
     datum = random_datum(spec, n, 3)
-    distinct = [len({a for j, a in enumerate(row) if j != k})
-                for k, row in enumerate(datum.entries)]
+    rows = [[a.coeffs for j, a in enumerate(row) if j != k]
+            for k, row in enumerate(datum.entries)]
     expected = b_table(datum)
     built, asked = count_ladders(monkeypatch)
     assert b_table(datum) == expected
     assert len(built) == len(asked) == n
-    assert [len(kjs) for kjs in asked] == distinct
-    assert all(len(set(kjs)) == len(kjs) for kjs in asked)
-    if spec.characteristic:
-        assert max(distinct) <= spec.order
+    assert built == [(datum.parities[k], datum.entries[k][k]) for k in range(n)]
+    assert asked == rows
+    assert any(len(set(kjs)) < len(kjs) for kjs in asked)  # repeats are asked as they come
     for k in range(1, n + 1):
         asked.clear()
         try:
             reflect(datum, k)
         except ReflectionUndefinedError:    # over Q, after the row's bounds
             pass
-        assert [len(kjs) for kjs in asked] == [distinct[k - 1]]
+        assert asked == [rows[k - 1]]
 
 
 def test_b_table_over_q_hashes_no_fraction(monkeypatch):
-    # a Fraction's hash computes a modular inverse; rows are keyed on the
-    # integer pair (numerator, denominator) instead
+    # a Fraction's hash computes a modular inverse; the ladder reads each
+    # entry's integer pair (numerator, denominator) and keys nothing on it
     datum = random_datum(Q, 30, 4)
     expected = tuple(
         tuple(None if k == j else b_closed(datum, k, j) for j in range(1, 31))
@@ -445,8 +444,8 @@ def test_b_table_over_q_hashes_no_fraction(monkeypatch):
 
 @pytest.mark.parametrize("spec", [GF9, GF101, Q], ids=str)
 def test_equal_entries_of_a_row_share_one_bound(spec):
-    # equal A_kj give one BValue object, and equal bounds across rows come
-    # from the ladder's shared cache
+    # equal bounds of a row, and across rows, are one BValue object, from
+    # the shared cache that b_row asks for each entry
     table = b_table(random_datum(spec, 40, 5))
     for row in table:
         assert len({id(b) for b in row}) == len(set(row))
@@ -503,7 +502,7 @@ def test_row_ladder_ratio_branch_at_characteristic_zero(x, y):
     a, b = Q.element(x), Q.element(y)
     c = a.rational / b.rational
     for parity, m, scale in [(Parity.EVEN, -2 * c, 1), (Parity.ODD, -c, 2)]:
-        expected = scale * int(m) if m.denominator == 1 and m >= 0 else INFINITY
+        expected = scale * int(m) if m.denominator == 1 and m >= 0 else None
         assert _row_ladder(parity, b)([a.coeffs]) == [expected]
 
 
@@ -511,6 +510,12 @@ def test_row_ladder_ratio_branch_at_characteristic_zero(x, y):
 
 GF1009 = FieldSpec(1009)
 GF1009_2 = FieldSpec(1009, 2, (998, 0, 1))     # t^2 - 11; 11 is not a square mod 1009
+
+
+def entry_values(parity, a_kk, kjs):
+    """``entry_ladder``'s bounds of ``kjs`` as the row ladder answers them:
+    ints, with None for infinity."""
+    return [b.value for b in map(entry_ladder(parity, a_kk), kjs)]
 
 
 @pytest.mark.parametrize("p,degree", [
@@ -524,7 +529,7 @@ def test_row_ladder_matches_the_entry_ladder_everywhere(p, degree):
     coeffs = [a.coeffs for a in elements]
     for parity in Parity:
         for a_kk in elements:
-            expected = list(map(entry_ladder(parity, a_kk), coeffs))
+            expected = entry_values(parity, a_kk, coeffs)
             ladder = _row_ladder(parity, a_kk)
             assert ladder(coeffs) == expected, (str(spec), parity, str(a_kk))
             assert [ladder([kj])[0] for kj in coeffs] == expected, (str(spec), parity, str(a_kk))
@@ -572,12 +577,12 @@ def test_row_ladder_matches_the_entry_ladder_on_drawn_rows(kind, data, parity):
     kk = data.draw(st.one_of(st.just(spec.zero().coeffs), nonzero))
     kjs = draw_row(data, spec, kk, p if kind == "small-p-long-rows" else 0)
     a_kk = FieldElement(spec, kk)
-    assert _row_ladder(parity, a_kk)(kjs) == list(map(entry_ladder(parity, a_kk), kjs))
+    assert _row_ladder(parity, a_kk)(kjs) == entry_values(parity, a_kk, kjs)
 
 
 class _Counted:
     """Patches ``cartan._shared_bound`` and ``cartan.dict`` to record each
-    bound asked for and the size of each dict built."""
+    ``BValue`` asked for and the size of each dict built."""
 
     def __init__(self, monkeypatch):
         self.bounds, self.keys = [], []
@@ -600,8 +605,8 @@ class _Counted:
 def test_a_row_ladder_does_work_bounded_by_its_row(spec, monkeypatch):
     # a row of 200 entries: at degree 1 nothing of size p is built at any p,
     # not even where p is smaller than the row; at degree 2 with p above the
-    # row's length, each entry is tested on its own; each entry asks for at
-    # most one bound, beside the one or two each ladder fixes when it is built
+    # row's length, each entry is tested on its own; the ladder answers in
+    # ints and asks for no BValue
     p, degree = spec.characteristic, spec.degree
     rng = random.Random(24)
     for parity in Parity:
@@ -611,34 +616,73 @@ def test_a_row_ladder_does_work_bounded_by_its_row(spec, monkeypatch):
         counted = _Counted(monkeypatch)
         bounds = _row_ladder(parity, FieldElement(spec, kk))(kjs)
         assert counted.keys == []
-        assert len(counted.bounds) <= len(kjs) + 2
+        assert counted.bounds == []
         monkeypatch.undo()
-        assert bounds == list(map(entry_ladder(parity, FieldElement(spec, kk)), kjs))
+        assert bounds == entry_values(parity, FieldElement(spec, kk), kjs)
 
 
 @pytest.mark.parametrize("spec", [GF125, GF9, FieldSpec(13, 2, (2, 0, 1))], ids=str)
 def test_a_row_of_at_least_p_entries_tabulates_the_p_points_once(spec, monkeypatch):
-    # one dict of p keys and one bound per key; the entries only look it up
+    # one dict of p keys, one int bound per key; the entries only look it
+    # up, and no BValue is asked for
     p, degree = spec.characteristic, spec.degree
     kk, elements = (1,) * degree, [a.coeffs for a in spec.elements()]
     for kjs in (elements[:p], elements):
         counted = _Counted(monkeypatch)
-        _row_ladder(Parity.ODD, FieldElement(spec, kk))(kjs)
+        bounds = _row_ladder(Parity.ODD, FieldElement(spec, kk))(kjs)
         assert counted.keys == [p]
-        assert len(counted.bounds) == p + 2
+        assert counted.bounds == []
         monkeypatch.undo()
+        assert len(bounds) == len(kjs) and all(type(b) is int for b in bounds)
+
+
+#: One row per rule of the ladder: its field, A_kk and A_kj entries.  Over
+#: GF(9) the row of nine entries reaches the p-point table, and over
+#: GF(1009^2) the row of twenty is shorter than p, so each entry is tested.
+RULE_ROWS = {
+    "a_kk-zero-Q": (Q, 0, [Fraction(n, 2) for n in range(-3, 4)]),
+    "a_kk-zero-GF5": (GF5, 0, list(range(5))),
+    "even-p-2": (GF4, [0, 1], [[a, b] for a in (0, 1) for b in (0, 1)]),
+    "rationals": (Q, Fraction(3, 2), [Fraction(n, 2) for n in range(-12, 13)]),
+    "degree-1": (GF7, 3, list(range(7))),
+    "table": (GF9, [1, 2], [[a, b] for a in range(3) for b in range(3)]),
+    "short-row": (GF1009_2, [1, 2], [[c, 2 * c] for c in range(10)] + [[c, 1] for c in range(10)]),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_ROWS)
+@pytest.mark.parametrize("parity", Parity, ids=str)
+def test_the_ladder_answers_ints_and_the_public_bounds_are_shared(rule, parity):
+    # every rule answers int, or None for infinity at p = 0 only; b_closed
+    # and b_table hand out the BValue of _shared_bound for that answer
+    spec, kk, kj_values = RULE_ROWS[rule]
+    a_kk, entries = spec.element(kk), [spec.element(v) for v in kj_values]
+    answers = _row_ladder(parity, a_kk)([a.coeffs for a in entries])
+    assert all(type(b) is int and b >= 0 or b is None and not spec.characteristic
+               for b in answers), answers
+    n, zero = len(entries) + 1, spec.zero()
+    rows = [[a_kk, *entries]] + [[zero] * n for _ in range(n - 1)]
+    datum = CartanDatum(spec, rows, (parity,) + (Parity.EVEN,) * (n - 1))
+    row = b_table(datum)[0]
+    assert row[0] is None
+    for j, b in enumerate(answers, 2):
+        assert row[j - 1] is b_closed(datum, 1, j) is cartan._shared_bound(b)
+        assert isinstance(row[j - 1], BValue) and row[j - 1].value == b
+    infinite = not spec.characteristic and (any(a_kk.coeffs) or parity is Parity.EVEN)
+    assert (None in answers) == (INFINITY in row) == infinite
 
 
 def test_b_table_over_a_13_digit_prime_builds_nothing_of_size_p(monkeypatch):
-    # each row builds the two dicts of b_row, at most one key per entry each
+    # no dict has more keys than the row has entries (at degree 1 none is
+    # built), and b_row asks for one BValue per entry, j != k
     spec = FieldSpec(9999999999971)
     n, rng = 30, random.Random(7)
     rows = [[rng.randrange(-50, 50) for _ in range(n)] for _ in range(n)]
     datum = CartanDatum.build(spec, rows, [rng.choice(["ev", "od"]) for _ in range(n)])
     counted = _Counted(monkeypatch)
     table = b_table(datum)
-    assert len(counted.keys) == 2 * n and max(counted.keys) <= n - 1
-    assert len(counted.bounds) <= n * (n - 1) + 2 * n
+    assert max(counted.keys, default=0) <= n - 1
+    assert len(counted.bounds) == n * (n - 1)
     monkeypatch.undo()
     assert table == tuple(tuple(None if k == j else b_closed(datum, k, j)
                                 for j in range(1, n + 1)) for k in range(1, n + 1))

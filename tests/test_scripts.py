@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +34,13 @@ def test_code_lines_total_is_the_sum_of_the_modules():
     assert set(counts) == modules
     assert all(int(n) > 0 for n in counts.values())
     assert total == sum(map(int, counts.values()))
+
+
+def test_each_mutant_names_text_found_once_in_the_current_source():
+    # the mutation run's list cannot drift from the code it mutates: each
+    # one-line substitution finds its text exactly once, and compiles
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    assert mutants.check(mutants.MUTANTS) == []

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 
@@ -181,7 +182,7 @@ def test_two_wronged_entries_of_one_row_are_reported_in_sweep_order(monkeypatch)
 
     monkeypatch.setattr(selfcheck, "_row_walk", wronged(cartan._row_walk, 5, lambda m: m + 1))
     monkeypatch.setattr(selfcheck, "_row_ladder",
-                        wronged(cartan._row_ladder, 2, lambda b: cartan.BValue(b.value + 2)))
+                        wronged(cartan._row_ladder, 2, lambda b: b + 2))
     report = check_field(spec)
     assert report["mismatches"] == [
         {"parity": "od", "a_kk": [3], "a_kj": [2], "closed": true_2 + 2, "recursive": true_2,
@@ -228,6 +229,9 @@ def test_check_field_inverts_once_per_ladder_row_and_step(monkeypatch):
     # search over that prime's extension begins
     ([10007], [2, 9], "extension degree 9 must lie in"),
     ([10007, 4], [2], "characteristic 4 must be 0 or a prime"),
+    # the first repeat in list order is named, and True repeats 1
+    ([5, 3, 7, 3, 5], [1], "^prime 3 is listed more than once$"),
+    ([1, True], [1], "^prime True is listed more than once$"),
 ])
 def test_repeated_prime_or_degree_refused_before_any_sweep(count_calls, primes, degrees, message):
     swept = count_calls(check_field)
@@ -235,6 +239,17 @@ def test_repeated_prime_or_degree_refused_before_any_sweep(count_calls, primes, 
     with pytest.raises(ValueError, match=message):
         run_selfcheck(primes, degrees)
     assert searched == []
+    assert swept == []
+
+
+def test_a_long_list_of_distinct_values_is_checked_for_repeats_in_one_pass(count_calls):
+    # 20,000 distinct values: a check that compares each value with every
+    # earlier one took seconds before refusing 4, the first value
+    swept = count_calls(check_field)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^characteristic 4 must be 0 or a prime"):
+        run_selfcheck(list(range(4, 20004)), [1])
+    assert time.perf_counter() - start < 1
     assert swept == []
 
 
