@@ -398,7 +398,7 @@ def count_ladders(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", [GF3, GF9, Q], ids=str)
-def test_b_table_runs_the_ladder_at_most_q_times_per_row(spec, monkeypatch):
+def test_b_table_asks_one_ladder_per_row_with_its_whole_row(spec, monkeypatch):
     # one ladder per row, built for the row's (i_k, A_kk) and asked once, for
     # the row's n - 1 entries A_kj, j != k, in column order, repeats included
     n = 40
