@@ -88,23 +88,27 @@ MUTANTS = [
            "if len(kk) == 1:", "if False:"),
     Mutant("degree-1-ratio-sign-flipped", CARTAN,
            "ratio = -s * inv % p", "ratio = s * inv % p"),
-    Mutant("c-from-the-last-nonzero-coordinate", CARTAN,
+    # any nonzero coordinate gives the same answers, but a short row's table
+    # has as many keys as the row has distinct values at that coordinate
+    Mutant("points-keyed-on-the-last-nonzero-coordinate", CARTAN,
            "i = next(i for i, b in enumerate(kk) if b)",
-           "i = max(i for i, b in enumerate(kk) if b)",
-           equivalent="if A_kj = c * A_kk, every nonzero coordinate of A_kk gives the same c, "
-                      "and if there is no such c the coordinate test fails whichever c is tried"),
-    Mutant("table-from-more-than-p-entries", CARTAN,
-           "if p <= len(kjs):", "if p < len(kjs):"),
-    Mutant("table-for-every-row", CARTAN,
-           "if p <= len(kjs):", "if True:"),
+           "i = max(i for i, b in enumerate(kk) if b)"),
+    Mutant("all-points-from-more-than-p-entries", CARTAN,
+           "p <= len(kjs)", "p < len(kjs)"),
+    Mutant("all-points-for-every-row", CARTAN,
+           "if p <= len(kjs)", "if True"),
+    Mutant("occurring-points-from-coordinate-0", CARTAN,
+           "{kj[i] for kj in kjs}", "{kj[0] for kj in kjs}"),
+    Mutant("points-without-the-inverse", CARTAN,
+           "x * inv * b % p", "x * b % p"),
     Mutant("table-without-its-default", CARTAN,
            "list(map(bound_of.get, kjs, itertools.repeat(independent)))",
            "list(map(bound_of.get, kjs))"),
     Mutant("table-sign-flipped", CARTAN,
-           "[t * (-s * c % p) for c in range(p)]", "[t * (s * c % p) for c in range(p)]"),
+           "[t * (x * ratio % p) for x in xs]", "[t * (-x * ratio % p) for x in xs]"),
     Mutant("table-columns-reversed", CARTAN,
-           "points = zip(*[[c * b % p for c in range(p)] for b in kk])",
-           "points = zip(*[[c * b % p for c in range(p)] for b in kk[::-1]])"),
+           "points = zip(*[[x * inv * b % p for x in xs] for b in kk])",
+           "points = zip(*[[x * inv * b % p for x in xs] for b in kk[::-1]])"),
     Mutant("b-row-keeps-the-diagonal", CARTAN,
            "enumerate(row, 1) if j != k]", "enumerate(row, 1)]"),
     # the recursion: one step on ints, its first-zero table and the row walk

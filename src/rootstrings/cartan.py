@@ -461,18 +461,22 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], l
     others A_kj = 0 is c = 0, or m = 0 below, which branch 5 sends to 0.
     Branch 3 is one lookup in a dict of two keys, the zero tuple and A_kk;
     branch 2 tests ``any`` instead, since over Q a lookup would hash
-    Fractions.  Branch 5 writes its bound as t * (-s * c mod p), with s = 2,
-    t = 1 (even) or s = 1, t = 2 (odd).
+    Fractions.  Branch 5's bound is t * (-s * c mod p), with s = 2, t = 1
+    (even) or s = 1, t = 2 (odd).
 
     At p > 0 the row fixes A_kk's first nonzero coordinate i, that
-    coordinate's inverse mod p and the branch-4 bound.  GF(p) acts on the
-    power basis coordinate-wise, so c is read off coordinate i of A_kj; no
-    field division happens.  At degree 1 every A_kj is c * A_kk, so the
-    list is one comprehension over its residues, with nothing of size p.
-    At degree > 1, a list of at least p entries first tabulates the row's
-    p points c * A_kk with their branch-5 bounds, and every entry is then
-    one lookup, the branch-4 bound where it misses; a shorter list checks
-    each entry's other coordinates against c.
+    coordinate's inverse mod p, ratio = -s * inv mod p and the branch-4
+    bound.  GF(p) acts on the power basis coordinate-wise, so if A_kj =
+    c * A_kk then c = x * inv, where x is A_kj's coordinate i, and branch 5
+    gives t * (x * ratio mod p); no field division happens.  At degree 1
+    every A_kj is c * A_kk, so the list is one comprehension over its
+    residues, with nothing of size p.  At degree > 1 the list tabulates the
+    points c * A_kk that it can hit, keyed on x, with their branch-5
+    bounds, and every entry is then one lookup, the branch-4 bound where it
+    misses.  A list of at least p entries tabulates all p points, which
+    spares it building the set of its x; a shorter one only those of the x
+    that occur in it, so the table never has more keys than the list has
+    entries.
 
     At p = 0, A_kk = y/z and A_kj = u/v in lowest terms (v, z > 0), and
     m = -s * A_kj / A_kk = (-s*z*u) / (y*v), so one integer ``divmod``
@@ -496,19 +500,16 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], l
                             for m, rest in [divmod(u * top, v * bottom)]]
     i = next(i for i, b in enumerate(kk) if b)      # branches 4 and 5
     inv = pow(kk[i], -1, p)
+    ratio = -s * inv % p                            # -s * c = x * ratio
     if len(kk) == 1:
-        ratio = -s * inv % p                        # -s * c = A_kj * ratio
         return lambda kjs: [t * (kj[0] * ratio % p) for kj in kjs]
     independent = p - 1 if even else 2 * p - 1
 
     def ratio_bounds(kjs: list[tuple]) -> list[int]:
-        if p <= len(kjs):
-            points = zip(*[[c * b % p for c in range(p)] for b in kk])
-            bound_of = dict(zip(points, [t * (-s * c % p) for c in range(p)]))
-            return list(map(bound_of.get, kjs, itertools.repeat(independent)))
-        return [independent if any((a - c * b) % p for a, b in zip(kj, kk))
-                else t * (-s * c % p)
-                for kj in kjs for c in [kj[i] * inv % p]]
+        xs = range(p) if p <= len(kjs) else {kj[i] for kj in kjs}
+        points = zip(*[[x * inv * b % p for x in xs] for b in kk])
+        bound_of = dict(zip(points, [t * (x * ratio % p) for x in xs]))
+        return list(map(bound_of.get, kjs, itertools.repeat(independent)))
 
     return ratio_bounds
 

@@ -33,6 +33,13 @@ GOLDEN_CASES = [
     ("wide_prime_table.json", ["table", "--input", "wide_prime.json"]),
     ("wide_prime_reflect.json", ["reflect", "--input", "wide_prime.json", "--k", "3"]),
     ("selfcheck_small.json", ["selfcheck", "--primes", "2,3", "--degrees", "1,2"]),
+    # the wider sweeps: degree 3 and p = 5, 7; degree 2 at p = 11, 13, whose
+    # rows of p^2 entries tabulate all p points; the modulus search at degree
+    # 8; and GF(3^5), the first odd-p field above degree 3
+    ("selfcheck_p2_3_5_7_d1_2_3.json", ["selfcheck", "--primes", "2,3,5,7", "--degrees", "1,2,3"]),
+    ("selfcheck_p11_13_d2.json", ["selfcheck", "--primes", "11,13", "--degrees", "2"]),
+    ("selfcheck_p2_d8.json", ["selfcheck", "--primes", "2", "--degrees", "8"]),
+    ("selfcheck_p3_d5.json", ["selfcheck", "--primes", "3", "--degrees", "5"]),
 ]
 
 

@@ -522,8 +522,8 @@ def entry_values(parity, a_kk, kjs):
     (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
     (3, 2), (5, 2), (3, 3), (2, 4), (2, 5)])
 def test_row_ladder_matches_the_entry_ladder_everywhere(p, degree):
-    # the whole row reaches the table at degree > 1, and each one-entry list,
-    # as b_closed asks it, the per-entry proportionality test
+    # at degree > 1 the whole row tabulates all p points c * A_kk, and each
+    # one-entry list, as b_closed asks it, only the point of its own entry
     spec = field_for(p, degree)
     elements = list(spec.elements())
     coeffs = [a.coeffs for a in elements]
@@ -535,10 +535,11 @@ def test_row_ladder_matches_the_entry_ladder_everywhere(p, degree):
             assert [ladder([kj])[0] for kj in coeffs] == expected, (str(spec), parity, str(a_kk))
 
 
-#: The fields of the drawn-row test, by the path of the ladder they reach:
+#: The fields of the drawn-row test, by the rule of the ladder they reach:
 #: degree 1 at a 13-digit prime; degree 2 at p near 1000, whose rows of at
-#: most 200 entries are shorter than p, so each entry is tested on its own;
-#: small p with rows of at least p entries, which reach the table; and Q.
+#: most 200 entries are shorter than p, so the table holds only the points
+#: of the coordinates that occur; small p with rows of at least p entries,
+#: which tabulate all p points; and Q.
 LADDER_FIELDS = {
     "13-digit-prime": [FieldSpec(9999999999971)],
     "p-near-1000-squared": [GF1009_2, FieldSpec(997, 2, (2, 0, 1))],
@@ -603,10 +604,11 @@ class _Counted:
 
 @pytest.mark.parametrize("spec", [FieldSpec(9999999999971), GF1009_2, FieldSpec(23)], ids=str)
 def test_a_row_ladder_does_work_bounded_by_its_row(spec, monkeypatch):
-    # a row of 200 entries: at degree 1 nothing of size p is built at any p,
-    # not even where p is smaller than the row; at degree 2 with p above the
-    # row's length, each entry is tested on its own; the ladder answers in
-    # ints and asks for no BValue
+    # a row of 200 entries: at degree 1 no dict is built at any p, not even
+    # where p is smaller than the row; at degree 2 with p above the row's
+    # length, one dict holds a point for each distinct coordinate i of the
+    # row, i being A_kk's first nonzero one, and nothing of size p; the
+    # ladder answers in ints and asks for no BValue
     p, degree = spec.characteristic, spec.degree
     rng = random.Random(24)
     for parity in Parity:
@@ -615,7 +617,8 @@ def test_a_row_ladder_does_work_bounded_by_its_row(spec, monkeypatch):
         kjs += [tuple(rng.randrange(p) * b % p for b in kk) for _ in range(100)]
         counted = _Counted(monkeypatch)
         bounds = _row_ladder(parity, FieldElement(spec, kk))(kjs)
-        assert counted.keys == []
+        i = next(i for i, b in enumerate(kk) if b)
+        assert counted.keys == ([] if degree == 1 else [len({kj[i] for kj in kjs})])
         assert counted.bounds == []
         monkeypatch.undo()
         assert bounds == entry_values(parity, FieldElement(spec, kk), kjs)
@@ -637,8 +640,9 @@ def test_a_row_of_at_least_p_entries_tabulates_the_p_points_once(spec, monkeypat
 
 
 #: One row per rule of the ladder: its field, A_kk and A_kj entries.  Over
-#: GF(9) the row of nine entries reaches the p-point table, and over
-#: GF(1009^2) the row of twenty is shorter than p, so each entry is tested.
+#: GF(9) the row of nine entries tabulates all p points, and over
+#: GF(1009^2) the row of twenty is shorter than p, so it tabulates only the
+#: points of the coordinates that occur in it.
 RULE_ROWS = {
     "a_kk-zero-Q": (Q, 0, [Fraction(n, 2) for n in range(-3, 4)]),
     "a_kk-zero-GF5": (GF5, 0, list(range(5))),
