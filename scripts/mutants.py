@@ -111,6 +111,12 @@ MUTANTS = [
            "points = zip(*[[x * inv * b % p for x in xs] for b in kk[::-1]])"),
     Mutant("b-row-keeps-the-diagonal", CARTAN,
            "enumerate(row, 1) if j != k]", "enumerate(row, 1)]"),
+    # b_recursive: its bound is the shared one, and a scan that misses at
+    # p = 0 is settled by the ladder
+    Mutant("scan-miss-refuses-an-infinite-bound", CARTAN,
+           "if closed is not None:", "if closed is None:"),
+    Mutant("b-recursive-answers-infinity", CARTAN,
+           "return _shared_bound(m)", "return _shared_bound(None)"),
     # the recursion: one step on ints, its first-zero table and the row walk
     Mutant("step-adds-a-kj", CARTAN,
            "d = sign * (d - c) % p if p else sign * (d - c)",

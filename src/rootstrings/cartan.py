@@ -11,26 +11,26 @@ vanishes.  Two independent routes compute it here:
 
 * ``b_recursive`` walks the sequence and returns the first zero, and
 * ``b_closed`` evaluates a closed-form case ladder on (i_k, A_kk, A_kj):
-  (i_k, A_kk) pick the row's rule once, in ``_row_ladder``, and the rule
-  answers a list of A_kj at once.  ``b_closed`` asks it for one entry,
-  ``b_row`` for the whole row.
+  one call of ``_row_ladder`` takes (i_k, A_kk) and a list of A_kj, picks
+  the row's rule once and returns the list of their bounds.  ``b_closed``
+  calls it with one entry, ``b_row`` with the whole row.
 
 Both routes answer in plain ints, with None for an infinite bound; only
-``_shared_bound``, called by ``b_closed`` and ``b_row``, turns a bound into
-a ``BValue``.
+``_shared_bound``, called by ``b_recursive``, ``b_closed`` and ``b_row``,
+turns a bound into a ``BValue``.
 
 The recursion only adds and scales by the integer m, so its step is written
 once, in ``_walk_coordinate``, on ints at every characteristic: over
 GF(p^k) each power-basis coordinate walks on its own, reduced mod p, and
 over Q the walk yields L * d_m, where L is the lcm of the denominators of
 A_kj and A_kk, an int that vanishes exactly when d_m does.  For
-``selfcheck``'s exhaustive sweeps, ``_row_walk`` answers a row at a time:
+``selfcheck``'s exhaustive sweeps, ``_row_walk`` answers a row in one call:
 over GF(p^k) d_m = alpha_m * A_kj + beta_m * A_kk, where alpha_m and beta_m
 depend only on p and the parity, so ``_zero_table`` walks the same step
 once per (p, parity) and records where A_kj = c * A_kk first vanishes for
-each c in GF(p); each row then builds one dict of p keys, in O(p * k), and
-maps its list of A_kj through it.  ``selfcheck`` asks both routes once per
-row and compares the two lists.
+each c in GF(p); each call then builds one dict of p keys, in O(p * k), and
+maps the row's list of A_kj through it.  ``selfcheck`` calls both routes
+once per row and compares the two lists.
 
 In positive characteristic the sequence is guaranteed to vanish by
 m = 2p - 1, so every bound is finite; in characteristic 0 the bound can be
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache, total_ordering
 
@@ -278,8 +278,8 @@ def _scale(a_kj: FieldElement, a_kk: FieldElement) -> int:
     return math.lcm(*(x.denominator for x in a_kj.coeffs + a_kk.coeffs))
 
 
-def _walk(a_kj: FieldElement, a_kk: FieldElement,
-          parity: Parity) -> Iterator[tuple[int, ...]]:
+def _walk(parity: Parity, a_kk: FieldElement,
+          a_kj: FieldElement) -> Iterator[tuple[int, ...]]:
     """L * d_0, L * d_1, ... as int coordinate tuples laid out like
     ``FieldElement.coeffs``, without building field elements; L is
     ``_scale``, 1 at p > 0.
@@ -309,18 +309,19 @@ def _missed_zero(parity: Parity, a_kk: FieldElement, a_kj: FieldElement) -> Cons
         f"(i_k, A_kk, A_kj) = ({parity.value}, {a_kk}, {a_kj})")
 
 
-def _first_zero(a_kj: FieldElement, a_kk: FieldElement, parity: Parity,
+def _first_zero(parity: Parity, a_kk: FieldElement, a_kj: FieldElement,
                 scan_cap: int = DEFAULT_SCAN_CAP) -> int | None:
     """The first m >= 0 with d_m = 0 on ``_walk``, one triple at a time.
 
     In characteristic p > 0 the walk stops at ``_last_step`` and a miss
     raises ``_missed_zero``; ``scan_cap`` is not read.  In characteristic 0
     the walk stops at m = ``scan_cap`` and a miss returns None.  It is the
-    oracle of ``_row_walk``, which settles a whole row from one table.
+    walk that ``b_recursive``, and so ``bkj``, runs, and the test oracle of
+    ``_row_walk``, which settles a whole row from one table.
     """
     p = a_kk.spec.characteristic
     last = _last_step(p) if p else scan_cap
-    steps = itertools.islice(_walk(a_kj, a_kk, parity), last + 1)
+    steps = itertools.islice(_walk(parity, a_kk, a_kj), last + 1)
     try:
         return operator.indexOf(map(any, steps), False)
     except ValueError:
@@ -356,11 +357,11 @@ def _zero_table(sign: int, p: int) -> tuple[dict[int, int], int | None, int | No
     return dict(reversed(first.items())), stop, flat
 
 
-def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], list[int]]:
+def _row_walk(parity: Parity, a_kk: FieldElement, kjs: list[tuple]) -> list[int]:
     """The recursion of one row, i_k = ``parity`` and A_kk = ``a_kk`` at p > 0:
-    a function from a list of A_kj coordinate tuples (laid out like
-    ``FieldElement.coeffs``) to the list, in the same order, of the first
-    m >= 0 with d_m = 0 for each.
+    the list, in the order of ``kjs``, of the first m >= 0 with d_m = 0 for
+    each A_kj coordinate tuple of ``kjs`` (laid out like
+    ``FieldElement.coeffs``).
 
     The recursion is GF(p)-linear in A_kj and A_kk, so d_m = alpha_m * A_kj
     + beta_m * A_kk, and ``_zero_table`` holds where it first vanishes.  If
@@ -378,15 +379,11 @@ def _row_walk(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], lis
     first, stop, flat = _zero_table(parity.sign, p)
     zero_of = dict(zip(zip(*[[c * b % p for c in first] for b in kk]), first.values()))
     rest = stop if any(kk) else flat
-
-    def first_zeros(kjs: list[tuple]) -> list[int]:
-        zeros = list(map(zero_of.get, kjs, itertools.repeat(rest)))
-        if rest is None and None in zeros:      # the dict's values are ints
-            kj = kjs[zeros.index(None)]
-            raise _missed_zero(parity, a_kk, FieldElement._trusted(a_kk.spec, kj))
-        return zeros
-
-    return first_zeros
+    zeros = list(map(zero_of.get, kjs, itertools.repeat(rest)))
+    if rest is None and None in zeros:      # the dict's values are ints
+        kj = kjs[zeros.index(None)]
+        raise _missed_zero(parity, a_kk, FieldElement._trusted(a_kk.spec, kj))
+    return zeros
 
 
 def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
@@ -400,7 +397,7 @@ def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
     if last < -1:
         raise ValueError("last index must be >= -1")
     spec = datum.spec
-    walk = itertools.islice(_walk(a_kj, a_kk, parity), last + 1)
+    walk = itertools.islice(_walk(parity, a_kk, a_kj), last + 1)
     if not spec.characteristic:
         scale, fraction = _scale(a_kj, a_kk), _fraction()
         walk = ((fraction(d, scale),) for d, in walk)
@@ -414,29 +411,29 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *,
 
     ``_first_zero`` decides how far to walk: to the guaranteed zero at
     p > 0, and to ``scan_cap`` in characteristic 0.  There a scan that comes
-    up empty cannot certify infinity on its own, so the closed form then
-    decides between an infinite bound and a too-small cap.  The walk runs on
-    int coordinates and builds no field element per step.  A negative
-    cap is refused at every characteristic.
+    up empty cannot certify infinity on its own, so the row's ladder, asked
+    for this one entry, then decides between an infinite bound and a
+    too-small cap.  The walk runs on int coordinates and builds no field
+    element per step, and the bound is the shared ``BValue`` of
+    ``_shared_bound``.  A negative cap is refused at every characteristic.
     """
     parity, a_kk, a_kj = _pair(datum, k, j)
     if scan_cap < 0:
         raise ValueError("scan cap must be >= 0")
-    m = _first_zero(a_kj, a_kk, parity, scan_cap)
-    if m is not None:
-        return BValue(m)
-    closed = b_closed(datum, k, j)
-    if closed.is_finite:
-        raise ValueError(f"scan cap {scan_cap} is below the closed-form bound {closed}; "
-                         "raise scan_cap (--max-m on the command line)")
-    return INFINITY
+    m = _first_zero(parity, a_kk, a_kj, scan_cap)
+    if m is None:
+        closed = _row_ladder(parity, a_kk, [a_kj.coeffs])[0]
+        if closed is not None:
+            raise ValueError(f"scan cap {scan_cap} is below the closed-form bound {closed}; "
+                             "raise scan_cap (--max-m on the command line)")
+    return _shared_bound(m)
 
 
-def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], list[int | None]]:
+def _row_ladder(parity: Parity, a_kk: FieldElement, kjs: list[tuple]) -> list[int | None]:
     """The closed-form case ladder of one row, i_k = ``parity`` and A_kk =
-    ``a_kk``: a function from a list of A_kj coordinate tuples (laid out like
-    ``FieldElement.coeffs``) to the list of their B_kj as ints, in the same
-    order, with None for an infinite bound.
+    ``a_kk``: the list, in the order of ``kjs``, of B_kj as ints for each
+    A_kj coordinate tuple of ``kjs`` (laid out like ``FieldElement.coeffs``),
+    with None for an infinite bound.
 
     One ladder serves every characteristic p (p = 0 for the rationals).
     With c the prime-field scalar such that A_kj = c * A_kk, when there is
@@ -455,7 +452,7 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], l
     must be a non-negative integer, and otherwise the bound is infinite.
     Branch 4 never fires at p = 0, where every ratio is rational.
 
-    The rule is chosen here, once per row, from the row's facts: A_kk = 0
+    The rule is chosen once per call, from the row's facts: A_kk = 0
     (branches 1 and 2), even parity at p = 2 (branches 1 and 3), p > 0
     (branches 4 and 5) or p = 0.  Only the first two test A_kj = 0: in the
     others A_kj = 0 is c = 0, or m = 0 below, which branch 5 sends to 0.
@@ -486,55 +483,51 @@ def _row_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[list[tuple]], l
     s, t = (2, 1) if even else (1, 2)
     if not any(kk):                                 # branches 1 and 2
         other = (p - 1 if p else None) if even else 1
-        return lambda kjs: [other if any(kj) else 0 for kj in kjs]
+        return [other if any(kj) else 0 for kj in kjs]
     if even and p == 2:                             # branches 1 and 3
         bound_of = {(0,) * len(kk): 0, kk: 2}
-        return lambda kjs: list(map(bound_of.get, kjs, itertools.repeat(3)))
+        return list(map(bound_of.get, kjs, itertools.repeat(3)))
     if p == 0:
         # branch 5: m = u * top / (v * bottom); divmod leaves no remainder
         # exactly when the quotient is an integer, whatever the sign of the divisor
         y, z = kk[0].as_integer_ratio()
         top, bottom = -s * z, y
-        return lambda kjs: [None if rest or m < 0 else t * m
-                            for u, v in (kj[0].as_integer_ratio() for kj in kjs)
-                            for m, rest in [divmod(u * top, v * bottom)]]
+        return [None if rest or m < 0 else t * m
+                for u, v in (kj[0].as_integer_ratio() for kj in kjs)
+                for m, rest in [divmod(u * top, v * bottom)]]
     i = next(i for i, b in enumerate(kk) if b)      # branches 4 and 5
     inv = pow(kk[i], -1, p)
     ratio = -s * inv % p                            # -s * c = x * ratio
     if len(kk) == 1:
-        return lambda kjs: [t * (kj[0] * ratio % p) for kj in kjs]
+        return [t * (kj[0] * ratio % p) for kj in kjs]
     independent = p - 1 if even else 2 * p - 1
-
-    def ratio_bounds(kjs: list[tuple]) -> list[int]:
-        xs = range(p) if p <= len(kjs) else {kj[i] for kj in kjs}
-        points = zip(*[[x * inv * b % p for x in xs] for b in kk])
-        bound_of = dict(zip(points, [t * (x * ratio % p) for x in xs]))
-        return list(map(bound_of.get, kjs, itertools.repeat(independent)))
-
-    return ratio_bounds
+    xs = range(p) if p <= len(kjs) else {kj[i] for kj in kjs}
+    points = zip(*[[x * inv * b % p for x in xs] for b in kk])
+    bound_of = dict(zip(points, [t * (x * ratio % p) for x in xs]))
+    return list(map(bound_of.get, kjs, itertools.repeat(independent)))
 
 
 def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
     """The bound B_kj from the closed-form case ladder of row k
-    (``_row_ladder``, whose docstring lists its branches), asked for a
+    (``_row_ladder``, whose docstring lists its branches), called with a
     one-entry list, as a shared ``BValue``.  It reads power-basis
     coordinates and does no field division."""
     parity, a_kk, a_kj = _pair(datum, k, j)
-    return _shared_bound(_row_ladder(parity, a_kk)([a_kj.coeffs])[0])
+    return _shared_bound(_row_ladder(parity, a_kk, [a_kj.coeffs])[0])
 
 
 def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:
     """The bounds B_k1, ..., B_kn of row k, None at j = k.
 
     B_kj depends only on (i_k, A_kk, A_kj), and the first two are fixed along
-    row k, so the row's ladder is built once and asked once, for the row's
-    n - 1 entries A_kj, j != k, in column order.  Each int it answers becomes
-    a ``BValue`` through ``_shared_bound``, so equal bounds are one object.
+    row k, so the row's ladder is called once, with the row's n - 1 entries
+    A_kj, j != k, in column order.  Each int it answers becomes a
+    ``BValue`` through ``_shared_bound``, so equal bounds are one object.
     """
     parity = datum.parity(k)        # IndexError outside [1, n]
     row = datum.entries[k - 1]
     kjs = [a.coeffs for j, a in enumerate(row, 1) if j != k]
-    out = list(map(_shared_bound, _row_ladder(parity, row[k - 1])(kjs)))
+    out = list(map(_shared_bound, _row_ladder(parity, row[k - 1], kjs)))
     out.insert(k - 1, None)
     return tuple(out)
 

@@ -5,7 +5,7 @@ For a chosen set of finite fields this sweeps every rank-2 configuration
 checks that the closed-form bound matches the value found by scanning the
 d-sequence.  Both routes work a row (parity, diagonal entry) at a time: one
 closed-form ladder and one row of the recursion's first zeros per row, each
-asked once for the list of every off-diagonal entry, and the two lists are
+one call with the list of every off-diagonal entry, and the two lists are
 compared.  Any disagreement would falsify one of the two routes, so a clean
 sweep is strong evidence both are implemented correctly.
 """
@@ -74,8 +74,8 @@ def check_field(spec: FieldSpec) -> dict:
     """Sweep all (parity, A_kk, A_kj) cases over one field: parity varies
     slowest, then A_kk, then A_kj, each in ``spec.elements()`` order.
 
-    Each row (parity, A_kk) asks the closed-form ladder and the recursion's
-    row of first zeros, ``_row_ladder`` and ``_row_walk``, once each, for
+    Each row (parity, A_kk) calls the closed-form ladder and the recursion's
+    row of first zeros, ``_row_ladder`` and ``_row_walk``, once each, with
     the list of every A_kj, and compares the two lists of ints as they come.
     No datum or ``BValue`` is built per case.  Returns a report dict with
     the case count, any failures, and the distribution of bounds seen.  A
@@ -93,8 +93,8 @@ def check_field(spec: FieldSpec) -> dict:
     for parity in Parity:
         ceiling = bound_ceiling(p, parity)
         for a_kk in elements:
-            closed = _row_ladder(parity, a_kk)(coeffs)
-            recursive = _row_walk(parity, a_kk)(coeffs)
+            closed = _row_ladder(parity, a_kk, coeffs)
+            recursive = _row_walk(parity, a_kk, coeffs)
             if closed == recursive and max(recursive) <= ceiling:
                 b_counts.update(recursive)
                 continue

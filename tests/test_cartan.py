@@ -379,37 +379,33 @@ def test_b_table_matches_b_recursive_entry_by_entry(spec, n, seed):
 
 
 def count_ladders(monkeypatch):
-    """Wrap the row ladder; returns the lists of ladders built (their parity
-    and A_kk) and of the lists each was asked for (A_kj's coordinates)."""
-    built, asked = [], []
+    """Wrap the row ladder; returns the lists of rows it was called for
+    (their parity and A_kk) and of the lists each call was given (A_kj's
+    coordinates)."""
+    called, asked = [], []
 
-    def counting(parity, a_kk):
-        built.append((parity, a_kk))
-        ladder = _row_ladder(parity, a_kk)
-
-        def evaluate(kjs):
-            asked.append(list(kjs))
-            return ladder(kjs)
-
-        return evaluate
+    def counting(parity, a_kk, kjs):
+        called.append((parity, a_kk))
+        asked.append(list(kjs))
+        return _row_ladder(parity, a_kk, kjs)
 
     monkeypatch.setattr("rootstrings.cartan._row_ladder", counting)
-    return built, asked
+    return called, asked
 
 
 @pytest.mark.parametrize("spec", [GF3, GF9, Q], ids=str)
 def test_b_table_asks_one_ladder_per_row_with_its_whole_row(spec, monkeypatch):
-    # one ladder per row, built for the row's (i_k, A_kk) and asked once, for
-    # the row's n - 1 entries A_kj, j != k, in column order, repeats included
+    # one ladder call per row, with the row's (i_k, A_kk) and the list of
+    # its n - 1 entries A_kj, j != k, in column order, repeats included
     n = 40
     datum = random_datum(spec, n, 3)
     rows = [[a.coeffs for j, a in enumerate(row) if j != k]
             for k, row in enumerate(datum.entries)]
     expected = b_table(datum)
-    built, asked = count_ladders(monkeypatch)
+    called, asked = count_ladders(monkeypatch)
     assert b_table(datum) == expected
-    assert len(built) == len(asked) == n
-    assert built == [(datum.parities[k], datum.entries[k][k]) for k in range(n)]
+    assert len(called) == len(asked) == n
+    assert called == [(datum.parities[k], datum.entries[k][k]) for k in range(n)]
     assert asked == rows
     assert any(len(set(kjs)) < len(kjs) for kjs in asked)  # repeats are asked as they come
     for k in range(1, n + 1):
@@ -489,7 +485,7 @@ def test_row_ladder_ratio_branch_matches_division(spec):
     elems = list(spec.elements())
     coeffs = [x.coeffs for x in elems]
     for y in elems[1:]:
-        bounds = {parity: _row_ladder(parity, y)(coeffs) for parity in Parity}
+        bounds = {parity: _row_ladder(parity, y, coeffs) for parity in Parity}
         for x, odd, even in zip(elems, bounds[Parity.ODD], bounds[Parity.EVEN]):
             c = (x / y).in_prime_subfield()
             assert odd == (2 * p - 1 if c is None else 2 * (-c % p)), (str(x), str(y))
@@ -503,7 +499,7 @@ def test_row_ladder_ratio_branch_at_characteristic_zero(x, y):
     c = a.rational / b.rational
     for parity, m, scale in [(Parity.EVEN, -2 * c, 1), (Parity.ODD, -c, 2)]:
         expected = scale * int(m) if m.denominator == 1 and m >= 0 else None
-        assert _row_ladder(parity, b)([a.coeffs]) == [expected]
+        assert _row_ladder(parity, b, [a.coeffs]) == [expected]
 
 
 # --- the row ladder against the per-entry ladder ------------------------------
@@ -530,9 +526,9 @@ def test_row_ladder_matches_the_entry_ladder_everywhere(p, degree):
     for parity in Parity:
         for a_kk in elements:
             expected = entry_values(parity, a_kk, coeffs)
-            ladder = _row_ladder(parity, a_kk)
-            assert ladder(coeffs) == expected, (str(spec), parity, str(a_kk))
-            assert [ladder([kj])[0] for kj in coeffs] == expected, (str(spec), parity, str(a_kk))
+            assert _row_ladder(parity, a_kk, coeffs) == expected, (str(spec), parity, str(a_kk))
+            one_by_one = [_row_ladder(parity, a_kk, [kj])[0] for kj in coeffs]
+            assert one_by_one == expected, (str(spec), parity, str(a_kk))
 
 
 #: The fields of the drawn-row test, by the rule of the ladder they reach:
@@ -578,7 +574,7 @@ def test_row_ladder_matches_the_entry_ladder_on_drawn_rows(kind, data, parity):
     kk = data.draw(st.one_of(st.just(spec.zero().coeffs), nonzero))
     kjs = draw_row(data, spec, kk, p if kind == "small-p-long-rows" else 0)
     a_kk = FieldElement(spec, kk)
-    assert _row_ladder(parity, a_kk)(kjs) == entry_values(parity, a_kk, kjs)
+    assert _row_ladder(parity, a_kk, kjs) == entry_values(parity, a_kk, kjs)
 
 
 class _Counted:
@@ -616,7 +612,7 @@ def test_a_row_ladder_does_work_bounded_by_its_row(spec, monkeypatch):
         kjs = [tuple(rng.randrange(p) for _ in range(degree)) for _ in range(100)]
         kjs += [tuple(rng.randrange(p) * b % p for b in kk) for _ in range(100)]
         counted = _Counted(monkeypatch)
-        bounds = _row_ladder(parity, FieldElement(spec, kk))(kjs)
+        bounds = _row_ladder(parity, FieldElement(spec, kk), kjs)
         i = next(i for i, b in enumerate(kk) if b)
         assert counted.keys == ([] if degree == 1 else [len({kj[i] for kj in kjs})])
         assert counted.bounds == []
@@ -632,7 +628,7 @@ def test_a_row_of_at_least_p_entries_tabulates_the_p_points_once(spec, monkeypat
     kk, elements = (1,) * degree, [a.coeffs for a in spec.elements()]
     for kjs in (elements[:p], elements):
         counted = _Counted(monkeypatch)
-        bounds = _row_ladder(Parity.ODD, FieldElement(spec, kk))(kjs)
+        bounds = _row_ladder(Parity.ODD, FieldElement(spec, kk), kjs)
         assert counted.keys == [p]
         assert counted.bounds == []
         monkeypatch.undo()
@@ -657,11 +653,12 @@ RULE_ROWS = {
 @pytest.mark.parametrize("rule", RULE_ROWS)
 @pytest.mark.parametrize("parity", Parity, ids=str)
 def test_the_ladder_answers_ints_and_the_public_bounds_are_shared(rule, parity):
-    # every rule answers int, or None for infinity at p = 0 only; b_closed
-    # and b_table hand out the BValue of _shared_bound for that answer
+    # every rule answers int, or None for infinity at p = 0 only; b_closed,
+    # b_table and b_recursive hand out the BValue of _shared_bound for that
+    # answer (every finite one here is below the default scan cap)
     spec, kk, kj_values = RULE_ROWS[rule]
     a_kk, entries = spec.element(kk), [spec.element(v) for v in kj_values]
-    answers = _row_ladder(parity, a_kk)([a.coeffs for a in entries])
+    answers = _row_ladder(parity, a_kk, [a.coeffs for a in entries])
     assert all(type(b) is int and b >= 0 or b is None and not spec.characteristic
                for b in answers), answers
     n, zero = len(entries) + 1, spec.zero()
@@ -671,6 +668,7 @@ def test_the_ladder_answers_ints_and_the_public_bounds_are_shared(rule, parity):
     assert row[0] is None
     for j, b in enumerate(answers, 2):
         assert row[j - 1] is b_closed(datum, 1, j) is cartan._shared_bound(b)
+        assert b_recursive(datum, 1, j) is row[j - 1]
         assert isinstance(row[j - 1], BValue) and row[j - 1].value == b
     infinite = not spec.characteristic and (any(a_kk.coeffs) or parity is Parity.EVEN)
     assert (None in answers) == (INFINITY in row) == infinite
@@ -755,9 +753,9 @@ def test_integer_walk_over_q_matches_the_fraction_walk(pair, parity, cap):
     datum = pair_datum(Q, a_kk, a_kj, parity)
     expected = list(itertools.islice(fraction_walk(a_kj, a_kk, parity), cap + 1))
     zero = next((m for m, d in enumerate(expected) if d == 0), None)
-    assert _first_zero(datum.entry(1, 2), datum.entry(1, 1), parity, cap) == zero
+    assert _first_zero(parity, datum.entry(1, 1), datum.entry(1, 2), cap) == zero
     assert [d.rational for d in d_sequence(datum, 1, 2, cap).values[1:]] == expected
-    steps = itertools.islice(_walk(datum.entry(1, 2), datum.entry(1, 1), parity), cap + 1)
+    steps = itertools.islice(_walk(parity, datum.entry(1, 1), datum.entry(1, 2)), cap + 1)
     assert all(type(c) is int for step in steps for c in step)
 
 
@@ -781,8 +779,8 @@ def test_row_walk_matches_first_zero_everywhere(p, degree):
     coeffs = [a_kj.coeffs for a_kj in elements]
     for parity in Parity:
         for a_kk in elements:
-            assert (_row_walk(parity, a_kk)(coeffs)
-                    == [_first_zero(a_kj, a_kk, parity) for a_kj in elements]), \
+            assert (_row_walk(parity, a_kk, coeffs)
+                    == [_first_zero(parity, a_kk, a_kj) for a_kj in elements]), \
                 (str(spec), parity, str(a_kk))
 
 
@@ -819,8 +817,8 @@ def test_row_walk_matches_first_zero_on_random_triples(data, spec, parity):
     multiples = st.integers(0, p - 1).map(lambda c: tuple(c * b % p for b in kk))
     kjs = data.draw(st.lists(st.one_of(multiples, coords), min_size=1, max_size=6))
     a_kk = FieldElement(spec, kk)
-    assert (_row_walk(parity, a_kk)(kjs)
-            == [_first_zero(FieldElement(spec, kj), a_kk, parity) for kj in kjs])
+    assert (_row_walk(parity, a_kk, kjs)
+            == [_first_zero(parity, a_kk, FieldElement(spec, kj)) for kj in kjs])
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -444,7 +444,7 @@ def test_route_disagreement_exits_2(run_cli, monkeypatch):
 def test_selfcheck_mismatch_exits_2(run_cli, monkeypatch):
     # the recursion finds d_0 = 0 everywhere
     monkeypatch.setattr(rootstrings.selfcheck, "_row_walk",
-                        lambda parity, a_kk: lambda kjs: [0] * len(kjs))
+                        lambda parity, a_kk, kjs: [0] * len(kjs))
     code, out, _ = run_cli("selfcheck", "--primes", "2", "--degrees", "1")
     assert code == 2
     report = json.loads(out)
@@ -457,9 +457,9 @@ def test_selfcheck_ceiling_violation_exits_2(run_cli, monkeypatch):
     # both routes agree, on a bound above every ceiling of the field
     too_big = lambda a_kk: 2 * a_kk.spec.characteristic
     monkeypatch.setattr(rootstrings.selfcheck, "_row_ladder",
-                        lambda parity, a_kk: lambda kjs: [too_big(a_kk)] * len(kjs))
+                        lambda parity, a_kk, kjs: [too_big(a_kk)] * len(kjs))
     monkeypatch.setattr(rootstrings.selfcheck, "_row_walk",
-                        lambda parity, a_kk: lambda kjs: [too_big(a_kk)] * len(kjs))
+                        lambda parity, a_kk, kjs: [too_big(a_kk)] * len(kjs))
     code, out, _ = run_cli("selfcheck", "--primes", "2", "--degrees", "1")
     assert code == 2
     report = json.loads(out)

@@ -95,9 +95,9 @@ def test_check_field_builds_one_ladder_per_row_and_no_datum(spec, monkeypatch):
     expected = check_field(spec)
     ladders = []
 
-    def counting_ladder(parity, a_kk):
+    def counting_ladder(parity, a_kk, kjs):
         ladders.append((parity, a_kk.coeffs))
-        return cartan._row_ladder(parity, a_kk)
+        return cartan._row_ladder(parity, a_kk, kjs)
 
     data = []
     original = CartanDatum.__post_init__
@@ -125,7 +125,7 @@ def test_check_field_builds_one_row_walk_per_row_and_walks_no_triple(spec, count
 def test_a_walk_that_misses_its_zero_raises(monkeypatch):
     # no step of the faulty walk vanishes; _first_zero decides that the zero
     # guaranteed by m = 2p - 1 is missing
-    monkeypatch.setattr(cartan, "_walk", lambda a_kj, a_kk, parity: itertools.repeat((1,)))
+    monkeypatch.setattr(cartan, "_walk", lambda parity, a_kk, a_kj: itertools.repeat((1,)))
     datum = cartan.pair_datum(FieldSpec(3), 2, 1, cartan.Parity.ODD)
     with pytest.raises(ConsistencyError, match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(od, 2, 1\)"):
         cartan.b_recursive(datum, 1, 2)
@@ -163,22 +163,16 @@ def test_two_wronged_entries_of_one_row_are_reported_in_sweep_order(monkeypatch)
     expected = check_field(spec)
     row = (cartan.Parity.ODD, (3,))
     a_kk = spec.element(3)
-    true_2, true_5 = cartan._row_walk(cartan.Parity.ODD, a_kk)([(2,), (5,)])
+    true_2, true_5 = cartan._row_walk(cartan.Parity.ODD, a_kk, [(2,), (5,)])
 
     def wronged(route, column, shift):
-        def build(parity, a_kk):
-            answer = route(parity, a_kk)
-            if (parity, a_kk.coeffs) != row:
-                return answer
-
-            def answers(kjs):
-                out = answer(kjs)
+        def answers(parity, a_kk, kjs):
+            out = route(parity, a_kk, kjs)
+            if (parity, a_kk.coeffs) == row:
                 out[column] = shift(out[column])
-                return out
+            return out
 
-            return answers
-
-        return build
+        return answers
 
     monkeypatch.setattr(selfcheck, "_row_walk", wronged(cartan._row_walk, 5, lambda m: m + 1))
     monkeypatch.setattr(selfcheck, "_row_ladder",
