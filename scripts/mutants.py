@@ -134,6 +134,8 @@ MUTANTS = [
            "math.prod(x.denominator for x in a_kj.coeffs + a_kk.coeffs)",
            equivalent="any common multiple L of the denominators makes L * A_kj and L * A_kk "
                       "ints, and L * d_m vanishes where d_m does"),
+    Mutant("zero-test-of-one-coordinate", CARTAN,
+           "(0,) * len(a_kk.coeffs)", "(0,)"),
     Mutant("d-sequence-not-divided", CARTAN,
            "fraction(d, scale)", "fraction(d, 1)"),
     Mutant("zero-table-walks-swapped", CARTAN,

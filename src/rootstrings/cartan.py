@@ -287,9 +287,9 @@ def _walk(parity: Parity, a_kk: FieldElement,
     The recursion only adds and scales by the integer m, and GF(p) acts
     coordinate-wise in the power basis, so each coordinate walks on its own.
     At p = 0 the walk runs on L * A_kj and L * A_kk, so every step is the
-    int L * d_m, which vanishes exactly when d_m does.  As for a field
-    element, a step is zero when no coordinate is nonzero.  The iterator
-    never ends.
+    int L * d_m, which vanishes exactly when d_m does.  So a step is zero
+    exactly when it equals the zero tuple of its length, at every
+    characteristic.  The iterator never ends.
     """
     p, sign, scale = a_kk.spec.characteristic, parity.sign, _scale(a_kj, a_kk)
     return zip(*(_walk_coordinate(int(a * scale), int(c * scale), sign, p)
@@ -311,7 +311,8 @@ def _missed_zero(parity: Parity, a_kk: FieldElement, a_kj: FieldElement) -> Cons
 
 def _first_zero(parity: Parity, a_kk: FieldElement, a_kj: FieldElement,
                 scan_cap: int = DEFAULT_SCAN_CAP) -> int | None:
-    """The first m >= 0 with d_m = 0 on ``_walk``, one triple at a time.
+    """The first m >= 0 with d_m = 0 on ``_walk``, one triple at a time: the
+    first step equal to the zero tuple, one tuple comparison per step.
 
     In characteristic p > 0 the walk stops at ``_last_step`` and a miss
     raises ``_missed_zero``; ``scan_cap`` is not read.  In characteristic 0
@@ -323,7 +324,7 @@ def _first_zero(parity: Parity, a_kk: FieldElement, a_kj: FieldElement,
     last = _last_step(p) if p else scan_cap
     steps = itertools.islice(_walk(parity, a_kk, a_kj), last + 1)
     try:
-        return operator.indexOf(map(any, steps), False)
+        return operator.indexOf(steps, (0,) * len(a_kk.coeffs))
     except ValueError:
         if p:
             raise _missed_zero(parity, a_kk, a_kj) from None

@@ -768,6 +768,49 @@ def test_q_walk_to_a_cap_of_a_million_is_quick():
     assert time.perf_counter() - start < 1.5
 
 
+# --- the zero test: a step is zero when it equals the zero tuple ----------------
+
+def test_first_zero_waits_for_every_coordinate_to_vanish():
+    # over GF(3^2) = GF(3)[t]/(t^2 + 1), the even row A_kk = 0, A_kj = t walks
+    # d_m = -(m + 1) * t, whose coordinate 0 vanishes at every step
+    t = GF9.element([0, 1])
+    steps = list(itertools.islice(_walk(Parity.EVEN, GF9.zero(), t), 3))
+    assert steps == [(0, 2), (0, 1), (0, 0)]
+    assert _first_zero(Parity.EVEN, GF9.zero(), t) == 2
+    assert _first_zero(Parity.ODD, GF9.zero(), t) == 1
+
+
+@st.composite
+def walk_triples(draw):
+    """(parity, A_kk, A_kj) over GF(p) with p < 100, over GF(p^2) or GF(p^3)
+    with p in {2, 3, 5, 7}, or over Q as in ``rational_pairs``; a finite
+    field's coordinates are 0 half the time, so that some vanish early."""
+    parity = draw(st.sampled_from(Parity))
+    kind = draw(st.sampled_from(["prime", "extension", "rational"]))
+    if kind == "rational":
+        a_kk, a_kj = draw(rational_pairs())
+        return parity, Q.element(a_kk), Q.element(a_kj)
+    if kind == "prime":
+        spec = FieldSpec(draw(st.sampled_from([p for p in range(2, 100) if is_prime(p)])))
+    else:
+        spec = field_for(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(2, 3)))
+    p = spec.characteristic
+    coords = st.lists(st.one_of(st.just(0), st.integers(0, p - 1)),
+                      min_size=spec.degree, max_size=spec.degree)
+    return parity, spec.element(draw(coords)), spec.element(draw(coords))
+
+
+@settings(max_examples=300)
+@given(triple=walk_triples(), cap=st.integers(0, 300))
+def test_first_zero_is_the_first_step_with_no_nonzero_coordinate(triple, cap):
+    parity, a_kk, a_kj = triple
+    p = a_kk.spec.characteristic
+    steps = itertools.islice(_walk(parity, a_kk, a_kj), 2 * p if p else cap + 1)
+    zero = next((m for m, step in enumerate(steps) if not any(step)), None)
+    assert zero is not None or not p
+    assert _first_zero(parity, a_kk, a_kj, cap) == zero
+
+
 # --- the row walk against the per-triple walk ---------------------------------
 
 @pytest.mark.parametrize("p,degree", [
