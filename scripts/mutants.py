@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Mutation run over the two routes to a bound: show that the tests notice a
-wrong branch or a wrong step.
+"""Mutation run over the two routes to a bound and the field's powers: show
+that the tests notice a wrong branch or a wrong step.
 
 Each mutant is a named one-line text substitution in one source file: the
-closed-form ladder and the recursion of ``cartan.py``, and the places of
-``selfcheck.py`` that compare the two routes and bound the sweep.  Each runs
-in its own temporary copy of the repository: first ``tests/test_cartan.py``
-and ``tests/test_selfcheck.py`` under ``-x``, and, if those pass, the whole
-suite under ``-x``.  A mutant is killed when a test fails (or the run passes
-its time limit).  A mutant that survives the whole suite must carry a
-written reason why it is equivalent to the source; an equivalent mutant
-that gets killed means its reason is wrong.  Either exits 1, as does a
-mutant whose text no longer occurs exactly once or that does not compile.
+closed-form ladder and the recursion of ``cartan.py``, the places of
+``selfcheck.py`` that compare the two routes and bound the sweep, and the
+square-and-multiply of ``field.py`` with the powers and Ben-Or's test that
+use it.  Each runs in its own temporary copy of the repository: first the
+test files that ``FIRST_TESTS`` names for the mutated file under ``-x``,
+and, if those pass, the whole suite under ``-x``.  A mutant is killed when a
+test fails (or the run passes its time limit).  A mutant that survives the
+whole suite must carry a written reason why it is equivalent to the source;
+an equivalent mutant that gets killed means its reason is wrong.  Either
+exits 1, as does a mutant whose text no longer occurs exactly once or that
+does not compile.
 
     python3 scripts/mutants.py
 
@@ -35,7 +37,6 @@ ROOT = Path(__file__).resolve().parent.parent
 #: scripts and the benchmark modules that some tests load.
 COPIED = ("src", "tests", "scripts", "bench", "pyproject.toml")
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
-FIRST_TESTS = ("tests/test_cartan.py", "tests/test_selfcheck.py")
 #: The test that each mutant's text occurs once in the source: a mutated
 #: copy fails it by construction, so the runs leave it out.
 DRIFT_TEST = "tests/test_scripts.py::test_each_mutant_names_text_found_once_in_the_current_source"
@@ -45,6 +46,14 @@ TIME_LIMIT = 120
 
 CARTAN = "src/rootstrings/cartan.py"
 SELFCHECK = "src/rootstrings/selfcheck.py"
+FIELD = "src/rootstrings/field.py"
+#: The tests that run first against a mutant of each file, the quickest to
+#: kill one.
+FIRST_TESTS = {
+    CARTAN: ("tests/test_cartan.py", "tests/test_selfcheck.py"),
+    SELFCHECK: ("tests/test_cartan.py", "tests/test_selfcheck.py"),
+    FIELD: ("tests/test_field.py", "tests/test_gf_oracle.py"),
+}
 
 
 class Mutant(NamedTuple):
@@ -171,19 +180,43 @@ MUTANTS = [
            "if cases > MAX_CASES:", "if cases >= MAX_CASES:"),
     Mutant("case-limit-counts-q", SELFCHECK,
            "characteristic ** (2 * d)", "characteristic ** d"),
+    # field: the one square-and-multiply, the powers and Ben-Or's test.
+    # _poly_mod's p - 2 is left alone: p - 1 hangs the gcd loop until the
+    # time limit
+    Mutant("pow-repeats-the-leading-bit", FIELD,
+           "for bit in bin(e)[3:]:", "for bit in bin(e)[2:]:"),
+    Mutant("pow-multiplies-on-zero-bits", FIELD,
+           'if bit == "1":', 'if bit == "0":'),
+    Mutant("pow-0-is-the-base", FIELD,
+           "h = list(base) if e else [1]", "h = list(base)"),
+    Mutant("negative-power-mod-q-2", FIELD,
+           "exponent %= spec.order - 1", "exponent %= spec.order - 2"),
+    Mutant("zero-to-a-negative-power-allowed", FIELD,
+           "if exponent < 0 and not self:", "if False:"),
+    Mutant("prime-field-power-mod-1", FIELD,
+           "p or None", "p or 1"),
+    Mutant("ben-or-one-round-short", FIELD,
+           "range((len(coeffs) - 1) // 2)", "range((len(coeffs) - 1) // 2 - 1)"),
+    Mutant("ben-or-tests-h-plus-x", FIELD,
+           "b[1] = (b[1] - 1) % p", "b[1] = (b[1] + 1) % p"),
+    Mutant("ben-or-accepts-a-linear-gcd", FIELD,
+           "if len(a) > 1:", "if len(a) > 2:"),
 ]
 
 
 def check(mutants) -> list[str]:
     """What is wrong with the list itself: a repeated name, a substitution
-    that spans lines or changes nothing, a text that does not occur exactly
-    once in its file, a mutated file that does not compile."""
+    that spans lines or changes nothing, a file without ``FIRST_TESTS``, a
+    text that does not occur exactly once in its file, a mutated file that
+    does not compile."""
     problems = []
     names = [m.name for m in mutants]
     problems += [f"{n}: name listed more than once" for n in sorted(set(names)) if names.count(n) > 1]
     for m in mutants:
         source = (ROOT / m.path).read_text(encoding="utf-8")
-        if "\n" in m.old or "\n" in m.new or m.old == m.new:
+        if m.path not in FIRST_TESTS:
+            problems.append(f"{m.name}: no first tests for {m.path}")
+        elif "\n" in m.old or "\n" in m.new or m.old == m.new:
             problems.append(f"{m.name}: not a one-line substitution")
         elif source.count(m.old) != 1:
             problems.append(f"{m.name}: text occurs {source.count(m.old)} times in {m.path}")
@@ -228,7 +261,7 @@ def run(mutant: Mutant) -> tuple[str | None, float]:
         target = tree / mutant.path
         target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
                           encoding="utf-8")
-        killer = first_failure(tree, *FIRST_TESTS) or first_failure(tree)
+        killer = first_failure(tree, *FIRST_TESTS[mutant.path]) or first_failure(tree)
     return killer, time.perf_counter() - start
 
 

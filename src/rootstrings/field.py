@@ -135,6 +135,19 @@ def check_irreducible(modulus: Sequence[int], p: int) -> bool:
     return _ben_or(coeffs, p)
 
 
+def _poly_pow(base: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
+    """base^e mod modulus over GF(p), for e >= 0 and a base already reduced
+    mod the modulus, by square-and-multiply from the leading bit of e: it
+    starts at base, not at 1, so it makes no product for that bit.  The only
+    exponentiation of the module, for ``__pow__`` at degree > 1 and Ben-Or."""
+    h = list(base) if e else [1]
+    for bit in bin(e)[3:]:
+        h = _poly_mod(_poly_mul(h, h, p), modulus, p)
+        if bit == "1":
+            h = _poly_mod(_poly_mul(h, base, p), modulus, p)
+    return h
+
+
 def _ben_or(coeffs: Sequence[int], p: int) -> bool:
     """Ben-Or's test (Ben-Or, FOCS 1981) for a modulus whose facts are
     already decided: p prime, int coefficients reduced mod p, low degree
@@ -142,15 +155,11 @@ def _ben_or(coeffs: Sequence[int], p: int) -> bool:
     irreducibles whose degree divides i, and a reducible f of degree k has
     an irreducible factor of degree at most k/2, so f is irreducible exactly
     when gcd(f, x^(p^i) - x) = 1 for i = 1, ..., k/2.  Each x^(p^i) mod f
-    is the previous one raised to the p-th power by square-and-multiply:
-    about k/2 * log2(p) products modulo f in all."""
+    is the previous one raised to the p-th power by ``_poly_pow``: about
+    k/2 * log2(p) products modulo f in all."""
     h = [0, 1]
     for _ in range((len(coeffs) - 1) // 2):
-        base = h
-        for bit in bin(p)[3:]:
-            h = _poly_mod(_poly_mul(h, h, p), coeffs, p)
-            if bit == "1":
-                h = _poly_mod(_poly_mul(h, base, p), coeffs, p)
+        h = _poly_pow(h, p, coeffs, p)
         b = h + [0] * (2 - len(h))      # h - x differs from h only at x^1
         b[1] = (b[1] - 1) % p
         a, b = coeffs, _trimmed(b)
@@ -350,17 +359,10 @@ class FieldElement(Frozen):
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse; zero raises ZeroDivisionError.  Over GF(q),
-        q = p^k with k > 1, it is x^(q-2), since x^(q-1) = 1 (Lagrange),
-        through ``__pow__`` and so through the one multiplication."""
-        if not self:
-            raise ZeroDivisionError(f"division by zero in {self.spec}")
-        spec = self.spec
-        p = spec.characteristic
-        if spec.degree == 1:
-            c = self.coeffs[0]
-            return _reduced(spec, (pow(c, -1, p) if p else 1 / c,))
-        return self ** (spec.order - 2)
+        """Multiplicative inverse, ``self ** -1``; zero raises
+        ZeroDivisionError.  Over GF(q), q = p^k with k > 1, it is x^(q-2),
+        since x^(q-1) = 1 (Lagrange)."""
+        return self ** -1
 
     @_coerced
     def __truediv__(self, other):
@@ -371,19 +373,22 @@ class FieldElement(Frozen):
         return other * self.inverse()
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
+        """self^exponent for an int exponent; x^0 is one, zero included, and
+        zero to a negative power raises ZeroDivisionError.  GF(p) and Q use
+        the built-in ``pow``.  At degree > 1 a negative exponent is first
+        reduced mod q - 1, since x^(q-1) = 1 (Lagrange), and ``_poly_pow``
+        raises the coordinates."""
+        if not _is_int(exponent):
             return NotImplemented
+        spec = self.spec
+        p = spec.characteristic
+        if exponent < 0 and not self:
+            raise ZeroDivisionError(f"division by zero in {spec}")
+        if spec.degree == 1:
+            return _reduced(spec, (pow(self.coeffs[0], exponent, p or None),))
         if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.spec.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            exponent %= spec.order - 1
+        return _reduced(spec, _poly_pow(self.coeffs, exponent, spec.modulus, p))
 
     def in_prime_subfield(self) -> int | None:
         """The residue when this element lies in GF(p) inside GF(p^k), else None.

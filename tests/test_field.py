@@ -1,5 +1,7 @@
+import functools
 import itertools
 import operator
+import re
 import time
 from fractions import Fraction
 
@@ -294,14 +296,22 @@ def test_inverses_and_division(spec):
         assert a / a == one
 
 
-@pytest.mark.parametrize("spec", [GF5, GF4, GF9])
+@pytest.mark.parametrize("spec", [GF5, GF4, GF9, GF125, GF256])
 def test_lagrange_power_identities(spec):
     q = spec.order
     for a in spec.elements():
+        assert a**0 == spec.one()
         assert a**q == a
         if a:
             assert a ** (q - 1) == spec.one()
             assert a**-1 == a.inverse()
+
+
+@pytest.mark.parametrize("spec", [GF2, GF7, Q, GF9, GF256], ids=str)
+@pytest.mark.parametrize("e", [1, 2, 255])
+def test_zero_to_a_negative_power_divides_by_zero(spec, e):
+    with pytest.raises(ZeroDivisionError, match=rf"^division by zero in {re.escape(str(spec))}$"):
+        spec.zero() ** -e
 
 
 def test_integer_operands_coerce_in_arithmetic():
@@ -464,3 +474,12 @@ def _elements_of(spec):
 def test_integer_scaling_matches_field_product(spec, data, n):
     x = data.draw(_elements_of(spec))
     assert n * x == spec.element(n) * x == x * n
+
+
+@given(st.sampled_from([GF2, GF3, GF7, FieldSpec(1000003), Q]).flatmap(_elements_of),
+       st.integers(0, 40))
+def test_prime_and_rational_powers_are_repeated_products(x, e):
+    one = x.spec.one()
+    assert x**e == functools.reduce(operator.mul, itertools.repeat(x, e), one)
+    if x:
+        assert x**-e * x**e == one

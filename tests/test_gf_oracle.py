@@ -98,3 +98,15 @@ def test_inverse_agrees_with_gf_fermat_power(data, spec):
     # a^(q - 2) = a^(-1) in the multiplicative group of order q - 1
     assert spec.element(a).inverse().coeffs == padded(gf._powmod(a, q - 2, spec.modulus, p),
                                                       spec.degree)
+
+
+@oracle_settings
+@given(data=st.data(), spec=extension_fields())
+def test_power_agrees_with_gf_powmod(data, spec):
+    a = data.draw(residues(spec))
+    p, q = spec.characteristic, spec.order
+    e = data.draw(st.integers(0, 3 * q))
+    x = spec.element(a)
+    assert (x**e).coeffs == padded(gf._powmod(a, e, spec.modulus, p), spec.degree)
+    if x:
+        assert x**-e * x**e == spec.one()

@@ -38,7 +38,8 @@ def test_code_lines_total_is_the_sum_of_the_modules():
 
 def test_each_mutant_names_text_found_once_in_the_current_source():
     # the mutation run's list cannot drift from the code it mutates: each
-    # one-line substitution finds its text exactly once, and compiles
+    # one-line substitution finds its text exactly once, and compiles, and
+    # each mutated file has tests to run first against it
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
