@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Mutation run over the two routes to a bound and the field's powers: show
-that the tests notice a wrong branch or a wrong step.
+"""Mutation run over the two routes to a bound, the field's powers, the
+document parser and the table report: show that the tests notice a wrong
+branch, a wrong step or a wrong entry.
 
 Each mutant is a named one-line text substitution in one source file: the
 closed-form ladder and the recursion of ``cartan.py``, the places of
-``selfcheck.py`` that compare the two routes and bound the sweep, and the
+``selfcheck.py`` that compare the two routes and bound the sweep, the
 square-and-multiply of ``field.py`` with the powers and Ben-Or's test that
-use it.  Each runs in its own temporary copy of the repository: first the
-test files that ``FIRST_TESTS`` names for the mutated file under ``-x``,
-and, if those pass, the whole suite under ``-x``.  A mutant is killed when a
+use it, and its coercion of a Fraction, the entry memo and the rational
+entries of ``cartanfile.py``, and the rows that ``cli.py`` writes for
+``table``.  Each runs in its own
+temporary copy of the repository: first the test files that
+``FIRST_TESTS`` names for the mutated file under ``-x``, and, if those
+pass, the whole suite under ``-x``.  A mutant is killed when a
 test fails (or the run passes its time limit).  A mutant that survives the
 whole suite must carry a written reason why it is equivalent to the source;
 an equivalent mutant that gets killed means its reason is wrong.  Either
@@ -47,12 +51,16 @@ TIME_LIMIT = 120
 CARTAN = "src/rootstrings/cartan.py"
 SELFCHECK = "src/rootstrings/selfcheck.py"
 FIELD = "src/rootstrings/field.py"
+CARTANFILE = "src/rootstrings/cartanfile.py"
+CLI = "src/rootstrings/cli.py"
 #: The tests that run first against a mutant of each file, the quickest to
 #: kill one.
 FIRST_TESTS = {
     CARTAN: ("tests/test_cartan.py", "tests/test_selfcheck.py"),
     SELFCHECK: ("tests/test_cartan.py", "tests/test_selfcheck.py"),
     FIELD: ("tests/test_field.py", "tests/test_gf_oracle.py"),
+    CARTANFILE: ("tests/test_cartanfile.py",),
+    CLI: ("tests/test_cli.py",),
 }
 
 
@@ -119,7 +127,9 @@ MUTANTS = [
            "points = zip(*[[x * inv * b % p for x in xs] for b in kk])",
            "points = zip(*[[x * inv * b % p for x in xs] for b in kk[::-1]])"),
     Mutant("b-row-keeps-the-diagonal", CARTAN,
-           "enumerate(row, 1) if j != k]", "enumerate(row, 1)]"),
+           "del kjs[k - 1]", "del kjs[k - 1:k - 1]"),
+    Mutant("b-row-diagonal-one-column-right", CARTAN,
+           "out.insert(k - 1, None)", "out.insert(k, None)"),
     # b_recursive: its bound is the shared one, and a scan that misses at
     # p = 0 is settled by the ladder
     Mutant("scan-miss-refuses-an-infinite-bound", CARTAN,
@@ -180,6 +190,27 @@ MUTANTS = [
            "if cases > MAX_CASES:", "if cases >= MAX_CASES:"),
     Mutant("case-limit-counts-q", SELFCHECK,
            "characteristic ** (2 * d)", "characteristic ** d"),
+    # cartanfile: the memo's one kind of key per document, and the rational
+    # entries
+    Mutant("by-value-keys-admit-bool", CARTANFILE,
+           "if types <= {int, str}:", "if types <= {int, str, bool}:"),
+    Mutant("list-keys-read-a-bool-coordinate-as-an-int", CARTANFILE,
+           "<= {int}):", "<= {int, bool}):"),
+    # same answers, but a document of int lists must build no repr
+    Mutant("int-list-keys-as-repr", CARTANFILE,
+           "key = tuple", "key = repr"),
+    Mutant("rational-integer-string-halved", CARTANFILE,
+           "int(den or 1)", "int(den or 2)"),
+    Mutant("rational-numerator-abs", CARTANFILE,
+           "int(num), ", "abs(int(num)), "),
+    # cli: the table report's "inf" and its diagonal null
+    Mutant("table-drops-inf", CLI,
+           "if None in row:", "if False:"),
+    Mutant("table-diagonal-one-column-right", CLI,
+           "row.insert(k - 1, None)", "row.insert(k, None)"),
+    # field: a Fraction enters the rationals as it is
+    Mutant("element-rebuilds-a-fraction", FIELD,
+           "(value if type(value) is fraction else fraction(value),)", "(fraction(value),)"),
     # field: the one square-and-multiply, the powers and Ben-Or's test.
     # _poly_mod's p - 2 is left alone: p - 1 hangs the gcd loop until the
     # time limit

@@ -17,7 +17,8 @@ vanishes.  Two independent routes compute it here:
 
 Both routes answer in plain ints, with None for an infinite bound; only
 ``_shared_bound``, called by ``b_recursive``, ``b_closed`` and ``b_row``,
-turns a bound into a ``BValue``.
+turns a bound into a ``BValue``.  The ``table`` report writes the ints of
+``_row_ints``, the one ladder call per row that ``b_row`` wraps.
 
 The recursion only adds and scales by the integer m, so its step is written
 once, in ``_walk_coordinate``, on ints at every characteristic: over
@@ -517,18 +518,28 @@ def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
     return _shared_bound(_row_ladder(parity, a_kk, [a_kj.coeffs])[0])
 
 
-def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:
-    """The bounds B_k1, ..., B_kn of row k, None at j = k.
+def _row_ints(datum: CartanDatum, k: int) -> list[int | None]:
+    """The bounds B_kj, j != k, of row k in column order, as the row's
+    ladder answers them: ints, None for an infinite bound.
 
     B_kj depends only on (i_k, A_kk, A_kj), and the first two are fixed along
-    row k, so the row's ladder is called once, with the row's n - 1 entries
-    A_kj, j != k, in column order.  Each int it answers becomes a
-    ``BValue`` through ``_shared_bound``, so equal bounds are one object.
+    row k, so the ladder is called once, with the row's n - 1 entries A_kj.
+    ``b_row`` and ``table`` both read a row from here.
     """
     parity = datum.parity(k)        # IndexError outside [1, n]
     row = datum.entries[k - 1]
-    kjs = [a.coeffs for j, a in enumerate(row, 1) if j != k]
-    out = list(map(_shared_bound, _row_ladder(parity, row[k - 1], kjs)))
+    kjs = list(map(operator.attrgetter("coeffs"), row))
+    del kjs[k - 1]
+    return _row_ladder(parity, row[k - 1], kjs)
+
+
+def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:
+    """The bounds B_k1, ..., B_kn of row k, None at j = k.
+
+    Each int of ``_row_ints`` becomes a ``BValue`` through ``_shared_bound``,
+    so equal bounds are one object.
+    """
+    out = list(map(_shared_bound, _row_ints(datum, k)))
     out.insert(k - 1, None)
     return tuple(out)
 

@@ -30,15 +30,14 @@ from __future__ import annotations
 import json
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .cartan import BValue, CartanDatum, Parity
 from .field import FieldElement, FieldSpec, FieldSpecError, _fraction
 
 _TOP_KEYS = {"characteristic", "extension", "matrix", "parities"}
-#: Rows whose entries all have one of these exact types are memoised by value.
-_BY_VALUE = {int, str}
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class CartanFileError(ValueError):
@@ -97,27 +96,36 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
                 "bad-parity", f'parity {i + 1} must be "ev" or "od", got {label!r}')
         parsed_parities.append(Parity(label))
 
-    # A matrix holds few distinct values, so each is parsed once.  A row of
-    # exact ints and strings is memoised by value: no int equals a str, and
-    # the bools and floats that equal some int (True, 1.0) send their row
-    # down the other path.  Any other row is memoised on repr, which tells 1,
-    # 1.0 and True apart, and [1, 2] from [1, 2.0], although they compare
-    # equal.  The two memos stay apart, because a string can equal a repr
-    # ("1" is the repr of 1).  Only successes are remembered, and new values
-    # are parsed in column order, so the first bad entry is still the one named.
-    by_value: dict = {}
-    by_repr: dict = {}
+    # A matrix holds few distinct values, so each is parsed once, in one memo
+    # with one kind of key per document.  If every entry has the exact type
+    # int or str, an entry is its own key: no int equals a str, and the bools
+    # and floats that equal some int (True, 1.0) have neither type.  If every
+    # entry is a list of exact ints, its key is its tuple.  Any other document
+    # keys each entry on its repr, which tells 1, 1.0 and True apart, and
+    # [1, 2] from [1, 2.0].  With one kind of key, no two entries that parse
+    # differently share a key: the string "[0, 1]" and the list [0, 1] meet
+    # only under repr keys, where the string's key keeps its quotes.  Only
+    # successes are remembered, and a row's missing values are parsed in
+    # column order, so the first bad entry is still the one named.
+    types = set(map(type, chain.from_iterable(matrix)))
+    if types <= {int, str}:
+        key = None
+    elif (types == {list}
+          and set(map(type, chain.from_iterable(chain.from_iterable(matrix)))) <= {int}):
+        key = tuple
+    else:
+        key = repr
+    memo: dict = {}
     entries = []
     for r, row in enumerate(matrix, 1):
-        if set(map(type, row)) <= _BY_VALUE:
-            keys, memo = row, by_value
-        else:
-            keys, memo = list(map(repr, row)), by_repr
-        if set(keys).difference(memo):
-            for c, (key, value) in enumerate(zip(keys, row), 1):
-                if key not in memo:
-                    memo[key] = _parse_entry(spec, value, strict, r, c)
-        entries.append(tuple(map(memo.__getitem__, keys)))
+        keys = row if key is None else list(map(key, row))
+        try:
+            entries.append(tuple(map(memo.__getitem__, keys)))
+        except KeyError:
+            for c, (cell, value) in enumerate(zip(keys, row), 1):
+                if cell not in memo:
+                    memo[cell] = _parse_entry(spec, value, strict, r, c)
+            entries.append(tuple(map(memo.__getitem__, keys)))
     # every entry came from spec.element, so the datum skips re-checking them
     return CartanDatum._trusted(spec, tuple(entries), tuple(parsed_parities))
 
@@ -144,28 +152,32 @@ def _parse_field(characteristic, extension) -> FieldSpec:
 def _parse_entry(spec: FieldSpec, value, strict: bool, row: int, col: int) -> FieldElement:
     # The file format adds rational strings at characteristic 0, lists only as
     # the 1..k coordinates of an extension-field element, and strict mode;
-    # FieldSpec.element decides everything else.
-    where = f"entry ({row}, {col})"
+    # FieldSpec.element decides everything else.  The entry's place is
+    # formatted only in an error.
     p, k = spec.characteristic, spec.degree
-    if p == 0 and isinstance(value, str) and _RATIONAL.fullmatch(value):
-        # Fraction alone would also read decimals and exponents, and the
-        # cost of an exponent grows with it: "1e5000000" takes seconds
+    rational = p == 0 and isinstance(value, str) and _RATIONAL.fullmatch(value)
+    if rational:
+        # Fraction(str) would also read decimals and exponents, and the cost
+        # of an exponent grows with it: "1e5000000" takes seconds.  The one
+        # Fraction built here is the one that FieldSpec.element keeps
+        num, den = rational.groups()
         try:
-            value = _fraction()(value)
+            value = _fraction()(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:   # n/0, or too many digits
             raise CartanFileError(
-                "bad-entry", f"{where}: cannot parse rational {value!r}") from exc
+                "bad-entry", f"entry ({row}, {col}): cannot parse rational {value!r}") from exc
     elif p and isinstance(value, list) and not (k > 1 and value):
         raise CartanFileError(
-            "bad-entry", f"{where}: cannot parse {value!r} as an element of {spec}")
+            "bad-entry", f"entry ({row}, {col}): cannot parse {value!r} as an element of {spec}")
     try:
         element = spec.element(value)
     except (TypeError, ValueError) as exc:
-        raise CartanFileError("bad-entry", f"{where}: {exc}") from None
+        raise CartanFileError("bad-entry", f"entry ({row}, {col}): {exc}") from None
     # a residue is reduced exactly when reduction leaves it as it was
     coords = value if isinstance(value, list) else [value]
     if strict and list(element.coeffs[:len(coords)]) != coords:
-        raise CartanFileError("unreduced-entry", f"{where}: {value} is not reduced mod {p}")
+        raise CartanFileError(
+            "unreduced-entry", f"entry ({row}, {col}): {value} is not reduced mod {p}")
     return element
 
 

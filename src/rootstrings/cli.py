@@ -28,7 +28,7 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from .cartan import (DEFAULT_SCAN_CAP, ConsistencyError, b_closed, b_recursive, b_table,
+from .cartan import (DEFAULT_SCAN_CAP, ConsistencyError, _row_ints, b_closed, b_recursive,
                      d_sequence)
 from .cartanfile import (
     CartanFileError,
@@ -109,10 +109,16 @@ def cmd_dseq(datum, args) -> dict:
 
 
 def cmd_table(datum, args) -> dict:
-    return {
-        "parities": [q.value for q in datum.parities],
-        "table": [list(map(encode_bvalue, row)) for row in b_table(datum)],
-    }
+    # each row as the ladder answers it, in ints, so no bound becomes a
+    # BValue; only p = 0 has infinite bounds, the None that becomes "inf"
+    table = []
+    for k in range(1, datum.n + 1):
+        row = _row_ints(datum, k)
+        if None in row:
+            row = ["inf" if b is None else b for b in row]
+        row.insert(k - 1, None)
+        table.append(row)
+    return {"parities": [q.value for q in datum.parities], "table": table}
 
 
 def cmd_reflect(datum, args) -> dict:

@@ -252,7 +252,7 @@ class FieldSpec(Frozen):
             fraction = _fraction()
             if not isinstance(value, (int, fraction)):
                 raise TypeError(f"cannot coerce {value!r} into the rationals")
-            return _reduced(self, (fraction(value),))
+            return _reduced(self, (value if type(value) is fraction else fraction(value),))
         if isinstance(value, int):
             return _reduced(self, (value,))
         if isinstance(value, (list, tuple)):

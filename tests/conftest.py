@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from rootstrings.field import FieldElement
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Every byte-exact golden: (file under golden/, argv naming its fixture under
 # fixtures/).  The in-process golden test, acceptance criterion 7 and the
@@ -107,3 +110,21 @@ def elements_built(monkeypatch):
     monkeypatch.setattr(FieldElement, "__post_init__", counting_post_init)
     monkeypatch.setattr(FieldElement, "_trusted", classmethod(counting_trusted))
     return built
+
+
+@functools.cache
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py``, loaded once: its
+    ``cartan_doc`` builds documents whose bounds are known by construction,
+    with its own field arithmetic and no package code."""
+    # workloads.py imports its field arithmetic as the top-level module gf
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        # its dataclasses resolve annotations through sys.modules
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module

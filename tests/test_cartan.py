@@ -21,6 +21,7 @@ from rootstrings.cartan import (
     _walk,
     b_closed,
     b_recursive,
+    b_row,
     b_table,
     d_next,
     d_sequence,
@@ -445,6 +446,17 @@ def test_equal_entries_of_a_row_share_one_bound(spec):
     table = b_table(random_datum(spec, 40, 5))
     for row in table:
         assert len({id(b) for b in row}) == len(set(row))
+
+
+@pytest.mark.parametrize("spec", [GF9, GF101, Q], ids=str)
+def test_b_row_hands_out_the_shared_bounds(spec):
+    # each off-diagonal entry of b_row is the BValue of _shared_bound for
+    # its bound, None on the diagonal
+    datum = random_datum(spec, 12, 3)
+    for k in range(1, 13):
+        row = b_row(datum, k)
+        assert len(row) == 12 and row[k - 1] is None
+        assert all(b is cartan._shared_bound(b.value) for j, b in enumerate(row, 1) if j != k)
 
 
 @pytest.mark.parametrize("spec", [GF125, GF7], ids=str)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rootstrings.cartan import INFINITY, BValue, CartanDatum, Parity
 from rootstrings.cartanfile import (
     CartanFileError,
+    _parse_entry,
     encode_bvalue,
     encode_entry,
     field_doc,
@@ -18,7 +19,7 @@ from rootstrings.cartanfile import (
     render_document,
     serialize_cartan,
 )
-from rootstrings import field
+from rootstrings import cartanfile, field
 from rootstrings.field import PRIMALITY_LIMIT, FieldSpec
 
 GF3 = FieldSpec(3)
@@ -235,6 +236,9 @@ GF9_EXTENSION = {"degree": 2, "modulus": [1, 0, 1]}
     (doc(characteristic=0, matrix=[[1, 0], [0, True]]), "entry (2, 2)"),
     (doc(extension=GF9_EXTENSION, matrix=[[[1, 2], 0], [0, [1, 2.0]]]), "entry (2, 2)"),
     (doc(extension=GF9_EXTENSION, matrix=[[[1, 1], [1, True]], [0, 0]]), "entry (1, 2)"),
+    # documents of lists only: a bool or a float coordinate is not an int one
+    (doc(extension=GF9_EXTENSION, matrix=[[[1, 1], [1, True]], [[0], [0]]]), "entry (1, 2)"),
+    (doc(extension=GF9_EXTENSION, matrix=[[[1, 2], [0]], [[0], [1, 2.0]]]), "entry (2, 2)"),
 ])
 def test_equal_hashing_bad_entry_after_a_good_one_is_rejected(text, where):
     with pytest.raises(CartanFileError) as info:
@@ -244,9 +248,11 @@ def test_equal_hashing_bad_entry_after_a_good_one_is_rejected(text, where):
 
 
 def test_string_equal_to_a_list_repr_is_not_taken_from_the_list_memo():
-    # row 1 memoises the list [0, 1] under its repr "[0, 1]"; row 2 is all
-    # ints and strings, so its string "[0, 1]" is memoised by value, and one
-    # shared memo would hand it the element t that the list stored
+    # the string "[0, 1]" equals the repr of the list [0, 1], whose element
+    # is t.  The document has one kind of key: it mixes lists with ints and
+    # strings, so every entry is keyed on its repr, and the string's key
+    # keeps its quotes; a string is its own key only in a document of ints
+    # and strings, where no list is
     text = doc(extension=GF9_EXTENSION, matrix=[[[0, 1], 1], ["[0, 1]", 2]])
     with pytest.raises(CartanFileError) as info:
         parse_cartan(text)
@@ -373,6 +379,110 @@ def test_first_bad_entry_after_memoised_ones_is_named(text, strict, code, where)
         parse_cartan(text, strict=strict)
     assert info.value.code == code
     assert str(info.value).startswith(where + ":")
+
+
+# --- one key kind per document ------------------------------------------------
+
+def scan_parse(spec, matrix, strict):
+    """A matrix read cell by cell in column order, with no memo: the (code,
+    message) of the first cell that ``_parse_entry`` refuses, or else the
+    entries that ``spec.element`` gives cell by cell, a rational string read
+    as its Fraction."""
+    for r, row in enumerate(matrix, 1):
+        for c, value in enumerate(row, 1):
+            try:
+                _parse_entry(spec, value, strict, r, c)
+            except CartanFileError as exc:
+                return exc.code, str(exc)
+    return tuple(tuple(spec.element(Fraction(v) if isinstance(v, str) else v) for v in row)
+                 for row in matrix)
+
+
+#: Cells of every JSON kind, with values that hash and compare equal across
+#: kinds (1, 1.0, True; [1, 2], [1, 2.0]) and strings equal to other cells'
+#: reprs ("1", "[0, 1]").
+CELLS = {
+    "ints": st.integers(-12, 12),
+    "bools": st.booleans(),
+    "floats": st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.0]),
+    "rationals": st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 4)),
+    "strings": st.sampled_from(["1", "-2", "+3", "007", "[0, 1]", "1.5", "1e3", "x", "", " 1",
+                                "1/2/3", "1" * 5000]),
+    "int lists": st.lists(st.integers(-4, 8), max_size=3),
+    "odd lists": st.sampled_from([[1, True], [True, 0], [1, 2.0], [0.0], [[0, 1]], [[1], 1],
+                                  [1, None], ["1", 0]]),
+}
+
+
+@st.composite
+def mixed_documents(draw):
+    """A rank-1..4 matrix drawn, with repeats, from a few cells of some of
+    the kinds of ``CELLS``: one kind alone as often as a mix."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3, unique=True))
+    pool = draw(st.lists(st.one_of([CELLS[kind] for kind in kinds]), min_size=1, max_size=6))
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("spec", [GF7, GF9, Q], ids=str)
+@given(matrix=mixed_documents())
+def test_parse_reads_every_document_as_a_cell_by_cell_scan(spec, strict, matrix):
+    # whatever key kind the document gets, the memo hands out what each cell
+    # parses to on its own, and names the first bad cell with its own message
+    document = {"characteristic": spec.characteristic, "matrix": matrix,
+                "parities": ["ev"] * len(matrix)}
+    if spec.degree > 1:
+        document["extension"] = {"degree": spec.degree, "modulus": list(spec.modulus)}
+    try:
+        outcome = parse_cartan(json.dumps(document), strict=strict).entries
+    except CartanFileError as exc:
+        outcome = exc.code, str(exc)
+    assert outcome == scan_parse(spec, matrix, strict)
+
+
+@pytest.mark.parametrize("matrix,reprs", [
+    ([[1, "1/2"], [-3, "1/2"]], 0),
+    ([["0/1", "1/0"], [1, 1]], 0),
+    ([[[0, 1], [1]], [[], [2, 2]]], 0),
+    ([[[0, 1], 1], [1, [2]]], 4),       # ints beside lists
+    ([[[0, 1], [1]], [[1], [True]]], 4),
+    ([[1, 1], [1, 1.0]], 4),
+])
+def test_only_a_document_of_mixed_kinds_is_keyed_on_repr(monkeypatch, matrix, reprs):
+    # a document of exact ints and strings, or of lists of exact ints, is
+    # keyed on its own values; any other keys every entry on its repr
+    calls = []
+    monkeypatch.setattr(cartanfile, "repr", lambda value: calls.append(value) or repr(value),
+                        raising=False)
+    spec = Q if isinstance(matrix[0][1], str) else GF9
+    document = {"characteristic": spec.characteristic, "matrix": matrix, "parities": ["ev", "ev"]}
+    if spec.degree > 1:
+        document["extension"] = GF9_EXTENSION
+    try:
+        parse_cartan(json.dumps(document))
+    except CartanFileError:
+        pass
+    assert len(calls) == reprs
+
+
+def test_a_rational_string_builds_one_fraction(monkeypatch):
+    # the Fraction read from "n/d" is the one the element keeps: one per
+    # distinct string, and none again in FieldSpec.element
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    matrix = [["1/2", "-3/4", "5"], ["5", "1/2", "2/4"], ["-3/4", "0/7", "1/2"]]
+    datum = parse_cartan(doc(characteristic=0, matrix=matrix, parities=["ev"] * 3))
+    monkeypatch.undo()
+    assert len(built) == len({v for row in matrix for v in row}) == 5
+    assert datum.entries == tuple(tuple(Q.element(Fraction(v)) for v in row) for row in matrix)
 
 
 @pytest.mark.parametrize("fixture", ["wide_char0.json", "wide_prime.json", "extension.json"])

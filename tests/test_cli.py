@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootstrings.cartan
+import rootstrings.cartanfile
 import rootstrings.cli
 import rootstrings.selfcheck
-from rootstrings.cartan import BValue
+from rootstrings.cartan import BValue, b_table
+from rootstrings.cartanfile import encode_bvalue, field_doc, parse_cartan, render_document
 from rootstrings.field import PRIMALITY_LIMIT
 
-from conftest import FIXTURES, GOLDEN, GOLDEN_CASES, with_fixture_paths
+from conftest import FIXTURES, GOLDEN, GOLDEN_CASES, bench_workloads, with_fixture_paths
 from oracles import build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -152,6 +155,36 @@ def test_wide_reports_render_canonically(run_cli, tmp_path, field, command):
     rows = report["table"] if command[0] == "table" else report["basis_matrix"]
     assert len(rows) == 60 and all(len(row) == 60 for row in rows)
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["gf9", "gf125", "gf100", "q"])
+def test_table_report_is_the_encoded_b_table(run_cli, tmp_path, kind):
+    # the table report holds what encoding b_table's BValues entry by entry
+    # gives: ints, "inf" and the diagonal null.  The Q document's row 1 has
+    # A_12 = A_11 = 2, so c = 1 and B_12 is infinite at either parity
+    workloads = bench_workloads()
+    F = workloads.make_field(kind, random.Random(kind))
+    doc, _, _ = workloads.cartan_doc(F, random.Random(f"{kind} table"), 40)
+    if kind == "q":
+        doc["matrix"][0][:2] = [2, 2]
+    text = json.dumps(doc)
+    (tmp_path / "doc.json").write_text(text)
+    datum = parse_cartan(text)
+    expected = render_document({
+        "command": "table", "field": field_doc(datum.spec), "parities": doc["parities"],
+        "table": [list(map(encode_bvalue, row)) for row in b_table(datum)]})
+    assert run_cli("table", "--input", str(tmp_path / "doc.json")) == (0, expected, "")
+    assert ('"inf"' in expected) == (kind == "q")
+
+
+def test_table_builds_no_bvalue(run_cli, count_calls):
+    # table writes the ladder's ints: no bound becomes a BValue, and none
+    # is encoded back
+    shared = count_calls(rootstrings.cartan._shared_bound)
+    encoded = count_calls(rootstrings.cartanfile.encode_bvalue)
+    code, out, _ = run_cli("table", "--input", str(FIXTURES / "wide_char0.json"))
+    assert code == 0 and '"inf"' in out
+    assert shared == encoded == []
 
 
 # --- exit codes -----------------------------------------------------------------

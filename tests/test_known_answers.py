@@ -14,12 +14,9 @@ rows tabulate all p points.
 """
 
 import functools
-import importlib.util
 import json
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,24 +24,9 @@ from hypothesis import strategies as st
 
 from rootstrings.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import bench_workloads
 
-
-def _load_workloads():
-    # workloads.py imports its field arithmetic as the top-level module gf
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        # its dataclasses resolve annotations through sys.modules
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-    return module
-
-
-workloads = _load_workloads()
+workloads = bench_workloads()
 
 #: Field kinds in ``workloads.make_field``'s names, with the largest rank
 #: drawn for each: below p for the fields whose rows stay shorter than p.
