@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
 """Mutation run over the two routes to a bound, the field's powers, the
-document parser and the table report: show that the tests notice a wrong
-branch, a wrong step or a wrong entry.
+document parser, the report renderer and the table report: show that the
+tests notice a wrong branch, a wrong step, a wrong entry or a wrong text.
 
 Each mutant is a named one-line text substitution in one source file: the
 closed-form ladder and the recursion of ``cartan.py``, the places of
 ``selfcheck.py`` that compare the two routes and bound the sweep, the
 square-and-multiply of ``field.py`` with the powers and Ben-Or's test that
-use it, and its coercion of a Fraction, the entry memo and the rational
-entries of ``cartanfile.py``, and the rows that ``cli.py`` writes for
-``table``.  Each runs in its own
-temporary copy of the repository: first the test files that
-``FIRST_TESTS`` names for the mutated file under ``-x``, and, if those
-pass, the whole suite under ``-x``.  A mutant is killed when a
-test fails (or the run passes its time limit).  A mutant that survives the
-whole suite must carry a written reason why it is equivalent to the source;
-an equivalent mutant that gets killed means its reason is wrong.  Either
-exits 1, as does a mutant whose text no longer occurs exactly once or that
-does not compile.
+use it, and its coercion of a Fraction, the entry memo, the rational
+entries and the renderer's text memo of ``cartanfile.py``, and the rows
+that ``cli.py`` writes for ``table``.  Each runs in its own temporary copy
+of the repository: first the test files that ``FIRST_TESTS`` names for the
+mutated file under ``-x``, and, if those pass, the whole suite under
+``-x``.  A mutant is killed when a test fails (or the run passes its time
+limit).  A mutant that survives the whole suite must carry a written reason
+why it is equivalent to the source; an equivalent mutant that gets killed
+means its reason is wrong.  Either exits 1, as does a mutant whose text no
+longer occurs exactly once or that does not compile.
 
     python3 scripts/mutants.py
 
@@ -203,6 +202,16 @@ MUTANTS = [
            "int(den or 1)", "int(den or 2)"),
     Mutant("rational-numerator-abs", CARTANFILE,
            "int(num), ", "abs(int(num)), "),
+    # cartanfile: the renderer's text memo, one per document, of scalars
+    # that are equal only when their texts are
+    Mutant("render-memo-admits-bool", CARTANFILE,
+           "_FLAT = {int, str, type(None)}", "_FLAT = {int, str, bool, type(None)}"),
+    Mutant("render-memo-shared-across-documents", CARTANFILE,
+           "_render(doc, 1, out, {})", "_render(doc, 1, out, _render.__dict__)"),
+    Mutant("render-join-one-step-out", CARTANFILE,
+           '("," + inner).join(map(', '(",\\n" + "  " * (depth - 1)).join(map('),
+    Mutant("render-miss-without-the-update", CARTANFILE,
+           "texts.update(zip(value, items))", "zip(value, items)"),
     # cli: the table report's "inf" and its diagonal null
     Mutant("table-drops-inf", CLI,
            "if None in row:", "if False:"),

@@ -2,12 +2,27 @@
 
 For a Lie superalgebra with Cartan matrix A and parities I of the Chevalley
 generators, the bound B_kj (k != j) is the largest m >= 0 such that
-alpha_j + m*alpha_k is a root.  Under the standard regularity assumptions it
-equals the first index m >= 0 at which the scalar sequence
+alpha_j + m*alpha_k is a root.  The first-zero rule takes it to be the
+first index m >= 0 at which the scalar sequence
 
     d_{-1} = 0,    d_m = (-1)^{i_k} (d_{m-1} - A_kj - m*A_kk)
 
-vanishes.  Two independent routes compute it here:
+vanishes, and every bound that this module reports is that first zero.  The
+rule needs the assumption below, that A_kj = 0 only where A_jk = 0.
+
+The assumption.  Let X_m = (ad e_k)^m e_j in the contragredient algebra
+g(A).  Then alpha_j + m*alpha_k is a root exactly when X_m is not in the
+maximal ideal r, and X_{m+1} lies in r exactly when both its brackets with
+f_k and with f_j do.  The first is [f_k, X_{m+1}] = d_m X_m.  The second is
+a multiple of A_jk (ad e_k)^m e_k: +-A_jk e_k at m = 0, a multiple of
+A_jk [e_k, e_k] at m = 1, and 0 beyond.  So where A_kj = 0 (then d_0 = 0)
+but A_jk != 0, [f_j, [e_k, e_j]] = +-A_jk e_k != 0 and alpha_j + alpha_k is
+a root of g(A), yet the first-zero rule answers B_kj = 0.  For example,
+``table`` over Q on [[2, 0], [1, 2]], both rows even, answers B_12 = 0.
+Where the assumption fails, the reported 0 is the first-zero rule, not B
+in g(A); no report checks the assumption.
+
+Two independent routes compute the first zero here:
 
 * ``b_recursive`` walks the sequence and returns the first zero, and
 * ``b_closed`` evaluates a closed-form case ladder on (i_k, A_kk, A_kj):

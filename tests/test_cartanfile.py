@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -576,8 +577,47 @@ json_scalars = (st.none() | st.booleans() | st.integers()
                       | st.dictionaries(json_text, children, max_size=3)),
     max_leaves=20), max_size=4))
 def test_render_document_matches_json_dumps(doc):
-    # flat scalar lists take the C encoder, everything else the recursive path;
-    # both must give json's own indented text byte for byte
+    # flat scalar lists take the text memo, everything else the recursive
+    # path; both must give json's own indented text byte for byte
+    assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_render_document_keeps_equal_scalars_of_other_types_apart():
+    # True == 1 and 1.0 == 1, and a memo keyed on the scalar would write them
+    # as 1; the same ints sit at two depths, so each join needs its own
+    # separator; and the strings hold the separators the memo writes and
+    # splits on, a quote, and a line separator that ensure_ascii escapes
+    doc = {"a": [1, 0, None, "inf"], "b": [True, False, 1, 0], "c": [1.0, 1],
+           "d": [[1, 2], [2, 1]], "e": [1, 2],
+           "f": [",", "\n", "\u2028", '"', "a,\nb", 1]}
+    assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_render_document_encodes_each_distinct_scalar_once_per_document(monkeypatch):
+    # a list with a scalar not yet in the memo is encoded whole; a list of
+    # known scalars is not encoded at all; and the next document starts over
+    encoded = []
+    scalars = cartanfile._SCALARS
+    monkeypatch.setattr(cartanfile, "_SCALARS", SimpleNamespace(
+        encode=lambda value: encoded.append(list(value)) or scalars.encode(value)))
+    doc = {"a": [[1, 2], [2, 1]], "b": [2, None, 1, "inf"], "c": [[None, 2], ["inf", 1]]}
+    for _ in range(2):
+        assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert encoded == [[1, 2], [2, None, 1, "inf"]] * 2
+
+
+# A small pool, so that equal scalars (and the bools and floats equal to some
+# int) repeat across lists and depths and the memo's hit path runs.
+pooled_scalars = st.sampled_from(
+    [0, 1, 2, -1, 10 ** 30, None, True, False, 1.0, 0.5, "inf", "1/2", "", ",", "\n", "\u2028", '"'])
+
+
+@given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), st.recursive(
+    pooled_scalars,
+    lambda children: (st.lists(children, max_size=6) | st.lists(children, max_size=6).map(tuple)
+                      | st.dictionaries(st.sampled_from(["a", "b", "c"]), children, max_size=3)),
+    max_leaves=30), max_size=4))
+def test_render_document_matches_json_dumps_on_repeated_scalars(doc):
     assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -125,7 +125,8 @@ def test_cli_request_loads_only_what_it_uses(fixture):
 
 def test_no_json_call_in_the_package_indents():
     # any indent sends json to its pure-Python encoder; reports are indented
-    # by cartanfile.render_document, which hands flat lists to the C encoder
+    # by cartanfile.render_document, which encodes each distinct scalar of a
+    # document once, with the C encoder, and joins flat lists from those texts
     found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
              for path, tree in package_trees()
              for node in ast.walk(tree)
