@@ -27,7 +27,8 @@ def survey(spec) -> dict[Parity, Counter]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description="Survey the distribution of root-string bounds over small finite fields.")
     parser.add_argument("--primes", default="2,3,5,7",
                         help="comma-separated primes (default 2,3,5,7)")
     parser.add_argument("--degrees", default="1",

@@ -22,7 +22,6 @@ from .cartan import (
     b_closed,
     b_recursive,
     b_table,
-    d_next,
     d_sequence,
     pair_datum,
 )
@@ -42,9 +41,8 @@ from .reflection import (
     RootVector,
     basis_determinant,
     reflect,
-    unimodularity_check,
 )
-from .selfcheck import check_field, field_for, find_irreducible, run_selfcheck
+from .selfcheck import check_field, field_for, run_selfcheck
 
 __version__ = "0.1.0"
 
@@ -70,15 +68,12 @@ __all__ = [
     "basis_determinant",
     "check_field",
     "check_irreducible",
-    "d_next",
     "d_sequence",
     "field_for",
-    "find_irreducible",
     "is_prime",
     "pair_datum",
     "parse_cartan",
     "reflect",
     "run_selfcheck",
     "serialize_cartan",
-    "unimodularity_check",
 ]

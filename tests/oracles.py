@@ -2,9 +2,13 @@
 
 The closed forms of the d-sequence multiply field elements by integers, so
 they share no code with ``cartan._walk``, which adds int coordinates step by
-step.  ``fraction_walk`` walks the recursion over Q on ``Fraction``s, with
-no denominators cleared, as ``cartan`` once did.  Trial division decides irreducibility by brute force, independently
-of ``field.check_irreducible``'s gcd test.  ``sweep_pairs`` enumerates the
+step.  ``relation_scalar`` derives d_m from the defining relations of the
+contragredient Lie superalgebra instead of the paper's recursion, and
+``relation_values`` evaluates it on power-basis coordinates.
+``fraction_walk`` walks the recursion over Q on ``Fraction``s, with no
+denominators cleared, as ``cartan`` once did.  Trial division decides
+irreducibility by brute force, independently of
+``field.check_irreducible``'s gcd test.  ``sweep_pairs`` enumerates the
 rank-2 configurations that the exhaustive tests walk.  ``build_parser``
 builds argparse's parser from the CLI's flag table, which ``cli._parse``
 reads by its own code.  ``entry_ladder`` is the closed-form ladder in the
@@ -16,6 +20,7 @@ in ints, with None for infinity.
 """
 
 import argparse
+import functools
 import itertools
 import math
 from collections.abc import Callable, Iterator
@@ -42,6 +47,92 @@ def d_closed_odd(a_kj: FieldElement, a_kk: FieldElement, m: int) -> FieldElement
     if m % 2 == 0:
         return a_kj + (m // 2) * a_kk
     return ((m + 1) // 2) * a_kk
+
+
+@functools.cache
+def relation_scalar(parity_k: Parity, parity_j: Parity, m: int) -> tuple[int, int]:
+    """(u, v) such that [f_k, X_{m+1}] = (u*A_kk + v*A_kj) X_m, where
+    X_m = (ad e_k)^m e_j, computed in U(g) from the defining relations of the
+    contragredient Lie superalgebra (Kac, "Lie superalgebras", Adv. Math. 26,
+    1977) alone:
+
+    * [e_k, f_k] = h_k, so [f_k, e_k] = -(-1)^{i_k} h_k, and [f_k, e_j] = 0;
+    * h_k e_x = e_x (h_k + A_kx);
+    * the super sign rule, with |e_k| = |f_k| = i_k and |e_j| = i_j.
+
+    X_m is the list of the m + 1 integer coefficients of the words
+    e_k^a e_j e_k^(m - a), indexed by a.  Only sums and integer multiples of
+    A_kk and A_kj occur, so (u, v) holds over Z[A_kk, A_kj] and so in every
+    field; the first-zero rule reads d_m = u*A_kk + v*A_kj.  It reads no route,
+    no ladder and no recursion step of the package.  Raises ``ValueError``
+    when an h_k survives on the right or the bracket is not a multiple of X_m.
+    At p = 2 an odd e_k has a squaring map that words do not model, so there
+    the result is the formal identity only.
+    """
+    i_k, i_j = int(parity_k is Parity.ODD), int(parity_j is Parity.ODD)
+    x = [1]                                 # X_0 = e_j
+    for n in range(m):
+        x = _ad_e_k(x, n, i_k, i_j)
+    return _multiple_of(_ad_f_k(_ad_e_k(x, m, i_k, i_j), i_k, i_j), x)
+
+
+def _ad_e_k(x: list[int], n: int, i_k: int, i_j: int) -> list[int]:
+    """X_{n+1} = e_k X_n - (-1)^{i_k |X_n|} X_n e_k, with |X_n| = i_j + n*i_k:
+    e_k on the left moves a word from a to a + 1, on the right keeps a."""
+    sign = (-1) ** (i_k * (i_j + n * i_k))
+    return [(x[a - 1] if a else 0) - (sign * x[a] if a <= n else 0) for a in range(n + 2)]
+
+
+def _ad_f_k(x: list[int], i_k: int, i_j: int) -> list[tuple[int, int, int]]:
+    """[f_k, X] for X of n e_k's per word, as one int triple (h, u, v) per
+    word e_k^a e_j e_k^(n - 1 - a): that word times (h*h_k + u*A_kk + v*A_kj).
+
+    ad f_k is a superderivation: it replaces each e_k of a word in turn by
+    [f_k, e_k] = -(-1)^{i_k} h_k, with the sign (-1)^{i_k * parity of the
+    letters before it}, and kills e_j.  The h_k then moves right past each
+    later letter e_x, picking up A_kx."""
+    n = len(x) - 1
+    out = [[0, 0, 0] for _ in range(n)]
+    for a, c in enumerate(x):
+        letters = "k" * a + "j" + "k" * (n - a)
+        before = 0                          # parity of the letters left of pos
+        for pos, letter in enumerate(letters):
+            if letter == "k":
+                sign = (-1) ** (i_k * before) * -(-1) ** i_k * c
+                rest = letters[pos + 1:]
+                word = out[a - 1 if pos < a else a]
+                word[0] += sign
+                word[1] += sign * rest.count("k")
+                word[2] += sign * rest.count("j")
+            before += i_k if letter == "k" else i_j
+    return [tuple(word) for word in out]
+
+
+def _multiple_of(bracket: list[tuple[int, int, int]], x: list[int]) -> tuple[int, int]:
+    """(u, v) with ``bracket`` = (u*A_kk + v*A_kj) X, from ``_ad_f_k``'s
+    triples.  X's last word e_k^m e_j has coefficient 1, so (u, v) is read
+    there; raises ``ValueError`` unless every h_k cancels and every word's
+    (u, v) is that multiple of its coefficient in X."""
+    if any(h for h, _, _ in bracket):
+        raise ValueError(f"an h_k survives on the right: {bracket}")
+    _, u, v = bracket[-1]
+    if x[-1] != 1 or any((b, c) != (u * w, v * w) for (_, b, c), w in zip(bracket, x)):
+        raise ValueError(f"{bracket} is not a multiple of X = {x}")
+    return u, v
+
+
+def relation_values(parity_k: Parity, parity_j: Parity, a_kk: FieldElement,
+                    a_kj: FieldElement, last: int) -> list[tuple]:
+    """s_0, ..., s_last of ``relation_scalar`` at (A_kk, A_kj), as coordinate
+    tuples laid out like ``FieldElement.coeffs``: u*a + v*c on each pair of
+    power-basis coordinates (ints, or Fractions over Q), reduced mod p > 0."""
+    p = a_kk.spec.characteristic
+    values = []
+    for m in range(last + 1):
+        u, v = relation_scalar(parity_k, parity_j, m)
+        s = (u * a + v * c for a, c in zip(a_kk.coeffs, a_kj.coeffs))
+        values.append(tuple(t % p for t in s) if p else tuple(s))
+    return values
 
 
 def fraction_walk(a_kj: Fraction, a_kk: Fraction, parity: Parity) -> Iterator[Fraction]:

@@ -31,7 +31,16 @@ from rootstrings.field import FieldElement, FieldSpec, FieldSpecError, is_prime
 from rootstrings.reflection import ReflectionUndefinedError, reflect
 from rootstrings.selfcheck import field_for
 
-from oracles import d_closed_even, d_closed_odd, entry_ladder, fraction_walk, sweep_pairs
+from oracles import (
+    _multiple_of,
+    d_closed_even,
+    d_closed_odd,
+    entry_ladder,
+    fraction_walk,
+    relation_scalar,
+    relation_values,
+    sweep_pairs,
+)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -133,8 +142,6 @@ def test_index_checks():
         b_closed(datum, 2, 2)
     with pytest.raises(ValueError):
         d_sequence(datum, 1, 2, -2)
-    with pytest.raises(ValueError):
-        d_next(GF3.zero(), GF3.zero(), GF3.zero(), -1, Parity.EVEN)
 
 
 @pytest.mark.parametrize("k,j", [(0, 1), (1, 0), (-1, 2), (3, 1), (1, 3)])
@@ -719,27 +726,81 @@ def test_b_recursive_builds_no_element_per_step(spec, elements_built):
     assert counts == [counts[0]] * len(counts)
 
 
-@pytest.mark.parametrize("spec", [GF2, GF4, GF5, GF9, FieldSpec(3, 3, (1, 2, 0, 1))], ids=str)
-def test_d_sequence_matches_iterated_d_next(spec):
+# --- d_m from the defining relations ------------------------------------------------
+#
+# At p = 2 an odd generator has a squaring map that U(g) words do not model,
+# so those cases check the formal identity of the oracle, not g(A).
+
+@pytest.mark.parametrize("spec", [*SWEEP_FIELDS, GF27], ids=str)
+def test_d_sequence_matches_the_relations_oracle(spec):
+    # every triple (i_k, A_kk, A_kj) and both parities of j, to m = 2p
     last = 2 * spec.characteristic
     for parity, a_kk, a_kj in sweep_pairs(spec):
         seq = d_sequence(pair_datum(spec, a_kk, a_kj, parity), 1, 2, last)
-        d = spec.zero()
-        for m in range(last + 1):
-            d = d_next(d, a_kj, a_kk, m, parity)
-            assert seq[m] == d, (spec, parity, str(a_kk), str(a_kj), m)
+        got = [seq[m].coeffs for m in range(last + 1)]
+        for parity_j in Parity:
+            assert got == relation_values(parity, parity_j, a_kk, a_kj, last), (
+                spec, parity, parity_j, str(a_kk), str(a_kj))
 
 
 @pytest.mark.parametrize("a_kk,a_kj", [
     (2, -3), (Fraction(1, 2), Fraction(-3, 2)), (0, 5), (Fraction(-7, 3), 4), (1, 0)])
 @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
-def test_d_sequence_matches_iterated_d_next_rationals(a_kk, a_kj, parity):
+def test_d_sequence_matches_the_relations_oracle_rationals(a_kk, a_kj, parity):
     datum = pair_datum(Q, a_kk, a_kj, parity)
     seq = d_sequence(datum, 1, 2, 12)
-    d = Q.zero()
-    for m in range(13):
-        d = d_next(d, datum.entry(1, 2), datum.entry(1, 1), m, parity)
-        assert seq[m] == d
+    for parity_j in Parity:
+        assert [seq[m].coeffs for m in range(13)] == relation_values(
+            parity, parity_j, datum.entry(1, 1), datum.entry(1, 2), 12)
+
+
+bounded_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def bounded_pairs(draw):
+    """(A_kk, A_kj) of bounded rationals; half the time A_kj = -n/2 * A_kk
+    for some n up to 8, so that the even sequence often vanishes by m = 8."""
+    a_kk = draw(bounded_rationals)
+    if draw(st.booleans()):
+        return a_kk, Fraction(-draw(st.integers(0, 8)), 2) * a_kk
+    return a_kk, draw(bounded_rationals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=bounded_pairs(), parity=st.sampled_from(Parity),
+       parity_j=st.sampled_from(Parity), cap=st.integers(0, 8))
+def test_relations_oracle_over_q_matches_d_sequence_and_first_zero(pair, parity, parity_j, cap):
+    datum = pair_datum(Q, *pair, parity)
+    a_kk, a_kj = datum.entry(1, 1), datum.entry(1, 2)
+    expected = relation_values(parity, parity_j, a_kk, a_kj, cap)
+    seq = d_sequence(datum, 1, 2, cap)
+    assert [seq[m].coeffs for m in range(cap + 1)] == expected
+    zero = next((m for m, s in enumerate(expected) if not any(s)), None)
+    assert _first_zero(parity, a_kk, a_kj, cap) == zero
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF9], ids=str)
+def test_d_next_iterated_from_zero_matches_the_relations_oracle(spec):
+    last = 2 * spec.characteristic
+    for parity, a_kk, a_kj in sweep_pairs(spec):
+        d, got = spec.zero(), []
+        for m in range(last + 1):
+            d = d_next(d, a_kj, a_kk, m, parity)
+            got.append(d.coeffs)
+        assert got == relation_values(parity, Parity.EVEN, a_kk, a_kj, last)
+    with pytest.raises(ValueError):
+        d_next(spec.zero(), spec.zero(), spec.zero(), -1, Parity.EVEN)
+
+
+def test_relations_oracle_refuses_a_surviving_h_or_a_bracket_off_x():
+    # [f_k, X_1] = [f_k, [e_k, e_j]] = -(-1)^{i_k} A_kj e_j for either parity
+    assert relation_scalar(Parity.EVEN, Parity.ODD, 0) == (0, -1)
+    assert relation_scalar(Parity.ODD, Parity.EVEN, 0) == (0, 1)
+    with pytest.raises(ValueError, match="h_k survives"):
+        _multiple_of([(1, 0, -1), (-1, 0, 1)], [1, -1])
+    with pytest.raises(ValueError, match="not a multiple"):
+        _multiple_of([(0, 1, -1), (0, 0, 1)], [-1, 1])
 
 
 # --- the integer walk over Q against the Fraction walk ---------------------------

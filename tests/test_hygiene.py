@@ -44,14 +44,34 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def reads_an_optimization_flag(node: ast.AST) -> bool:
+    """Whether ``node`` reads __debug__, a __doc__ or sys.flags."""
+    if isinstance(node, ast.Name):
+        return node.id in ("__debug__", "__doc__")
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__doc__" or (
+            node.attr == "flags" and isinstance(node.value, ast.Name) and node.value.id == "sys")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "sys" and any(alias.name == "flags" for alias in node.names)
+    return False
+
+
 def test_package_never_reads_debug():
-    # python -O sets __debug__ to False; with no assert statement either, no
-    # code path of the package can differ under -O
+    # python -O sets __debug__ to False and sys.flags.optimize to 1, and -OO
+    # also drops every docstring, so __doc__ reads None; with no assert
+    # statement either, no code path of the package can differ under -O or -OO
     found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
              for path, tree in package_trees()
              for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and node.id == "__debug__"]
+             if reads_an_optimization_flag(node)]
     assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "x = __debug__", "x = __doc__", "x = f.__doc__", "x = sys.flags.optimize",
+    "from sys import flags"])
+def test_optimization_flag_reads_are_seen(source):
+    assert any(map(reads_an_optimization_flag, ast.walk(ast.parse(source))))
 
 
 def package_imports():

@@ -12,25 +12,38 @@ from rootstrings.selfcheck import check_field, field_for, find_irreducible, run_
 from oracles import irreducible_by_trial_division
 
 
-@pytest.mark.parametrize("p,degree,modulus", [
+FIRST_MODULI = pytest.mark.parametrize("p,degree,modulus", [
     (2, 2, (1, 1, 1)),
     (3, 2, (1, 0, 1)),
     (2, 3, (1, 0, 1, 1)),
     (5, 2, (1, 1, 1)),
     (3, 3, (1, 0, 2, 1)),
 ])
+
+
+def candidates_tried(p, degree, modulus):
+    """How many candidates the search tests to reach ``modulus``: they run in
+    lexicographic order, the constant term most significant, from the first
+    one whose constant term is not 0, n = p^(degree - 1)."""
+    n = sum(c * p ** (degree - 1 - i) for i, c in enumerate(modulus[:-1]))
+    return n - p ** (degree - 1) + 1
+
+
+@FIRST_MODULI
 def test_each_candidate_modulus_tested_once(count_calls, p, degree, modulus):
     calls = count_calls(field._ben_or)
-    # candidates run in lexicographic order, the constant term most significant,
-    # from the first one whose constant term is not 0, n = p^(degree - 1)
-    n = sum(c * p ** (degree - 1 - i) for i, c in enumerate(modulus[:-1]))
-    tried = n - p ** (degree - 1) + 1
+    tried = candidates_tried(p, degree, modulus)
     assert field_for(p, degree).modulus == modulus
     assert len(calls) == tried
-    assert find_irreducible(p, degree) == modulus
-    assert len(calls) == 2 * tried
     assert all(candidate[0] != 0 for candidate, _ in calls)
     assert len({candidate for candidate, _ in calls}) == tried
+
+
+@FIRST_MODULI
+def test_find_irreducible_searches_as_field_for_does(count_calls, p, degree, modulus):
+    calls = count_calls(field._ben_or)
+    assert find_irreducible(p, degree) == modulus
+    assert len(calls) == candidates_tried(p, degree, modulus)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
