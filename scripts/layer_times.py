@@ -22,6 +22,7 @@ Takes no flags, and prints one line per measurement.
 
 import json
 import random
+from fractions import Fraction
 import sys
 import time
 from pathlib import Path
@@ -30,8 +31,7 @@ from types import SimpleNamespace
 from rootstrings.cartan import Parity, _first_zero
 from rootstrings.cartanfile import parse_cartan, render_document
 from rootstrings.cli import cmd_reflect, cmd_table
-from rootstrings.field import FieldSpec
-from rootstrings.selfcheck import field_for, run_selfcheck
+from rootstrings.selfcheck import run_selfcheck
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 #: ``workloads.make_field``'s kinds, each with the name its lines print.
@@ -55,17 +55,17 @@ def selfcheck_lines(primes: list[int], degrees: list[int]):
 
 
 def walk_lines(p: int, q: int, cap_exponent: int):
-    """Walks over GF(p), over GF(q^2) and over Q to the cap 10^cap_exponent."""
-    gf_p, gf_q2, rationals = FieldSpec(p), field_for(q, 2), FieldSpec(0)
+    """Walks over GF(p), over GF(q^2) and over Q to the cap 10^cap_exponent,
+    each given to ``_first_zero`` as the characteristic and the coordinate
+    tuples of A_kk and A_kj."""
     walks = [
-        (f"GF({p}), even, A_kk = A_kj = 1", Parity.EVEN, gf_p.one(), gf_p.one(), 0),
-        (f"GF({q}^2), odd, A_kk = 1, A_kj = t", Parity.ODD, gf_q2.one(),
-         gf_q2.element([0, 1]), 0),
-        (f"Q, even, A_kk = 2, A_kj = 1, cap 10^{cap_exponent}", Parity.EVEN,
-         rationals.element(2), rationals.element(1), 10**cap_exponent),
+        (f"GF({p}), even, A_kk = A_kj = 1", Parity.EVEN, p, (1,), (1,), 0),
+        (f"GF({q}^2), odd, A_kk = 1, A_kj = t", Parity.ODD, q, (1, 0), (0, 1), 0),
+        (f"Q, even, A_kk = 2, A_kj = 1, cap 10^{cap_exponent}", Parity.EVEN, 0,
+         (Fraction(2),), (Fraction(1),), 10**cap_exponent),
     ]
-    for name, parity, a_kk, a_kj, cap in walks:
-        took, m = best(_first_zero, parity, a_kk, a_kj, cap)
+    for name, parity, p, kk, kj, cap in walks:
+        took, m = best(_first_zero, parity, p, kk, kj, cap)
         steps = (cap if m is None else m) + 1
         yield f"{name}: {steps} steps, {took / steps * 1e9:.0f} ns per step"
 

@@ -4,8 +4,10 @@ document parser, the report renderer and the table report: show that the
 tests notice a wrong branch, a wrong step, a wrong entry or a wrong text.
 
 Each mutant is a named one-line text substitution in one source file: the
-closed-form ladder and the recursion of ``cartan.py``, the places of
-``selfcheck.py`` that compare the two routes and bound the sweep, the
+closed-form ladder and the recursion of ``cartan.py``, and its two places
+where a datum's entries become coordinate tuples, the places of
+``selfcheck.py`` that order the sweep, record a mismatch, compare the two
+routes and bound the sweep, the
 square-and-multiply of ``field.py`` with the powers and Ben-Or's test that
 use it, and its coercion of a Fraction, the entry memo, the rational
 entries and the renderer's text memo of ``cartanfile.py``, and the rows
@@ -37,8 +39,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 #: What a test run reads: the package, the tests and their fixtures, the
-#: scripts and the benchmark modules that some tests load.
-COPIED = ("src", "tests", "scripts", "bench", "pyproject.toml")
+#: scripts and the benchmark modules that some tests load, and the README,
+#: whose Library example a test runs.
+COPIED = ("src", "tests", "scripts", "bench", "pyproject.toml", "README.md")
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
 #: The test that each mutant's text occurs once in the source: a mutated
 #: copy fails it by construction, so the runs leave it out.
@@ -125,8 +128,14 @@ MUTANTS = [
     Mutant("table-columns-reversed", CARTAN,
            "points = zip(*[[x * inv * b % p for x in xs] for b in kk])",
            "points = zip(*[[x * inv * b % p for x in xs] for b in kk[::-1]])"),
+    # the two places where a datum's entries become coordinates: _pair for
+    # one entry, _row_ints for a row
+    Mutant("pair-reads-the-column-diagonal", CARTAN,
+           "datum.entries[k - 1][k - 1].coeffs", "datum.entries[j - 1][j - 1].coeffs"),
+    Mutant("row-ints-reads-the-first-diagonal", CARTAN,
+           "kk = kjs.pop(k - 1)", "kk = kjs[0]; del kjs[k - 1]"),
     Mutant("b-row-keeps-the-diagonal", CARTAN,
-           "del kjs[k - 1]", "del kjs[k - 1:k - 1]"),
+           "kk = kjs.pop(k - 1)", "kk = kjs[k - 1]"),
     Mutant("b-row-diagonal-one-column-right", CARTAN,
            "out.insert(k - 1, None)", "out.insert(k, None)"),
     # b_recursive: its bound is the shared one, and a scan that misses at
@@ -143,23 +152,25 @@ MUTANTS = [
            "% p if p else", "% p if p > 2 else"),
     Mutant("step-walks-down", CARTAN,
            "        c += a", "        c -= a"),
+    Mutant("walk-coordinates-swapped", CARTAN,
+           "zip(kk, kj)", "zip(kj, kk)"),
     Mutant("scale-only-a-kk", CARTAN,
            "int(c * scale)", "int(c)"),
     Mutant("scale-from-a-kk-alone", CARTAN,
-           "for x in a_kj.coeffs + a_kk.coeffs", "for x in a_kk.coeffs"),
+           "for x in kk + kj", "for x in kk"),
     Mutant("scale-as-a-product", CARTAN,
-           "math.lcm(*(x.denominator for x in a_kj.coeffs + a_kk.coeffs))",
-           "math.prod(x.denominator for x in a_kj.coeffs + a_kk.coeffs)",
+           "math.lcm(*(x.denominator for x in kk + kj))",
+           "math.prod(x.denominator for x in kk + kj)",
            equivalent="any common multiple L of the denominators makes L * A_kj and L * A_kk "
                       "ints, and L * d_m vanishes where d_m does"),
     Mutant("zero-test-of-one-coordinate", CARTAN,
-           "(0,) * len(a_kk.coeffs)", "(0,)"),
+           "indexOf(steps, (0,) * len(kk))", "indexOf(steps, (0,))"),
     Mutant("d-sequence-not-divided", CARTAN,
            "fraction(d, scale)", "fraction(d, 1)"),
     Mutant("zero-table-walks-swapped", CARTAN,
-           "for a in (0, 1)))", "for a in (1, 0)))"),
+           "(0, 1), (1, 0))", "(1, 0), (0, 1))"),
     Mutant("zero-table-one-step-short", CARTAN,
-           "itertools.islice(walks, _last_step(p) + 1)", "itertools.islice(walks, _last_step(p))"),
+           "_last_step(p) + 1))", "_last_step(p)))"),
     Mutant("stop-where-beta-vanishes", CARTAN,
            "if step == (0, 0)", "if step[1] == 0"),
     Mutant("flat-skips-m-0", CARTAN,
@@ -178,8 +189,15 @@ MUTANTS = [
     Mutant("row-walk-without-its-miss-check", CARTAN,
            "if rest is None and None in zeros:", "if False:"),
     Mutant("row-walk-names-the-first-entry", CARTAN,
-           "kj = kjs[zeros.index(None)]", "kj = kjs[0]"),
-    # selfcheck: the comparison of the two routes and the case limit
+           "kjs[zeros.index(None)]", "kjs[0]"),
+    Mutant("missed-zero-names-a-kj-twice", CARTAN,
+           "({parity.value}, {list(kk)}, {list(kj)})", "({parity.value}, {list(kj)}, {list(kj)})"),
+    # selfcheck: the sweep's entries, the comparison of the two routes and
+    # the case limit
+    Mutant("sweep-order-reversed", SELFCHECK,
+           "product(range(p), repeat", "product(range(p)[::-1], repeat"),
+    Mutant("mismatch-names-a-kj-as-a-kk", SELFCHECK,
+           '"a_kk": list(kk)', '"a_kk": list(kj)'),
     Mutant("fast-path-without-the-ceiling", SELFCHECK,
            "if closed == recursive and max(recursive) <= ceiling:", "if closed == recursive:"),
     Mutant("fast-path-counts-the-ladder", SELFCHECK,

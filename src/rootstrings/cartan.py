@@ -30,6 +30,12 @@ Two independent routes compute the first zero here:
   the row's rule once and returns the list of their bounds.  ``b_closed``
   calls it with one entry, ``b_row`` with the whole row.
 
+Below the public functions every route takes one entry form: the
+characteristic p and each entry as its coordinate tuple, laid out like
+``FieldElement.coeffs`` (power-basis ints mod p over GF(p^k), one Fraction
+over Q).  Only ``_pair``, for one entry, and ``_row_ints``, for a row, read
+a datum's elements; ``selfcheck`` builds its tuples without them.
+
 Both routes answer in plain ints, with None for an infinite bound; only
 ``_shared_bound``, called by ``b_recursive``, ``b_closed`` and ``b_row``,
 turns a bound into a ``BValue``.  The ``table`` report writes the ints of
@@ -259,13 +265,13 @@ def pair_datum(spec: FieldSpec, a_kk, a_kj, parity: Parity) -> CartanDatum:
     return CartanDatum.build(spec, ((a_kk, a_kj), (0, 0)), (parity, Parity.EVEN))
 
 
-def _pair(datum: CartanDatum, k: int, j: int) -> tuple[Parity, FieldElement, FieldElement]:
-    """(i_k, A_kk, A_kj) for k != j; the datum checks that k and j lie in
-    [1, n] before k = j is refused."""
-    a_kj = datum.entry(k, j)
+def _pair(datum: CartanDatum, k: int, j: int) -> tuple[Parity, tuple, tuple]:
+    """(i_k, A_kk, A_kj) for k != j, the two entries as coordinate tuples;
+    the datum checks that k and j lie in [1, n] before k = j is refused."""
+    kj = datum.entry(k, j).coeffs
     if k == j:
         raise ValueError("k and j must differ")
-    return datum.parities[k - 1], datum.entries[k - 1][k - 1], a_kj
+    return datum.parities[k - 1], datum.entries[k - 1][k - 1].coeffs, kj
 
 
 def d_next(d_prev: FieldElement, a_kj: FieldElement, a_kk: FieldElement,
@@ -288,17 +294,15 @@ def _walk_coordinate(a: int, c: int, sign: int, p: int) -> Iterator[int]:
         c += a
 
 
-def _scale(a_kj: FieldElement, a_kk: FieldElement) -> int:
-    """L, the lcm of the denominators of A_kj and A_kk: 1 over GF(q), whose
+def _scale(kk: tuple, kj: tuple) -> int:
+    """L, the lcm of the denominators of A_kk and A_kj: 1 over GF(q), whose
     coordinates are ints, so L * x is an int for both at every characteristic."""
-    return math.lcm(*(x.denominator for x in a_kj.coeffs + a_kk.coeffs))
+    return math.lcm(*(x.denominator for x in kk + kj))
 
 
-def _walk(parity: Parity, a_kk: FieldElement,
-          a_kj: FieldElement) -> Iterator[tuple[int, ...]]:
-    """L * d_0, L * d_1, ... as int coordinate tuples laid out like
-    ``FieldElement.coeffs``, without building field elements; L is
-    ``_scale``, 1 at p > 0.
+def _walk(parity: Parity, p: int, kk: tuple, kj: tuple) -> Iterator[tuple[int, ...]]:
+    """L * d_0, L * d_1, ... as int coordinate tuples, without building
+    field elements; L is ``_scale``, 1 at p > 0.
 
     The recursion only adds and scales by the integer m, and GF(p) acts
     coordinate-wise in the power basis, so each coordinate walks on its own.
@@ -307,9 +311,9 @@ def _walk(parity: Parity, a_kk: FieldElement,
     exactly when it equals the zero tuple of its length, at every
     characteristic.  The iterator never ends.
     """
-    p, sign, scale = a_kk.spec.characteristic, parity.sign, _scale(a_kj, a_kk)
+    sign, scale = parity.sign, _scale(kk, kj)
     return zip(*(_walk_coordinate(int(a * scale), int(c * scale), sign, p)
-                 for a, c in zip(a_kk.coeffs, a_kj.coeffs)))
+                 for a, c in zip(kk, kj)))
 
 
 def _last_step(p: int) -> int:
@@ -318,14 +322,15 @@ def _last_step(p: int) -> int:
     return 2 * p - 1
 
 
-def _missed_zero(parity: Parity, a_kk: FieldElement, a_kj: FieldElement) -> ConsistencyError:
-    """The error for a walk that reached ``_last_step`` without a zero."""
+def _missed_zero(parity: Parity, p: int, kk: tuple, kj: tuple) -> ConsistencyError:
+    """The error for a walk that reached ``_last_step`` without a zero; it
+    names A_kk and A_kj as coordinate lists."""
     return ConsistencyError(
-        f"no zero of the d-sequence up to m = {_last_step(a_kk.spec.characteristic)} at "
-        f"(i_k, A_kk, A_kj) = ({parity.value}, {a_kk}, {a_kj})")
+        f"no zero of the d-sequence up to m = {_last_step(p)} at "
+        f"(i_k, A_kk, A_kj) = ({parity.value}, {list(kk)}, {list(kj)})")
 
 
-def _first_zero(parity: Parity, a_kk: FieldElement, a_kj: FieldElement,
+def _first_zero(parity: Parity, p: int, kk: tuple, kj: tuple,
                 scan_cap: int = DEFAULT_SCAN_CAP) -> int | None:
     """The first m >= 0 with d_m = 0 on ``_walk``, one triple at a time: the
     first step equal to the zero tuple, one tuple comparison per step.
@@ -336,35 +341,34 @@ def _first_zero(parity: Parity, a_kk: FieldElement, a_kj: FieldElement,
     walk that ``b_recursive``, and so ``bkj``, runs, and the test oracle of
     ``_row_walk``, which settles a whole row from one table.
     """
-    p = a_kk.spec.characteristic
     last = _last_step(p) if p else scan_cap
-    steps = itertools.islice(_walk(parity, a_kk, a_kj), last + 1)
+    steps = itertools.islice(_walk(parity, p, kk, kj), last + 1)
     try:
-        return operator.indexOf(steps, (0,) * len(a_kk.coeffs))
+        return operator.indexOf(steps, (0,) * len(kk))
     except ValueError:
         if p:
-            raise _missed_zero(parity, a_kk, a_kj) from None
+            raise _missed_zero(parity, p, kk, kj) from None
         return None
 
 
 @lru_cache(maxsize=1)
-def _zero_table(sign: int, p: int) -> tuple[dict[int, int], int | None, int | None]:
+def _zero_table(parity: Parity, p: int) -> tuple[dict[int, int], int | None, int | None]:
     """(first, stop, flat): where d_m = alpha_m * A_kj + beta_m * A_kk first
-    vanishes at p > 0, for the parity of ``sign``.
+    vanishes at p > 0, for ``parity``.
 
-    (alpha_m, beta_m) are the walks of ``_walk_coordinate`` at (A_kj, A_kk)
-    = (1, 0) and (0, 1), up to ``_last_step(p)``; they depend on p and the
-    parity only.  ``stop`` is the first m with alpha_m = beta_m = 0, where
-    d_m vanishes whatever A_kj and A_kk are, and ``flat`` the first m with
-    alpha_m = 0.  ``first[c]``, for c in GF(p), is the first m before
-    ``stop`` with alpha_m != 0 and alpha_m * c + beta_m = 0, and c is absent
-    where there is none; the dict runs in descending m.  ``stop`` and
-    ``flat`` are None where the walk finds none.  ``selfcheck`` sweeps
-    every row of one parity in turn, so the table is built once per field
-    and parity, with one modular inverse per step.
+    (alpha_m, beta_m) are the two coordinates of one ``_walk``, up to
+    ``_last_step(p)``, with A_kk = (0, 1) and A_kj = (1, 0): its coordinate
+    0 walks (A_kj, A_kk) = (1, 0), and its coordinate 1 walks (0, 1).  They
+    depend on p and the parity only.  ``stop`` is the first m with alpha_m =
+    beta_m = 0, where d_m vanishes whatever A_kj and A_kk are, and ``flat``
+    the first m with alpha_m = 0.  ``first[c]``, for c in GF(p), is the
+    first m before ``stop`` with alpha_m != 0 and alpha_m * c + beta_m = 0,
+    and c is absent where there is none; the dict runs in descending m.
+    ``stop`` and ``flat`` are None where the walk finds none.  ``selfcheck``
+    sweeps every row of one parity in turn, so the table is built once per
+    field and parity, with one modular inverse per step.
     """
-    walks = zip(*(_walk_coordinate(a, 1 - a, sign, p) for a in (0, 1)))
-    steps = list(itertools.islice(walks, _last_step(p) + 1))
+    steps = list(itertools.islice(_walk(parity, p, (0, 1), (1, 0)), _last_step(p) + 1))
     stop = next((m for m, step in enumerate(steps) if step == (0, 0)), None)
     flat = next((m for m, (alpha, _) in enumerate(steps) if not alpha), None)
     first: dict[int, int] = {}
@@ -374,11 +378,10 @@ def _zero_table(sign: int, p: int) -> tuple[dict[int, int], int | None, int | No
     return dict(reversed(first.items())), stop, flat
 
 
-def _row_walk(parity: Parity, a_kk: FieldElement, kjs: list[tuple]) -> list[int]:
-    """The recursion of one row, i_k = ``parity`` and A_kk = ``a_kk`` at p > 0:
+def _row_walk(parity: Parity, p: int, kk: tuple, kjs: list[tuple]) -> list[int]:
+    """The recursion of one row, i_k = ``parity`` and A_kk = ``kk`` at p > 0:
     the list, in the order of ``kjs``, of the first m >= 0 with d_m = 0 for
-    each A_kj coordinate tuple of ``kjs`` (laid out like
-    ``FieldElement.coeffs``).
+    each A_kj of ``kjs``.
 
     The recursion is GF(p)-linear in A_kj and A_kk, so d_m = alpha_m * A_kj
     + beta_m * A_kk, and ``_zero_table`` holds where it first vanishes.  If
@@ -392,14 +395,12 @@ def _row_walk(parity: Parity, a_kk: FieldElement, kjs: list[tuple]) -> list[int]
     of the list that gets no m raises ``_missed_zero``.  Nothing here reads
     the closed form.
     """
-    p, kk = a_kk.spec.characteristic, a_kk.coeffs
-    first, stop, flat = _zero_table(parity.sign, p)
+    first, stop, flat = _zero_table(parity, p)
     zero_of = dict(zip(zip(*[[c * b % p for c in first] for b in kk]), first.values()))
     rest = stop if any(kk) else flat
     zeros = list(map(zero_of.get, kjs, itertools.repeat(rest)))
     if rest is None and None in zeros:      # the dict's values are ints
-        kj = kjs[zeros.index(None)]
-        raise _missed_zero(parity, a_kk, FieldElement._trusted(a_kk.spec, kj))
+        raise _missed_zero(parity, p, kk, kjs[zeros.index(None)])
     return zeros
 
 
@@ -410,13 +411,13 @@ def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
     field elements.  At p = 0 the walk holds L * d_m (``_walk``), so each
     returned value is divided by L.
     """
-    parity, a_kk, a_kj = _pair(datum, k, j)
+    parity, kk, kj = _pair(datum, k, j)
     if last < -1:
         raise ValueError("last index must be >= -1")
     spec = datum.spec
-    walk = itertools.islice(_walk(parity, a_kk, a_kj), last + 1)
+    walk = itertools.islice(_walk(parity, spec.characteristic, kk, kj), last + 1)
     if not spec.characteristic:
-        scale, fraction = _scale(a_kj, a_kk), _fraction()
+        scale, fraction = _scale(kk, kj), _fraction()
         walk = ((fraction(d, scale),) for d, in walk)
     values = (spec.zero(), *(FieldElement._trusted(spec, d) for d in walk))
     return DSequence._trusted(k, j, values)
@@ -434,23 +435,23 @@ def b_recursive(datum: CartanDatum, k: int, j: int, *,
     element per step, and the bound is the shared ``BValue`` of
     ``_shared_bound``.  A negative cap is refused at every characteristic.
     """
-    parity, a_kk, a_kj = _pair(datum, k, j)
+    parity, kk, kj = _pair(datum, k, j)
     if scan_cap < 0:
         raise ValueError("scan cap must be >= 0")
-    m = _first_zero(parity, a_kk, a_kj, scan_cap)
+    p = datum.spec.characteristic
+    m = _first_zero(parity, p, kk, kj, scan_cap)
     if m is None:
-        closed = _row_ladder(parity, a_kk, [a_kj.coeffs])[0]
+        closed = _row_ladder(parity, p, kk, [kj])[0]
         if closed is not None:
             raise ValueError(f"scan cap {scan_cap} is below the closed-form bound {closed}; "
                              "raise scan_cap (--max-m on the command line)")
     return _shared_bound(m)
 
 
-def _row_ladder(parity: Parity, a_kk: FieldElement, kjs: list[tuple]) -> list[int | None]:
+def _row_ladder(parity: Parity, p: int, kk: tuple, kjs: list[tuple]) -> list[int | None]:
     """The closed-form case ladder of one row, i_k = ``parity`` and A_kk =
-    ``a_kk``: the list, in the order of ``kjs``, of B_kj as ints for each
-    A_kj coordinate tuple of ``kjs`` (laid out like ``FieldElement.coeffs``),
-    with None for an infinite bound.
+    ``kk``: the list, in the order of ``kjs``, of B_kj as ints for each A_kj
+    of ``kjs``, with None for an infinite bound.
 
     One ladder serves every characteristic p (p = 0 for the rationals).
     With c the prime-field scalar such that A_kj = c * A_kk, when there is
@@ -496,7 +497,7 @@ def _row_ladder(parity: Parity, a_kk: FieldElement, kjs: list[tuple]) -> list[in
     m = -s * A_kj / A_kk = (-s*z*u) / (y*v), so one integer ``divmod``
     decides it; no Fraction is built.
     """
-    p, kk, even = a_kk.spec.characteristic, a_kk.coeffs, parity is Parity.EVEN
+    even = parity is Parity.EVEN
     s, t = (2, 1) if even else (1, 2)
     if not any(kk):                                 # branches 1 and 2
         other = (p - 1 if p else None) if even else 1
@@ -529,8 +530,8 @@ def b_closed(datum: CartanDatum, k: int, j: int) -> BValue:
     (``_row_ladder``, whose docstring lists its branches), called with a
     one-entry list, as a shared ``BValue``.  It reads power-basis
     coordinates and does no field division."""
-    parity, a_kk, a_kj = _pair(datum, k, j)
-    return _shared_bound(_row_ladder(parity, a_kk, [a_kj.coeffs])[0])
+    parity, kk, kj = _pair(datum, k, j)
+    return _shared_bound(_row_ladder(parity, datum.spec.characteristic, kk, [kj])[0])
 
 
 def _row_ints(datum: CartanDatum, k: int) -> list[int | None]:
@@ -542,10 +543,9 @@ def _row_ints(datum: CartanDatum, k: int) -> list[int | None]:
     ``b_row`` and ``table`` both read a row from here.
     """
     parity = datum.parity(k)        # IndexError outside [1, n]
-    row = datum.entries[k - 1]
-    kjs = list(map(operator.attrgetter("coeffs"), row))
-    del kjs[k - 1]
-    return _row_ladder(parity, row[k - 1], kjs)
+    kjs = list(map(operator.attrgetter("coeffs"), datum.entries[k - 1]))
+    kk = kjs.pop(k - 1)
+    return _row_ladder(parity, datum.spec.characteristic, kk, kjs)
 
 
 def b_row(datum: CartanDatum, k: int) -> tuple[BValue | None, ...]:

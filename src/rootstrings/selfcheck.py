@@ -72,29 +72,29 @@ def bound_ceiling(p: int, parity: Parity) -> int:
 
 def check_field(spec: FieldSpec) -> dict:
     """Sweep all (parity, A_kk, A_kj) cases over one field: parity varies
-    slowest, then A_kk, then A_kj, each in ``spec.elements()`` order.
+    slowest, then A_kk, then A_kj, each in ``spec.elements()`` order, as
+    coordinate tuples.
 
     Each row (parity, A_kk) calls the closed-form ladder and the recursion's
     row of first zeros, ``_row_ladder`` and ``_row_walk``, once each, with
     the list of every A_kj, and compares the two lists of ints as they come.
-    No datum or ``BValue`` is built per case.  Returns a report dict with
-    the case count, any failures, and the distribution of bounds seen.  A
-    row whose lists are equal and whose largest bound is within
-    ``bound_ceiling`` counts whole; any other row is checked entry by entry,
-    and a failure -- the routes disagree, or the bound exceeds the ceiling
-    -- records both routes' answers and the ceiling.  A row that misses its
+    No field element, datum or ``BValue`` is built.  Returns a report dict
+    with the case count, any failures, and the distribution of bounds seen.
+    A row whose lists are equal and whose largest bound is within
+    ``bound_ceiling`` counts whole; any other row is checked entry by
+    entry, and a failure -- the routes disagree, or the bound exceeds the
+    ceiling -- records both routes' answers and the ceiling.  A row that misses its
     guaranteed zero raises ConsistencyError from ``_row_walk``.
     """
     p = spec.characteristic
-    elements = list(spec.elements())
-    coeffs = [a.coeffs for a in elements]
+    coeffs = list(itertools.product(range(p), repeat=spec.degree))
     mismatches = []
     b_counts: Counter[int] = Counter()
     for parity in Parity:
         ceiling = bound_ceiling(p, parity)
-        for a_kk in elements:
-            closed = _row_ladder(parity, a_kk, coeffs)
-            recursive = _row_walk(parity, a_kk, coeffs)
+        for kk in coeffs:
+            closed = _row_ladder(parity, p, kk, coeffs)
+            recursive = _row_walk(parity, p, kk, coeffs)
             if closed == recursive and max(recursive) <= ceiling:
                 b_counts.update(recursive)
                 continue
@@ -102,7 +102,7 @@ def check_field(spec: FieldSpec) -> dict:
                 if b != m or m > ceiling:
                     mismatches.append({
                         "parity": parity.value,
-                        "a_kk": list(a_kk.coeffs),
+                        "a_kk": list(kk),
                         "a_kj": list(kj),
                         "closed": b,
                         "recursive": m,

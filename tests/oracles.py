@@ -3,8 +3,9 @@
 The closed forms of the d-sequence multiply field elements by integers, so
 they share no code with ``cartan._walk``, which adds int coordinates step by
 step.  ``relation_scalar`` derives d_m from the defining relations of the
-contragredient Lie superalgebra instead of the paper's recursion, and
-``relation_values`` evaluates it on power-basis coordinates.
+contragredient Lie superalgebra instead of the paper's recursion;
+``relation_values`` evaluates it on power-basis coordinates, and ``b_in_g``
+adds the f_j bracket and reads B_kj in g(A) itself off the two.
 ``fraction_walk`` walks the recursion over Q on ``Fraction``s, with no
 denominators cleared, as ``cartan`` once did.  Trial division decides
 irreducibility by brute force, independently of
@@ -13,7 +14,8 @@ rank-2 configurations that the exhaustive tests walk.  ``build_parser``
 builds argparse's parser from the CLI's flag table, which ``cli._parse``
 reads by its own code.  ``entry_ladder`` is the closed-form ladder in the
 per-entry form it had before ``cartan._row_ladder`` answered whole lists,
-kept verbatim, so the row form is checked against the code it replaced; it
+kept as it was but for taking the routes' coordinate form, so the row form
+is checked against the code it replaced; it
 shares only ``cartan._shared_bound``, which turns an int bound into a
 ``BValue``, and it still answers in ``BValue``s where the row form answers
 in ints, with None for infinity.
@@ -69,11 +71,21 @@ def relation_scalar(parity_k: Parity, parity_j: Parity, m: int) -> tuple[int, in
     At p = 2 an odd e_k has a squaring map that words do not model, so there
     the result is the formal identity only.
     """
-    i_k, i_j = int(parity_k is Parity.ODD), int(parity_j is Parity.ODD)
-    x = [1]                                 # X_0 = e_j
-    for n in range(m):
-        x = _ad_e_k(x, n, i_k, i_j)
+    i_k, i_j = _bits(parity_k, parity_j)
+    x = _x_words(i_k, i_j, m)
     return _multiple_of(_ad_f_k(_ad_e_k(x, m, i_k, i_j), i_k, i_j), x)
+
+
+def _bits(parity_k: Parity, parity_j: Parity) -> tuple[int, int]:
+    """(i_k, i_j) as 0 for even and 1 for odd."""
+    return int(parity_k is Parity.ODD), int(parity_j is Parity.ODD)
+
+
+@functools.cache
+def _x_words(i_k: int, i_j: int, m: int) -> list[int]:
+    """X_m = (ad e_k)^m e_j as ``relation_scalar`` writes it: the m + 1
+    coefficients of the words e_k^a e_j e_k^(m - a), indexed by a."""
+    return [1] if m == 0 else _ad_e_k(_x_words(i_k, i_j, m - 1), m - 1, i_k, i_j)
 
 
 def _ad_e_k(x: list[int], n: int, i_k: int, i_j: int) -> list[int]:
@@ -119,6 +131,85 @@ def _multiple_of(bracket: list[tuple[int, int, int]], x: list[int]) -> tuple[int
     if x[-1] != 1 or any((b, c) != (u * w, v * w) for (_, b, c), w in zip(bracket, x)):
         raise ValueError(f"{bracket} is not a multiple of X = {x}")
     return u, v
+
+
+@functools.cache
+def relation_scalar_j(parity_k: Parity, parity_j: Parity, m: int) -> int:
+    """w such that [f_j, X_{m+1}] = w*A_jk e_k^(m+1), from the same words as
+    ``relation_scalar`` and the relations of f_j:
+
+    * [e_j, f_j] = h_j, so [f_j, e_j] = -(-1)^{i_j} h_j, and [f_j, e_k] = 0;
+    * h_j e_k = e_k (h_j + A_jk).
+
+    ad f_j replaces the one e_j of each word e_k^a e_j e_k^(m + 1 - a) by
+    that h_j, with the sign (-1)^{i_j * a * i_k} of the a letters before it,
+    and the h_j then moves right past the m + 1 - a letters e_k after it.
+    Raises ``ValueError`` when an h_j survives on the right.
+    """
+    i_k, i_j = _bits(parity_k, parity_j)
+    x = _x_words(i_k, i_j, m + 1)
+    h = w = 0
+    for a, c in enumerate(x):
+        sign = (-1) ** (i_j * a * i_k) * -(-1) ** i_j * c
+        h += sign
+        w += sign * (m + 1 - a)
+    if h:
+        raise ValueError(f"an h_j survives on the right of [f_j, X] for X = {x}")
+    return w
+
+
+@functools.cache
+def power_scalar(parity_k: Parity, n: int) -> int:
+    """C such that [f_k, e_k^n] = C*A_kk e_k^(n-1), for n >= 2: each e_k of
+    the word in turn becomes [f_k, e_k] = -(-1)^{i_k} h_k, with the sign
+    (-1)^{i_k * pos} of the pos letters before it, and the h_k moves right
+    past the n - 1 - pos letters after it.  Raises ``ValueError`` when an
+    h_k survives on the right, as it does where e_k^n is no element of g:
+    at n = 2 for an even e_k, whose [e_k, e_k] is 0."""
+    i_k = int(parity_k is Parity.ODD)
+    signs = [(-1) ** (i_k * pos) * -(-1) ** i_k for pos in range(n)]
+    if sum(signs):
+        raise ValueError(f"an h_k survives on the right of [f_k, e_k^{n}]")
+    return sum(sign * (n - 1 - pos) for pos, sign in enumerate(signs))
+
+
+def _vanishes(p: int, *terms: tuple[int, tuple]) -> bool:
+    """Whether the sum of n*A over the pairs (n, A) of ``terms``, each A a
+    coordinate tuple, is 0: at each coordinate, reduced mod p > 0."""
+    sums = [sum(column) for column in zip(*([n * x for x in a] for n, a in terms))]
+    return not any(t % p if p else t for t in sums)
+
+
+def _power_in_ideal(parity_k: Parity, n: int, p: int, kk: tuple) -> bool:
+    """Whether e_k^n lies in the maximal ideal r: never at n = 1; beyond,
+    exactly when [f_k, e_k^n] = C*A_kk e_k^(n-1) does, since f_j and every
+    other f_i bracket e_k^n to 0."""
+    return n > 1 and (_vanishes(p, (power_scalar(parity_k, n), kk))
+                      or _power_in_ideal(parity_k, n - 1, p, kk))
+
+
+def b_in_g(parity_k: Parity, parity_j: Parity, p: int, kk: tuple, kj: tuple,
+           jk: tuple, cap: int) -> int | None:
+    """B_kj in the contragredient algebra g(A) itself, from the defining
+    relations alone: the least m <= ``cap`` at which X_{m+1} lies in the
+    maximal ideal r, or None where there is none.  A_kk, A_kj and A_jk are
+    coordinate tuples in characteristic p.
+
+    X_0 = e_j is not in r, and an element of height at least 2 lies in r
+    exactly when each of its f_i brackets does (Kac, Adv. Math. 26, 1977).
+    Only f_k and f_j bracket X_{m+1} to nonzero: [f_k, X_{m+1}] = d_m X_m,
+    with d_m = u*A_kk + v*A_kj of ``relation_scalar``, and [f_j, X_{m+1}] =
+    w*A_jk e_k^(m+1) of ``relation_scalar_j``.  So while X_m is not in r,
+    X_{m+1} lies in r exactly when d_m = 0 and either w*A_jk = 0 or
+    e_k^(m+1) lies in r.  It reads no route of the package.
+    """
+    for m in range(cap + 1):
+        u, v = relation_scalar(parity_k, parity_j, m)
+        if _vanishes(p, (u, kk), (v, kj)) and (
+                _vanishes(p, (relation_scalar_j(parity_k, parity_j, m), jk))
+                or _power_in_ideal(parity_k, m + 1, p, kk)):
+            return m
+    return None
 
 
 def relation_values(parity_k: Parity, parity_j: Parity, a_kk: FieldElement,
@@ -167,13 +258,14 @@ def _remainder(f, g, p: int) -> list[int]:
     return [c % p for c in r[:d]]
 
 
-def entry_ladder(parity: Parity, a_kk: FieldElement) -> Callable[[tuple], BValue]:
-    """The closed-form case ladder of one row as a function of one A_kj's
-    coordinates, one call per entry: ``cartan._row_ladder`` as it was before
-    it took a list and answered in ints, whose docstring lists the branches.
-    It tests proportionality entry by entry, builds no table, and answers a
-    ``BValue``, ``INFINITY`` for an infinite bound."""
-    p, kk, even = a_kk.spec.characteristic, a_kk.coeffs, parity is Parity.EVEN
+def entry_ladder(parity: Parity, p: int, kk: tuple) -> Callable[[tuple], BValue]:
+    """The closed-form case ladder of one row, i_k = ``parity`` and A_kk =
+    ``kk`` in characteristic ``p``, as a function of one A_kj, one call per
+    entry: ``cartan._row_ladder`` as it was before it took a list and
+    answered in ints, whose docstring lists the branches.  It takes the
+    route's coordinate form, tests proportionality entry by entry, builds no
+    table, and answers a ``BValue``, ``INFINITY`` for an infinite bound."""
+    even = parity is Parity.EVEN
     zero = _shared_bound(0)
     if not any(kk):                                 # branches 1 and 2
         other = (_shared_bound(p - 1) if p else INFINITY) if even else _shared_bound(1)

@@ -33,6 +33,7 @@ from rootstrings.selfcheck import field_for
 
 from oracles import (
     _multiple_of,
+    b_in_g,
     d_closed_even,
     d_closed_odd,
     entry_ladder,
@@ -392,10 +393,10 @@ def count_ladders(monkeypatch):
     coordinates)."""
     called, asked = [], []
 
-    def counting(parity, a_kk, kjs):
-        called.append((parity, a_kk))
+    def counting(parity, p, kk, kjs):
+        called.append((parity, kk))
         asked.append(list(kjs))
-        return _row_ladder(parity, a_kk, kjs)
+        return _row_ladder(parity, p, kk, kjs)
 
     monkeypatch.setattr("rootstrings.cartan._row_ladder", counting)
     return called, asked
@@ -413,7 +414,7 @@ def test_b_table_asks_one_ladder_per_row_with_its_whole_row(spec, monkeypatch):
     called, asked = count_ladders(monkeypatch)
     assert b_table(datum) == expected
     assert len(called) == len(asked) == n
-    assert called == [(datum.parities[k], datum.entries[k][k]) for k in range(n)]
+    assert called == [(datum.parities[k], datum.entries[k][k].coeffs) for k in range(n)]
     assert asked == rows
     assert any(len(set(kjs)) < len(kjs) for kjs in asked)  # repeats are asked as they come
     for k in range(1, n + 1):
@@ -504,7 +505,7 @@ def test_row_ladder_ratio_branch_matches_division(spec):
     elems = list(spec.elements())
     coeffs = [x.coeffs for x in elems]
     for y in elems[1:]:
-        bounds = {parity: _row_ladder(parity, y, coeffs) for parity in Parity}
+        bounds = {parity: _row_ladder(parity, p, y.coeffs, coeffs) for parity in Parity}
         for x, odd, even in zip(elems, bounds[Parity.ODD], bounds[Parity.EVEN]):
             c = (x / y).in_prime_subfield()
             assert odd == (2 * p - 1 if c is None else 2 * (-c % p)), (str(x), str(y))
@@ -518,7 +519,7 @@ def test_row_ladder_ratio_branch_at_characteristic_zero(x, y):
     c = a.rational / b.rational
     for parity, m, scale in [(Parity.EVEN, -2 * c, 1), (Parity.ODD, -c, 2)]:
         expected = scale * int(m) if m.denominator == 1 and m >= 0 else None
-        assert _row_ladder(parity, b, [a.coeffs]) == [expected]
+        assert _row_ladder(parity, 0, b.coeffs, [a.coeffs]) == [expected]
 
 
 # --- the row ladder against the per-entry ladder ------------------------------
@@ -527,10 +528,10 @@ GF1009 = FieldSpec(1009)
 GF1009_2 = FieldSpec(1009, 2, (998, 0, 1))     # t^2 - 11; 11 is not a square mod 1009
 
 
-def entry_values(parity, a_kk, kjs):
+def entry_values(parity, p, kk, kjs):
     """``entry_ladder``'s bounds of ``kjs`` as the row ladder answers them:
     ints, with None for infinity."""
-    return [b.value for b in map(entry_ladder(parity, a_kk), kjs)]
+    return [b.value for b in map(entry_ladder(parity, p, kk), kjs)]
 
 
 @pytest.mark.parametrize("p,degree", [
@@ -540,14 +541,13 @@ def test_row_ladder_matches_the_entry_ladder_everywhere(p, degree):
     # at degree > 1 the whole row tabulates all p points c * A_kk, and each
     # one-entry list, as b_closed asks it, only the point of its own entry
     spec = field_for(p, degree)
-    elements = list(spec.elements())
-    coeffs = [a.coeffs for a in elements]
+    coeffs = [a.coeffs for a in spec.elements()]
     for parity in Parity:
-        for a_kk in elements:
-            expected = entry_values(parity, a_kk, coeffs)
-            assert _row_ladder(parity, a_kk, coeffs) == expected, (str(spec), parity, str(a_kk))
-            one_by_one = [_row_ladder(parity, a_kk, [kj])[0] for kj in coeffs]
-            assert one_by_one == expected, (str(spec), parity, str(a_kk))
+        for kk in coeffs:
+            expected = entry_values(parity, p, kk, coeffs)
+            assert _row_ladder(parity, p, kk, coeffs) == expected, (str(spec), parity, kk)
+            one_by_one = [_row_ladder(parity, p, kk, [kj])[0] for kj in coeffs]
+            assert one_by_one == expected, (str(spec), parity, kk)
 
 
 #: The fields of the drawn-row test, by the rule of the ladder they reach:
@@ -592,8 +592,7 @@ def test_row_ladder_matches_the_entry_ladder_on_drawn_rows(kind, data, parity):
         nonzero = st.fractions(-10**6, 10**6, max_denominator=10**6).filter(bool).map(lambda x: (x,))
     kk = data.draw(st.one_of(st.just(spec.zero().coeffs), nonzero))
     kjs = draw_row(data, spec, kk, p if kind == "small-p-long-rows" else 0)
-    a_kk = FieldElement(spec, kk)
-    assert _row_ladder(parity, a_kk, kjs) == entry_values(parity, a_kk, kjs)
+    assert _row_ladder(parity, p, kk, kjs) == entry_values(parity, p, kk, kjs)
 
 
 class _Counted:
@@ -631,12 +630,12 @@ def test_a_row_ladder_does_work_bounded_by_its_row(spec, monkeypatch):
         kjs = [tuple(rng.randrange(p) for _ in range(degree)) for _ in range(100)]
         kjs += [tuple(rng.randrange(p) * b % p for b in kk) for _ in range(100)]
         counted = _Counted(monkeypatch)
-        bounds = _row_ladder(parity, FieldElement(spec, kk), kjs)
+        bounds = _row_ladder(parity, p, kk, kjs)
         i = next(i for i, b in enumerate(kk) if b)
         assert counted.keys == ([] if degree == 1 else [len({kj[i] for kj in kjs})])
         assert counted.bounds == []
         monkeypatch.undo()
-        assert bounds == entry_values(parity, FieldElement(spec, kk), kjs)
+        assert bounds == entry_values(parity, p, kk, kjs)
 
 
 @pytest.mark.parametrize("spec", [GF125, GF9, FieldSpec(13, 2, (2, 0, 1))], ids=str)
@@ -647,7 +646,7 @@ def test_a_row_of_at_least_p_entries_tabulates_the_p_points_once(spec, monkeypat
     kk, elements = (1,) * degree, [a.coeffs for a in spec.elements()]
     for kjs in (elements[:p], elements):
         counted = _Counted(monkeypatch)
-        bounds = _row_ladder(Parity.ODD, FieldElement(spec, kk), kjs)
+        bounds = _row_ladder(Parity.ODD, p, kk, kjs)
         assert counted.keys == [p]
         assert counted.bounds == []
         monkeypatch.undo()
@@ -677,7 +676,7 @@ def test_the_ladder_answers_ints_and_the_public_bounds_are_shared(rule, parity):
     # answer (every finite one here is below the default scan cap)
     spec, kk, kj_values = RULE_ROWS[rule]
     a_kk, entries = spec.element(kk), [spec.element(v) for v in kj_values]
-    answers = _row_ladder(parity, a_kk, [a.coeffs for a in entries])
+    answers = _row_ladder(parity, spec.characteristic, a_kk.coeffs, [a.coeffs for a in entries])
     assert all(type(b) is int and b >= 0 or b is None and not spec.characteristic
                for b in answers), answers
     n, zero = len(entries) + 1, spec.zero()
@@ -777,7 +776,7 @@ def test_relations_oracle_over_q_matches_d_sequence_and_first_zero(pair, parity,
     seq = d_sequence(datum, 1, 2, cap)
     assert [seq[m].coeffs for m in range(cap + 1)] == expected
     zero = next((m for m, s in enumerate(expected) if not any(s)), None)
-    assert _first_zero(parity, a_kk, a_kj, cap) == zero
+    assert _first_zero(parity, 0, a_kk.coeffs, a_kj.coeffs, cap) == zero
 
 
 @pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF9], ids=str)
@@ -791,6 +790,59 @@ def test_d_next_iterated_from_zero_matches_the_relations_oracle(spec):
         assert got == relation_values(parity, Parity.EVEN, a_kk, a_kj, last)
     with pytest.raises(ValueError):
         d_next(spec.zero(), spec.zero(), spec.zero(), -1, Parity.EVEN)
+
+
+# --- B in g(A) from the defining relations, against the first-zero rule ----------
+#
+# The first-zero rule is B_kj in g(A) where its assumption holds, A_kj = 0
+# only where A_jk = 0; where A_kj = 0 != A_jk, alpha_j + alpha_k is a root,
+# and B_kj in g(A) is the first zero of the d-sequence at m >= 1.
+
+def first_zero_from_1(datum, last):
+    """The first m in [1, last] with d_m = 0, None if there is none."""
+    seq = d_sequence(datum, 1, 2, last)
+    return next((m for m in range(1, last + 1) if not any(seq[m].coeffs)), None)
+
+
+@pytest.mark.parametrize("spec", [GF3, GF5, GF7, GF9], ids=str)
+def test_b_in_g_is_the_first_zero_rule_where_its_assumption_holds(spec):
+    # every (i_k, i_j, A_kk, A_kj, A_jk): 4 * q^3 cases; the public routes
+    # depend on (i_k, A_kk, A_kj) only, so they run once per triple
+    p, last = spec.characteristic, 2 * spec.characteristic - 1
+    coeffs = [a.coeffs for a in spec.elements()]
+    routes = {}
+    for parity, kk, kj in itertools.product(Parity, coeffs, coeffs):
+        datum = pair_datum(spec, list(kk), list(kj), parity)
+        closed = b_closed(datum, 1, 2)
+        assert b_recursive(datum, 1, 2) is closed
+        routes[parity, kk, kj] = closed.value, first_zero_from_1(datum, last)
+    cases = differ = 0
+    for (parity, kk, kj), parity_j, jk in itertools.product(routes, Parity, coeffs):
+        closed, from_1 = routes[parity, kk, kj]
+        got = b_in_g(parity, parity_j, p, kk, kj, jk, last)
+        assumed = any(kj) or not any(jk)
+        assert got == (closed if assumed else from_1), (str(spec), parity, parity_j, kk, kj, jk)
+        cases += 1
+        differ += got != closed
+    assert cases == 4 * spec.order ** 3
+    assert differ > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=bounded_pairs(), a_jk=st.one_of(st.just(Fraction(0)), bounded_rationals),
+       kj_zero=st.booleans(), parity=st.sampled_from(Parity), parity_j=st.sampled_from(Parity))
+def test_b_in_g_over_q_is_the_first_zero_rule_where_its_assumption_holds(
+        pair, a_jk, kj_zero, parity, parity_j):
+    # the oracle answers up to a cap, so each route is compared below it
+    a_kk, a_kj = pair[0], 0 if kj_zero else pair[1]
+    cap, datum = 16, pair_datum(Q, a_kk, a_kj, parity)
+    closed = b_closed(datum, 1, 2)
+    assert b_recursive(datum, 1, 2) is closed
+    got = b_in_g(parity, parity_j, 0, *(Q.element(x).coeffs for x in (a_kk, a_kj, a_jk)), cap)
+    if a_kj or not a_jk:
+        assert got == (closed.value if closed <= cap else None)
+    else:
+        assert got == first_zero_from_1(datum, cap)
 
 
 def test_relations_oracle_refuses_a_surviving_h_or_a_bracket_off_x():
@@ -826,9 +878,10 @@ def test_integer_walk_over_q_matches_the_fraction_walk(pair, parity, cap):
     datum = pair_datum(Q, a_kk, a_kj, parity)
     expected = list(itertools.islice(fraction_walk(a_kj, a_kk, parity), cap + 1))
     zero = next((m for m, d in enumerate(expected) if d == 0), None)
-    assert _first_zero(parity, datum.entry(1, 1), datum.entry(1, 2), cap) == zero
+    kk, kj = datum.entry(1, 1).coeffs, datum.entry(1, 2).coeffs
+    assert _first_zero(parity, 0, kk, kj, cap) == zero
     assert [d.rational for d in d_sequence(datum, 1, 2, cap).values[1:]] == expected
-    steps = itertools.islice(_walk(parity, datum.entry(1, 1), datum.entry(1, 2)), cap + 1)
+    steps = itertools.islice(_walk(parity, 0, kk, kj), cap + 1)
     assert all(type(c) is int for step in steps for c in step)
 
 
@@ -846,23 +899,24 @@ def test_q_walk_to_a_cap_of_a_million_is_quick():
 def test_first_zero_waits_for_every_coordinate_to_vanish():
     # over GF(3^2) = GF(3)[t]/(t^2 + 1), the even row A_kk = 0, A_kj = t walks
     # d_m = -(m + 1) * t, whose coordinate 0 vanishes at every step
-    t = GF9.element([0, 1])
-    steps = list(itertools.islice(_walk(Parity.EVEN, GF9.zero(), t), 3))
+    zero, t = GF9.zero().coeffs, GF9.element([0, 1]).coeffs
+    steps = list(itertools.islice(_walk(Parity.EVEN, 3, zero, t), 3))
     assert steps == [(0, 2), (0, 1), (0, 0)]
-    assert _first_zero(Parity.EVEN, GF9.zero(), t) == 2
-    assert _first_zero(Parity.ODD, GF9.zero(), t) == 1
+    assert _first_zero(Parity.EVEN, 3, zero, t) == 2
+    assert _first_zero(Parity.ODD, 3, zero, t) == 1
 
 
 @st.composite
 def walk_triples(draw):
-    """(parity, A_kk, A_kj) over GF(p) with p < 100, over GF(p^2) or GF(p^3)
-    with p in {2, 3, 5, 7}, or over Q as in ``rational_pairs``; a finite
-    field's coordinates are 0 half the time, so that some vanish early."""
+    """(parity, p, A_kk, A_kj), the entries as coordinate tuples, over GF(p)
+    with p < 100, over GF(p^2) or GF(p^3) with p in {2, 3, 5, 7}, or over Q
+    as in ``rational_pairs``; a finite field's coordinates are 0 half the
+    time, so that some vanish early."""
     parity = draw(st.sampled_from(Parity))
     kind = draw(st.sampled_from(["prime", "extension", "rational"]))
     if kind == "rational":
         a_kk, a_kj = draw(rational_pairs())
-        return parity, Q.element(a_kk), Q.element(a_kj)
+        return parity, 0, Q.element(a_kk).coeffs, Q.element(a_kj).coeffs
     if kind == "prime":
         spec = FieldSpec(draw(st.sampled_from([p for p in range(2, 100) if is_prime(p)])))
     else:
@@ -870,18 +924,17 @@ def walk_triples(draw):
     p = spec.characteristic
     coords = st.lists(st.one_of(st.just(0), st.integers(0, p - 1)),
                       min_size=spec.degree, max_size=spec.degree)
-    return parity, spec.element(draw(coords)), spec.element(draw(coords))
+    return parity, p, spec.element(draw(coords)).coeffs, spec.element(draw(coords)).coeffs
 
 
 @settings(max_examples=300)
 @given(triple=walk_triples(), cap=st.integers(0, 300))
 def test_first_zero_is_the_first_step_with_no_nonzero_coordinate(triple, cap):
-    parity, a_kk, a_kj = triple
-    p = a_kk.spec.characteristic
-    steps = itertools.islice(_walk(parity, a_kk, a_kj), 2 * p if p else cap + 1)
+    parity, p, kk, kj = triple
+    steps = itertools.islice(_walk(parity, p, kk, kj), 2 * p if p else cap + 1)
     zero = next((m for m, step in enumerate(steps) if not any(step)), None)
     assert zero is not None or not p
-    assert _first_zero(parity, a_kk, a_kj, cap) == zero
+    assert _first_zero(parity, p, kk, kj, cap) == zero
 
 
 # --- the row walk against the per-triple walk ---------------------------------
@@ -891,13 +944,11 @@ def test_first_zero_is_the_first_step_with_no_nonzero_coordinate(triple, cap):
     (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (11, 2)])
 def test_row_walk_matches_first_zero_everywhere(p, degree):
     spec = field_for(p, degree)
-    elements = list(spec.elements())
-    coeffs = [a_kj.coeffs for a_kj in elements]
+    coeffs = [a.coeffs for a in spec.elements()]
     for parity in Parity:
-        for a_kk in elements:
-            assert (_row_walk(parity, a_kk, coeffs)
-                    == [_first_zero(parity, a_kk, a_kj) for a_kj in elements]), \
-                (str(spec), parity, str(a_kk))
+        for kk in coeffs:
+            assert (_row_walk(parity, p, kk, coeffs)
+                    == [_first_zero(parity, p, kk, kj) for kj in coeffs]), (str(spec), parity, kk)
 
 
 def _prime_from(n):
@@ -932,9 +983,7 @@ def test_row_walk_matches_first_zero_on_random_triples(data, spec, parity):
     # A_kj = c * A_kk is the one A_kj a step with alpha_m != 0 settles
     multiples = st.integers(0, p - 1).map(lambda c: tuple(c * b % p for b in kk))
     kjs = data.draw(st.lists(st.one_of(multiples, coords), min_size=1, max_size=6))
-    a_kk = FieldElement(spec, kk)
-    assert (_row_walk(parity, a_kk, kjs)
-            == [_first_zero(parity, a_kk, FieldElement(spec, kj)) for kj in kjs])
+    assert _row_walk(parity, p, kk, kjs) == [_first_zero(parity, p, kk, kj) for kj in kjs]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -948,7 +997,7 @@ def test_zero_table_follows_its_definition_on_any_coefficient_walk(monkeypatch, 
     monkeypatch.setattr(cartan, "_walk_coordinate", lambda a, c, sign, p: iter(walks[a]))
     cartan._zero_table.cache_clear()
     try:
-        first, stop, flat = cartan._zero_table(1, p)
+        first, stop, flat = cartan._zero_table(Parity.EVEN, p)
     finally:
         cartan._zero_table.cache_clear()
     steps = list(zip(*walks))

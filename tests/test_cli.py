@@ -3,13 +3,15 @@ import io
 import json
 import os
 import random
+import re
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rootstrings.cartan
@@ -464,6 +466,184 @@ def test_argv_examples_read_as_argparse_reads_them(argv):
     assert cli_reading(argv) == argparse_reading(argv)
 
 
+# --- the boundary fuzzer: generated documents and argv through main ---------
+#
+# main must answer every request with exit 0 (a report, or help), 1 (invalid
+# input) or 3 (reflection undefined), never raise, and print one error line
+# for a refusal; exit 2 would mean the routes disagree.  bkj and dseq walk
+# the d-sequence to m = 2p - 1, which at a 13-digit p takes weeks, so only
+# table and reflect draw a characteristic above 31.
+
+JUNK = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=3),
+                 st.lists(st.lists(st.integers(-2, 2), max_size=2), max_size=2))
+HUGE = st.sampled_from([10**30, -10**30, 2**64 + 1, -(2**64), 10**400])
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 29, 31)
+#: (characteristic, extension) pairs that parse, beside the prime fields and Q
+GOOD_EXTENSIONS = ((3, {"degree": 2, "modulus": [1, 0, 1]}),
+                   (2, {"degree": 3, "modulus": [1, 1, 0, 1]}),
+                   (31, {"degree": 2, "modulus": [1, 0, 1]}))
+#: characteristics above 31: primes of 7 and 13 digits, and a composite
+LARGE_CHARACTERISTICS = (1000003, 9999999999971, 10**12 + 39, 2**40)
+
+
+def rarely(draw, odds: int) -> bool:
+    """True about once in ``odds`` draws: on a middle value of a range, since
+    hypothesis favours its ends."""
+    return draw(st.integers(0, odds - 1)) == odds // 2
+
+
+def now_and_then(draw, usual, rare, odds: int):
+    """A draw of ``usual``, or of ``rare`` about once in ``odds`` draws."""
+    return draw(rare if rarely(draw, odds) else usual)
+
+
+def bad_fields(large: bool):
+    """(characteristic, extension) with junk in either slot, a non-prime or
+    out-of-range characteristic, or an extension dict of any degree and
+    modulus."""
+    ints = st.sampled_from([1, 4, -3, -(10**30), *((10**30, 2**64 + 1) if large else ())])
+    extension = st.one_of(
+        st.none(), JUNK,
+        st.fixed_dictionaries({"degree": st.one_of(st.integers(-1, 9), HUGE, JUNK),
+                               "modulus": st.one_of(st.lists(st.integers(-1, 3), max_size=10),
+                                                    JUNK)}))
+    return st.tuples(st.one_of(ints, st.sampled_from(SMALL_PRIMES), JUNK), extension)
+
+
+@st.composite
+def documents(draw, large: bool):
+    """(document, rank): a Cartan-data document of rank 0 to 4, mostly 2 to
+    4, that mostly parses, with junk now and then in any slot."""
+    n = now_and_then(draw, st.integers(2, 4), st.integers(0, 1), 10)
+    fields = [(0, None), *((p, None) for p in SMALL_PRIMES), *GOOD_EXTENSIONS,
+              *((p, None) for p in LARGE_CHARACTERISTICS if large)]
+    characteristic, extension = now_and_then(draw, st.sampled_from(fields), bad_fields(large), 6)
+    entry = st.one_of(st.integers(-3, 3), HUGE)
+    if characteristic == 0:
+        entry |= st.sampled_from(["1/2", "-7/3", "5"])
+    elif (characteristic, extension) in GOOD_EXTENSIONS:
+        entry |= st.lists(st.integers(0, characteristic - 1), min_size=1,
+                          max_size=extension["degree"])
+    matrix = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n and rarely(draw, 6):
+        matrix[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.one_of(JUNK, st.sampled_from(["2/0", "x", "1e9", "1/2"])))
+    matrix = now_and_then(draw, st.just(matrix),
+                          st.one_of(JUNK, st.lists(st.lists(entry, max_size=4), max_size=4)), 10)
+    parities = [draw(st.sampled_from(["ev", "od"])) for _ in range(n)]
+    doc = {"characteristic": characteristic, "matrix": matrix,
+           "parities": now_and_then(draw, st.just(parities),
+                                    st.one_of(JUNK, st.lists(JUNK, max_size=4)), 10)}
+    if extension is not None:
+        doc["extension"] = extension
+    if rarely(draw, 20):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    if rarely(draw, 20):
+        doc["extra"] = 1
+    return doc, n
+
+
+def flag(draw, name: str, values) -> list[str]:
+    """Mostly the flag with a drawn value; now and then no flag, or an
+    empty or non-integer value."""
+    value = now_and_then(draw, values, st.sampled_from(["", "1.5", "x", "-", "1e3"]), 20)
+    return now_and_then(draw, st.just([name, value]), st.just([]), 20)
+
+
+#: Primes and degrees for selfcheck, valid or not; 9999999999971 and 10**25
+#: are refused before any sweep, the one for its case count, the other as
+#: past the primality limit.
+SELFCHECK_PRIMES = (-3, 0, 1, 2, 3, 4, 5, 7, 11, 13, 9999999999971, 10**25)
+SELFCHECK_DEGREES = (-1, 0, 1, 2, 3, 4, 8, 9, 30)
+
+
+def selfcheck_cases(primes, degrees):
+    """The cases that ``run_selfcheck`` would sweep, or None where it
+    refuses the lists before any sweep."""
+    if (len(set(primes)) < len(primes) or len(set(degrees)) < len(degrees)
+            or not set(primes) <= {2, 3, 5, 7, 11, 13, 9999999999971}
+            or not set(degrees) <= set(range(1, 9))):
+        return None
+    cases = sum(2 * p ** (2 * d) for p in primes for d in degrees)
+    return cases if cases <= rootstrings.selfcheck.MAX_CASES else None
+
+
+@st.composite
+def requests(draw):
+    """(argv, document or None): a subcommand with drawn flags and the
+    document that --input names; now and then an unknown subcommand, -h,
+    --strict, an empty --output or a missing --input."""
+    command = now_and_then(draw, st.sampled_from(["bkj", "dseq", "table", "reflect", "selfcheck"]),
+                           st.just("bk"), 20)
+    argv, doc = [command], None
+    if command == "selfcheck":
+        lists = [draw(st.lists(st.sampled_from(values), max_size=3))
+                 for values in (SELFCHECK_PRIMES, SELFCHECK_DEGREES)]
+        cases = selfcheck_cases(*[given or default for given, default in
+                                  zip(lists, ([2, 3, 5, 7], [1]))])
+        # a sweep runs only below 10^5 cases; a larger one must be refused
+        assume(cases is None or cases < 10**5)
+        for name, given in zip(("--primes", "--degrees"), lists):
+            if given:
+                argv += [name, ",".join(map(str, given))]
+        argv += now_and_then(draw, st.just([]),
+                             st.sampled_from([["--primes", ""], ["--degrees", "2,,3"]]), 10)
+    elif command != "bk":
+        doc, n = draw(documents(command in ("table", "reflect")))
+        argv += now_and_then(draw, st.just(["--input", "DOC"]), st.just([]), 20)
+        # mostly two distinct indices in [1, n], now and then any two
+        anywhere = st.lists(st.integers(-1, n + 2), min_size=2, max_size=2)
+        distinct = st.permutations(range(1, n + 1)).map(lambda ks: ks[:2]) if n > 1 else anywhere
+        k, j = now_and_then(draw, distinct, anywhere, 10)
+        if command != "table":
+            argv += flag(draw, "--k", st.just(str(k)))
+        if command in ("bkj", "dseq"):
+            argv += flag(draw, "--j", st.just(str(j)))
+            argv += flag(draw, "--max-m", st.integers(-2, 30).map(str))
+        argv += now_and_then(draw, st.just([]), st.just(["--strict"]), 5)
+    argv += now_and_then(draw, st.just([]), st.sampled_from([["-h"], ["--output="]]), 10)
+    return argv, doc
+
+
+class _Deadline(BaseException):
+    """A request ran past its deadline; main catches no BaseException."""
+
+
+def _expire(signum, frame):
+    raise _Deadline
+
+
+@settings(max_examples=300, deadline=None)
+@given(request=requests())
+def test_main_answers_every_bounded_request(tmp_path_factory, request):
+    argv, doc = request
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    argv = [str(path) if token == "DOC" else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    # the deadline: an alarm that interrupts a request still running after 5 s
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = rootstrings.cli.main(argv)
+    except _Deadline:
+        pytest.fail(f"no answer within 5 s: {argv} on {doc}")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 3), (argv, doc, err)
+    if code:
+        assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]*\n", err), (argv, doc, err)
+        assert out == ""
+    elif out.startswith("usage: rootstrings"):
+        assert "-h" in argv and err == ""
+    else:
+        assert json.loads(out)["command"] == argv[0] and err == ""
+
+
 def test_route_disagreement_exits_2(run_cli, monkeypatch):
     monkeypatch.setattr(rootstrings.cli, "b_recursive",
                         lambda datum, k, j, **kw: BValue(0))
@@ -477,7 +657,7 @@ def test_route_disagreement_exits_2(run_cli, monkeypatch):
 def test_selfcheck_mismatch_exits_2(run_cli, monkeypatch):
     # the recursion finds d_0 = 0 everywhere
     monkeypatch.setattr(rootstrings.selfcheck, "_row_walk",
-                        lambda parity, a_kk, kjs: [0] * len(kjs))
+                        lambda parity, p, kk, kjs: [0] * len(kjs))
     code, out, _ = run_cli("selfcheck", "--primes", "2", "--degrees", "1")
     assert code == 2
     report = json.loads(out)
@@ -488,11 +668,9 @@ def test_selfcheck_mismatch_exits_2(run_cli, monkeypatch):
 
 def test_selfcheck_ceiling_violation_exits_2(run_cli, monkeypatch):
     # both routes agree, on a bound above every ceiling of the field
-    too_big = lambda a_kk: 2 * a_kk.spec.characteristic
-    monkeypatch.setattr(rootstrings.selfcheck, "_row_ladder",
-                        lambda parity, a_kk, kjs: [too_big(a_kk)] * len(kjs))
-    monkeypatch.setattr(rootstrings.selfcheck, "_row_walk",
-                        lambda parity, a_kk, kjs: [too_big(a_kk)] * len(kjs))
+    too_big = lambda parity, p, kk, kjs: [2 * p] * len(kjs)
+    monkeypatch.setattr(rootstrings.selfcheck, "_row_ladder", too_big)
+    monkeypatch.setattr(rootstrings.selfcheck, "_row_walk", too_big)
     code, out, _ = run_cli("selfcheck", "--primes", "2", "--degrees", "1")
     assert code == 2
     report = json.loads(out)

@@ -154,6 +154,37 @@ def test_no_json_call_in_the_package_indents():
     assert found == []
 
 
+#: The route functions of cartan.py: each takes the characteristic and
+#: coordinate tuples laid out like FieldElement.coeffs, never an element.
+ROUTES = ("_walk", "_scale", "_first_zero", "_missed_zero", "_zero_table", "_row_walk",
+          "_row_ladder")
+
+
+def test_the_routes_read_no_field_element():
+    # only _pair and _row_ints unwrap a datum's elements; below them a route
+    # reads no .coeffs or .spec and names no FieldElement, not even in an
+    # annotation, so coordinates are the routes' one entry form
+    tree = ast.parse((PACKAGE / "cartan.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = [f"{name}:{node.lineno}" for name in ROUTES for node in ast.walk(functions[name])
+             if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "spec")
+             or isinstance(node, ast.Name) and node.id == "FieldElement"]
+    assert found == []
+
+
+def test_the_recursion_step_is_entered_only_through_walk():
+    tree = ast.parse((PACKAGE / "cartan.py").read_text())
+    walk = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_walk")
+
+    def named(root):
+        return [node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Name) and node.id == "_walk_coordinate"]
+
+    assert named(walk)
+    assert sorted(named(tree)) == sorted(named(walk))
+
+
 def test_bench_tracer_installs_on_the_package():
     # the benchmark tracer wraps package functions by name: a rename under
     # src/ must fail here, not only in the traced benchmark run

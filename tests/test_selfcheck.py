@@ -108,9 +108,9 @@ def test_check_field_builds_one_ladder_per_row_and_no_datum(spec, monkeypatch):
     expected = check_field(spec)
     ladders = []
 
-    def counting_ladder(parity, a_kk, kjs):
-        ladders.append((parity, a_kk.coeffs))
-        return cartan._row_ladder(parity, a_kk, kjs)
+    def counting_ladder(parity, p, kk, kjs):
+        ladders.append((parity, kk))
+        return cartan._row_ladder(parity, p, kk, kjs)
 
     data = []
     original = CartanDatum.__post_init__
@@ -135,12 +135,30 @@ def test_check_field_builds_one_row_walk_per_row_and_walks_no_triple(spec, count
     assert triples == []
 
 
+def test_check_field_builds_no_field_element(elements_built):
+    # the sweep hands both routes coordinate tuples in spec.elements() order
+    spec = field_for(3, 3)
+    elements_built.clear()
+    report = check_field(spec)
+    assert (report["cases"], report["failures"]) == (2 * 27 ** 2, 0) == (1458, 0)
+    assert elements_built == []
+
+
+def test_check_field_sweeps_in_the_order_of_the_fields_elements(count_calls):
+    spec = field_for(3, 2)
+    ladders = count_calls(cartan._row_ladder)
+    check_field(spec)
+    coeffs = [a.coeffs for a in spec.elements()]
+    assert ladders == [(parity, 3, kk, coeffs) for parity in cartan.Parity for kk in coeffs]
+
+
 def test_a_walk_that_misses_its_zero_raises(monkeypatch):
     # no step of the faulty walk vanishes; _first_zero decides that the zero
     # guaranteed by m = 2p - 1 is missing
-    monkeypatch.setattr(cartan, "_walk", lambda parity, a_kk, a_kj: itertools.repeat((1,)))
+    monkeypatch.setattr(cartan, "_walk", lambda parity, p, kk, kj: itertools.repeat((1,)))
     datum = cartan.pair_datum(FieldSpec(3), 2, 1, cartan.Parity.ODD)
-    with pytest.raises(ConsistencyError, match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(od, 2, 1\)"):
+    with pytest.raises(ConsistencyError,
+                       match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(od, \[2\], \[1\]\)"):
         cartan.b_recursive(datum, 1, 2)
 
 
@@ -152,7 +170,7 @@ def test_a_row_walk_that_misses_its_zero_raises(monkeypatch):
     cartan._zero_table.cache_clear()
     try:
         with pytest.raises(ConsistencyError,
-                           match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(ev, 1, 0\)"):
+                           match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(ev, \[1\], \[0\]\)"):
             check_field(FieldSpec(3))
     finally:
         cartan._zero_table.cache_clear()
@@ -162,8 +180,8 @@ def test_a_row_walk_names_the_first_a_kj_that_misses_its_zero(monkeypatch):
     # a table without c = 1 and with no stop or flat: over GF(3) the first
     # row, (ev, 0), gives A_kj = 0 the zero tuple's m, and A_kj = 1, its
     # second column, is the first entry in sweep order that gets no m
-    monkeypatch.setattr(cartan, "_zero_table", lambda sign, p: ({2: 1, 0: 0}, None, None))
-    with pytest.raises(ConsistencyError, match=r"\(i_k, A_kk, A_kj\) = \(ev, 0, 1\)"):
+    monkeypatch.setattr(cartan, "_zero_table", lambda parity, p: ({2: 1, 0: 0}, None, None))
+    with pytest.raises(ConsistencyError, match=r"\(i_k, A_kk, A_kj\) = \(ev, \[0\], \[1\]\)"):
         check_field(FieldSpec(3))
 
 
@@ -175,13 +193,12 @@ def test_two_wronged_entries_of_one_row_are_reported_in_sweep_order(monkeypatch)
     spec = FieldSpec(7)
     expected = check_field(spec)
     row = (cartan.Parity.ODD, (3,))
-    a_kk = spec.element(3)
-    true_2, true_5 = cartan._row_walk(cartan.Parity.ODD, a_kk, [(2,), (5,)])
+    true_2, true_5 = cartan._row_walk(cartan.Parity.ODD, 7, (3,), [(2,), (5,)])
 
     def wronged(route, column, shift):
-        def answers(parity, a_kk, kjs):
-            out = route(parity, a_kk, kjs)
-            if (parity, a_kk.coeffs) == row:
+        def answers(parity, p, kk, kjs):
+            out = route(parity, p, kk, kjs)
+            if (parity, kk) == row:
                 out[column] = shift(out[column])
             return out
 
