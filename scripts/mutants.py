@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Mutation run over the two routes to a bound, the field's powers, the
-document parser, the report renderer and the table report: show that the
-tests notice a wrong branch, a wrong step, a wrong entry or a wrong text.
+document parser, the report renderer, the table report and the value types'
+checks: show that the tests notice a wrong branch, a wrong step, a wrong
+entry, a wrong text or a value that should have been refused.
 
 Each mutant is a named one-line text substitution in one source file: the
-closed-form ladder and the recursion of ``cartan.py``, and its two places
-where a datum's entries become coordinate tuples, the places of
-``selfcheck.py`` that order the sweep, record a mismatch, compare the two
-routes and bound the sweep, the
-square-and-multiply of ``field.py`` with the powers and Ben-Or's test that
-use it, and its coercion of a Fraction, the entry memo, the rational
-entries and the renderer's text memo of ``cartanfile.py``, and the rows
-that ``cli.py`` writes for ``table``.  Each runs in its own temporary copy
-of the repository: first the test files that ``FIRST_TESTS`` names for the
-mutated file under ``-x``, and, if those pass, the whole suite under
-``-x``.  A mutant is killed when a test fails (or the run passes its time
+closed-form ladder and the recursion of ``cartan.py``, its two places
+where a datum's entries become coordinate tuples, and the checks of
+``BValue`` and ``CartanDatum``; the places of ``selfcheck.py`` that order
+the sweep, record a mismatch, compare the two routes and bound the sweep;
+the square-and-multiply of ``field.py`` with the powers and Ben-Or's test
+that use it, its coercion of a Fraction, and the checks of ``FieldSpec``
+and ``FieldElement``; the entry memo, the rational entries and the
+renderer's text memo of ``cartanfile.py``; the rows that ``cli.py`` writes
+for ``table``; and the checks of ``reflection.py``'s ``RootVector``.
+Each runs in its own temporary copy of the repository: first the test files
+that ``FIRST_TESTS`` names for the mutated file under ``-x``, and, if those
+pass, the whole suite under ``-x``.  A mutant is killed when a test fails (or the run passes its time
 limit).  A mutant that survives the whole suite must carry a written reason
 why it is equivalent to the source; an equivalent mutant that gets killed
 means its reason is wrong.  Either exits 1, as does a mutant whose text no
@@ -55,14 +57,16 @@ SELFCHECK = "src/rootstrings/selfcheck.py"
 FIELD = "src/rootstrings/field.py"
 CARTANFILE = "src/rootstrings/cartanfile.py"
 CLI = "src/rootstrings/cli.py"
+REFLECTION = "src/rootstrings/reflection.py"
 #: The tests that run first against a mutant of each file, the quickest to
 #: kill one.
 FIRST_TESTS = {
     CARTAN: ("tests/test_cartan.py", "tests/test_selfcheck.py"),
     SELFCHECK: ("tests/test_cartan.py", "tests/test_selfcheck.py"),
-    FIELD: ("tests/test_field.py", "tests/test_gf_oracle.py"),
+    FIELD: ("tests/test_field.py", "tests/test_gf_oracle.py", "tests/test_values.py"),
     CARTANFILE: ("tests/test_cartanfile.py",),
     CLI: ("tests/test_cli.py",),
+    REFLECTION: ("tests/test_reflection.py", "tests/test_values.py"),
 }
 
 
@@ -259,6 +263,25 @@ MUTANTS = [
            "b[1] = (b[1] - 1) % p", "b[1] = (b[1] + 1) % p"),
     Mutant("ben-or-accepts-a-linear-gcd", FIELD,
            "if len(a) > 1:", "if len(a) > 2:"),
+    # the value types' constructor checks, each refusal in its place
+    Mutant("bvalue-admits-minus-1", CARTAN,
+           "if value < 0:", "if value < -1:"),
+    Mutant("datum-admits-rank-0", CARTAN,
+           "if n == 0:", "if n < 0:"),
+    Mutant("datum-admits-a-foreign-entry", CARTAN,
+           "entry.spec != spec", "entry.spec == spec"),
+    Mutant("root-admits-bool", REFLECTION,
+           "set(map(type, coords)) <= {int}", "set(map(type, coords)) <= {int, bool}"),
+    Mutant("spec-admits-a-q-extension", FIELD,
+           "if p == 0 and k != 1:", "if False:"),
+    Mutant("spec-admits-a-degree-1-modulus", FIELD,
+           "if modulus is not None:", "if False:"),
+    Mutant("spec-admits-a-long-modulus", FIELD,
+           "len(modulus) != k + 1", "len(modulus) < k + 1"),
+    Mutant("spec-admits-a-non-monic-modulus", FIELD,
+           "modulus[-1] != 1", "not modulus[-1]"),
+    Mutant("element-admits-p", FIELD,
+           "or not 0 <= c < p:", "or not 0 <= c <= p:"),
 ]
 
 

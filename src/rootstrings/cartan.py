@@ -110,15 +110,12 @@ class BValue(Frozen):
     __slots__ = __match_args__ = ("value",)
 
     def __init__(self, value: int | None) -> None:
-        self._fill(value)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.value is not None:
-            if not isinstance(self.value, int) or isinstance(self.value, bool):
+        if value is not None:
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError("finite bounds are integers")
-            if self.value < 0:
+            if value < 0:
                 raise ValueError("bounds are non-negative")
+        self._fill(value)
 
     @property
     def is_finite(self) -> bool:
@@ -190,25 +187,21 @@ class CartanDatum(Frozen):
     __slots__ = __match_args__ = ("spec", "entries", "parities")
 
     def __init__(self, spec: FieldSpec, entries, parities) -> None:
-        self._fill(spec, entries, parities)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-        object.__setattr__(self, "parities", tuple(self.parities))
-        n = len(self.parities)
+        entries, parities = tuple(tuple(row) for row in entries), tuple(parities)
+        n = len(parities)
         if n == 0:
             raise ValueError("rank must be positive")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"matrix must be square of size {n}")
-        for row in self.entries:
+        for row in entries:
             for entry in row:
                 if not isinstance(entry, FieldElement):
                     raise TypeError("matrix entries must be field elements")
-                if entry.spec is not self.spec and entry.spec != self.spec:
+                if entry.spec is not spec and entry.spec != spec:
                     raise ValueError("all entries must share the datum's field")
-        if any(not isinstance(q, Parity) for q in self.parities):
+        if any(not isinstance(q, Parity) for q in parities):
             raise TypeError("parities must be Parity values")
+        self._fill(spec, entries, parities)
 
     @classmethod
     def build(cls, spec: FieldSpec, rows, parities) -> "CartanDatum":

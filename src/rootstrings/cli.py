@@ -17,7 +17,8 @@ argparse: a cold start pays for no parser it does not use.
 
 All reports are canonical JSON on stdout (or --output FILE).  Exit codes:
 0 success, 1 invalid input, 2 internal inconsistency (the two routes
-disagree), 3 reflection undefined (some bound is infinite).
+disagree, or ``selfcheck`` found a mismatch or a bound above its ceiling),
+3 reflection undefined (some bound is infinite).
 """
 
 from __future__ import annotations

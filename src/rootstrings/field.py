@@ -192,11 +192,7 @@ class FieldSpec(Frozen):
 
     def __init__(self, characteristic: int, degree: int = 1,
                  modulus: Sequence[int] | None = None) -> None:
-        self._fill(characteristic, degree, modulus)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        p, k = self.characteristic, self.degree
+        p, k = characteristic, degree
         try:
             valid = _is_int(p) and (p == 0 or is_prime(p))
         except ValueError as exc:
@@ -209,21 +205,20 @@ class FieldSpec(Frozen):
         if p == 0 and k != 1:
             raise FieldSpecError("bad-extension", "characteristic 0 only supports degree 1")
         if k == 1:
-            if self.modulus is not None:
+            if modulus is not None:
                 raise FieldSpecError("bad-extension", "degree-1 fields take no modulus")
-            return
-        modulus = self.modulus
-        if (not isinstance(modulus, (list, tuple)) or len(modulus) != k + 1
-                or not all(_is_int(c) for c in modulus)):
-            raise FieldSpecError(
-                "bad-extension", "the modulus must list degree + 1 integer coefficients")
-        modulus = tuple(modulus)
-        object.__setattr__(self, "modulus", modulus)
-        if any(not 0 <= c < p for c in modulus) or modulus[-1] != 1:
-            raise FieldSpecError(
-                "bad-extension", "modulus must be monic with coefficients reduced mod p")
-        if not _ben_or(modulus, p):
-            raise FieldSpecError("reducible-modulus", "modulus must be irreducible over GF(p)")
+        else:
+            if (not isinstance(modulus, (list, tuple)) or len(modulus) != k + 1
+                    or not all(_is_int(c) for c in modulus)):
+                raise FieldSpecError(
+                    "bad-extension", "the modulus must list degree + 1 integer coefficients")
+            modulus = tuple(modulus)
+            if any(not 0 <= c < p for c in modulus) or modulus[-1] != 1:
+                raise FieldSpecError(
+                    "bad-extension", "modulus must be monic with coefficients reduced mod p")
+            if not _ben_or(modulus, p):
+                raise FieldSpecError("reducible-modulus", "modulus must be irreducible over GF(p)")
+        self._fill(p, k, modulus)
 
     @property
     def order(self) -> int:
@@ -305,11 +300,12 @@ class FieldElement(Frozen):
     __slots__ = __match_args__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence) -> None:
-        self._fill(spec, coeffs)
+        self._fill(spec, tuple(coeffs))
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        """The checks alone, kept apart from ``__init__``: the benchmark
+        tracer and the tests wrap this hook to count validated constructions."""
         p, k = self.spec.characteristic, self.spec.degree
         if p == 0:
             if len(self.coeffs) != 1 or not isinstance(self.coeffs[0], _fraction()):

@@ -1,11 +1,12 @@
 """The base of the package's immutable value types.
 
 A subclass names its fields, in order, as both ``__slots__`` and
-``__match_args__``, and writes a public ``__init__`` that sets them with
-one ``self._fill(...)`` call.  When the fields need checking, the ``__init__``
-then calls ``self.__post_init__()``, which holds the checks; looked up
-on the instance, it can be wrapped from outside to count validated
-constructions.  ``Frozen`` supplies the rest:
+``__match_args__``, and writes a public ``__init__`` that first normalizes
+and checks its arguments and then sets the fields with one
+``self._fill(...)`` call, so no field is written twice.  ``FieldElement``
+alone fills first and then runs its checks in a ``__post_init__`` hook,
+which its ``__init__`` calls: the benchmark tracer and the tests wrap that
+hook to count validated constructions.  ``Frozen`` supplies the rest:
 field-wise equality with instances of the same class and a matching hash,
 a ``Name(field=value, ...)`` repr, copying and pickling, and an
 AttributeError on any assignment or deletion.

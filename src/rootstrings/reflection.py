@@ -38,14 +38,10 @@ class RootVector(Frozen):
     __slots__ = __match_args__ = ("coords",)
 
     def __init__(self, coords: Sequence[int]) -> None:
-        self._fill(coords)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        coords = tuple(self.coords)
+        coords = tuple(coords)
         if not set(map(type, coords)) <= {int}:
             raise TypeError("root coordinates must be ints")
-        object.__setattr__(self, "coords", coords)
+        self._fill(coords)
 
     @classmethod
     def simple(cls, n: int, i: int) -> "RootVector":

@@ -492,13 +492,13 @@ def test_parse_builds_no_datum_twice(fixtures_dir, monkeypatch, fixture):
     # checks are not run again
     text = (fixtures_dir / fixture).read_text()
     calls = []
-    original = CartanDatum.__post_init__
+    original = CartanDatum.__init__
 
-    def counting(self):
-        calls.append(self)
-        original(self)
+    def counting(self, *args):
+        calls.append(args)
+        original(self, *args)
 
-    monkeypatch.setattr(CartanDatum, "__post_init__", counting)
+    monkeypatch.setattr(CartanDatum, "__init__", counting)
     datum = parse_cartan(text)
     assert calls == []
     raw = json.loads(text)

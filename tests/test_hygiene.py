@@ -185,6 +185,26 @@ def test_the_recursion_step_is_entered_only_through_walk():
     assert sorted(named(tree)) == sorted(named(walk))
 
 
+def test_value_types_fill_their_fields_once():
+    # each value type checks its arguments and then calls _fill once, so no
+    # field is written after it: object.__setattr__ lives in frozen.py only.
+    # FieldElement alone keeps a __post_init__, holding its checks, because
+    # bench/tracing.py and the elements_built fixture wrap that hook to count
+    # validated constructions
+    setattrs = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+                for path, tree in package_trees() if path.name != "frozen.py"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert setattrs == []
+    hooks = [f"{path.relative_to(PACKAGE)}:{node.name}"
+             for path, tree in package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body
+             if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"]
+    assert hooks == ["field.py:FieldElement"]
+
+
 def test_bench_tracer_installs_on_the_package():
     # the benchmark tracer wraps package functions by name: a rename under
     # src/ must fail here, not only in the traced benchmark run

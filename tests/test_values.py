@@ -16,6 +16,7 @@ from rootstrings import (
     DSequence,
     FieldElement,
     FieldSpec,
+    FieldSpecError,
     Parity,
     ReflectionResult,
     RootVector,
@@ -153,12 +154,13 @@ def test_copies_and_pickles_are_equal(name, duplicate):
 
 @DUPLICATES
 def test_copies_and_pickles_rerun_no_check(duplicate, monkeypatch):
-    def refuse(self):
+    # a copy is rebuilt by _trusted, so no public constructor runs: not the
+    # checks of __init__, nor FieldElement's __post_init__ behind it
+    def refuse(self, *args):
         raise AssertionError(f"{type(self).__name__} checked again")
 
     for value, _, _ in CASES.values():
-        if hasattr(type(value), "__post_init__"):
-            monkeypatch.setattr(type(value), "__post_init__", refuse)
+        monkeypatch.setattr(type(value), "__init__", refuse)
     for value, _, _ in CASES.values():
         assert duplicate(value) == value
 
@@ -208,3 +210,88 @@ def test_match_binds_fields_by_position():
             assert (k, value, matrix) == (1, 2, ((-1, 2), (0, 1)))
         case _:
             pytest.fail("no match")
+
+
+GF5 = FieldSpec(5)
+Q = FieldSpec(0)
+
+
+# (constructor arguments, exception type, message); where an input breaks
+# two rules, the first rule checked is the one that words the refusal
+REFUSALS = {
+    "bvalue-float": (lambda: BValue(1.5), ValueError, "finite bounds are integers"),
+    "bvalue-bool": (lambda: BValue(True), ValueError, "finite bounds are integers"),
+    "bvalue-str": (lambda: BValue("1"), ValueError, "finite bounds are integers"),
+    "bvalue-negative": (lambda: BValue(-1), ValueError, "bounds are non-negative"),
+    "datum-rank-0": (lambda: CartanDatum(GF3, (), ()), ValueError, "rank must be positive"),
+    "datum-ragged": (lambda: CartanDatum(GF3, ((GF3.one(), 1), (GF3.one(),)), "ab"),
+                     ValueError, "matrix must be square of size 2"),
+    "datum-int-entry": (lambda: CartanDatum(GF3, ((1, GF5.one()), (1, 1)), (1, 1)),
+                        TypeError, "matrix entries must be field elements"),
+    "datum-foreign-entry": (lambda: CartanDatum(GF3, ((GF5.one(),),), (1,)),
+                            ValueError, "all entries must share the datum's field"),
+    "datum-label-parity": (lambda: CartanDatum(GF3, ((GF3.one(),),), ("ev",)),
+                           TypeError, "parities must be Parity values"),
+    "root-float": (lambda: RootVector((1.0, 0)), TypeError, "root coordinates must be ints"),
+    "root-bool": (lambda: RootVector((True, 0)), TypeError, "root coordinates must be ints"),
+    "element-q-int": (lambda: FieldElement(Q, (1,)), ValueError,
+                      "characteristic-0 elements hold a single Fraction"),
+    "element-short": (lambda: FieldElement(GF9, (1,)), ValueError,
+                      "expected 2 residue coordinates, got 1"),
+    "element-unreduced": (lambda: FieldElement(GF5, (5,)), ValueError,
+                          "residues must be integers in [0, p)"),
+    "element-bool": (lambda: FieldElement(GF5, (True,)), ValueError,
+                     "residues must be integers in [0, p)"),
+}
+
+# (FieldSpec arguments, code, message), in the order the checks run
+SPEC_REFUSALS = {
+    "not-prime": ((4, 0), "bad-characteristic", "characteristic 4 must be 0 or a prime"),
+    "not-an-int": (("3",), "bad-characteristic", "characteristic must be 0 or a prime"),
+    "degree-0": ((0, 0), "bad-extension", "extension degree 0 must lie in [1, 8]"),
+    "degree-float": ((3, 2.0), "bad-extension", "extension degree must lie in [1, 8]"),
+    "degree-too-deep": ((0, 9, (1,)), "bad-extension",
+                        "extension degree 9 must lie in [1, 8]"),
+    "q-extension": ((0, 2, (1, 0, 1)), "bad-extension", "characteristic 0 only supports degree 1"),
+    "q-modulus": ((0, 1, (1, 1)), "bad-extension", "degree-1 fields take no modulus"),
+    "degree-1-modulus": ((3, 1, (1, 1)), "bad-extension", "degree-1 fields take no modulus"),
+    "no-modulus": ((3, 2), "bad-extension",
+                   "the modulus must list degree + 1 integer coefficients"),
+    "long-modulus": ((3, 2, (1, 0, 0, 2)), "bad-extension",
+                     "the modulus must list degree + 1 integer coefficients"),
+    "bool-modulus": ((3, 2, (True, 0, 3)), "bad-extension",
+                     "the modulus must list degree + 1 integer coefficients"),
+    "not-monic": ((3, 2, (1, 0, 2)), "bad-extension",
+                  "modulus must be monic with coefficients reduced mod p"),
+    "unreduced": ((3, 2, (1, 3, 1)), "bad-extension",
+                  "modulus must be monic with coefficients reduced mod p"),
+    "reducible": ((2, 2, (1, 0, 1)), "reducible-modulus",
+                  "modulus must be irreducible over GF(p)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_constructors_refuse_with_their_type_and_message(name):
+    build, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", list(SPEC_REFUSALS))
+def test_field_spec_refuses_in_order_with_its_code_and_message(name):
+    args, code, message = SPEC_REFUSALS[name]
+    with pytest.raises(FieldSpecError) as info:
+        FieldSpec(*args)
+    assert (info.value.code, str(info.value)) == (code, message)
+
+
+def test_constructors_store_their_sequences_as_tuples():
+    # one-shot iterators too: each is read once, before any check
+    assert FieldElement(GF9, iter([1, 2])).coeffs == (1, 2)
+    assert RootVector(iter([2, 1])) == RootVector((2, 1))
+    datum = CartanDatum(GF3, (iter(row) for row in DATUM.entries), iter(DATUM.parities))
+    assert datum == DATUM
+    assert type(datum.entries) is tuple and set(map(type, datum.entries)) == {tuple}
+    assert type(datum.parities) is tuple
