@@ -5,9 +5,12 @@
   --primes 2,3,5,7 --degrees 1,2,3`` runs (274,554 cases); both routes
   answer each row (i_k, A_kk) at once.
 * The recursion walk: nanoseconds per step of ``cartan._first_zero``, the
-  walk that ``bkj`` runs: a GF(p) walk at p near 10^6, a GF(p^2) walk with
-  A_kj outside the prime subfield (2p - 1 steps), and the infinite Q case
-  [[2, 1], [1, 2]] scanned to 10^6.
+  walk that ``bkj`` runs: two GF(p) walks at p near 10^6, one at A_kk =
+  A_kj = 1, whose c = A_kj + m * A_kk stays below 2^21, and one odd at
+  A_kk = 777777, like the benchmark's random A_kk, whose c passes 2^30
+  (one CPython digit) within 1,400 of its 71,433 steps; a GF(p^2) walk
+  with A_kj outside the prime subfield (2p - 1 steps); and the infinite Q
+  case [[2, 1], [1, 2]] scanned to 10^6.
 * Parse, table and render: nanoseconds per entry of ``json.loads`` against
   ``parse_cartan``, and of the table report's compute (``cmd_table`` on the
   parsed datum), on one rank-100 document per kind that the benchmark's
@@ -60,6 +63,7 @@ def walk_lines(p: int, q: int, cap_exponent: int):
     tuples of A_kk and A_kj."""
     walks = [
         (f"GF({p}), even, A_kk = A_kj = 1", Parity.EVEN, p, (1,), (1,), 0),
+        (f"GF({p}), odd, A_kk = 777777, A_kj = 5", Parity.ODD, p, (777777 % p,), (5,), 0),
         (f"GF({q}^2), odd, A_kk = 1, A_kj = t", Parity.ODD, q, (1, 0), (0, 1), 0),
         (f"Q, even, A_kk = 2, A_kj = 1, cap 10^{cap_exponent}", Parity.EVEN, 0,
          (Fraction(2),), (Fraction(1),), 10**cap_exponent),

@@ -150,12 +150,31 @@ MUTANTS = [
            "return _shared_bound(m)", "return _shared_bound(None)"),
     # the recursion: one step on ints, its first-zero table and the row walk
     Mutant("step-adds-a-kj", CARTAN,
-           "d = sign * (d - c) % p if p else sign * (d - c)",
-           "d = sign * (d + c) % p if p else sign * (d + c)"),
+           "(d - c) % p if p else d - c", "(d + c) % p if p else d + c"),
+    Mutant("odd-step-adds-a-kj", CARTAN,
+           "(c - d) % p if p else c - d", "(-c - d) % p if p else -c - d"),
     Mutant("step-unreduced-at-p-2", CARTAN,
-           "% p if p else", "% p if p > 2 else"),
+           "(d - c) % p if p else", "(d - c) % p if p > 2 else"),
+    Mutant("odd-step-unreduced-at-p-2", CARTAN,
+           "(c - d) % p if p else", "(c - d) % p if p > 2 else"),
     Mutant("step-walks-down", CARTAN,
-           "        c += a", "        c -= a"),
+           "count(c, a)", "count(c, -a)"),
+    Mutant("walk-skips-step-0", CARTAN,
+           "count(c, a)", "count(c + a, a)"),
+    Mutant("walk-starts-from-d-1", CARTAN,
+           "d, cs = 0, ", "d, cs = 1, "),
+    Mutant("parity-branch-inverted", CARTAN,
+           "if sign > 0:", "if sign < 0:"),
+    Mutant("odd-step-as-even-at-p", CARTAN,
+           "(c - d) % p if p", "(d - c) % p if p"),
+    Mutant("odd-step-as-even-over-q", CARTAN,
+           "if p else c - d", "if p else d - c"),
+    Mutant("walk-drops-a-coordinate", CARTAN,
+           "for a, c in zip(kk, kj)]", "for a, c in zip(kk[:1], kj)]"),
+    Mutant("first-zero-one-step-short", CARTAN,
+           "islice(steps, last + 1)", "islice(steps, last)"),
+    Mutant("d-sequence-one-step-short", CARTAN,
+           "spec.characteristic, kk, kj)), last + 1)", "spec.characteristic, kk, kj)), last)"),
     Mutant("walk-coordinates-swapped", CARTAN,
            "zip(kk, kj)", "zip(kj, kk)"),
     Mutant("scale-only-a-kk", CARTAN,
@@ -168,7 +187,9 @@ MUTANTS = [
            equivalent="any common multiple L of the denominators makes L * A_kj and L * A_kk "
                       "ints, and L * d_m vanishes where d_m does"),
     Mutant("zero-test-of-one-coordinate", CARTAN,
-           "indexOf(steps, (0,) * len(kk))", "indexOf(steps, (0,))"),
+           "(zip(*walk), (0,) * len(walk))", "(zip(*walk), (0,))"),
+    Mutant("degree-1-zero-test-against-1", CARTAN,
+           "(walk[0], 0)", "(walk[0], 1)"),
     Mutant("d-sequence-not-divided", CARTAN,
            "fraction(d, scale)", "fraction(d, 1)"),
     Mutant("zero-table-walks-swapped", CARTAN,
@@ -310,10 +331,11 @@ def check(mutants) -> list[str]:
 
 
 def first_failure(tree: Path, *tests: str) -> str | None:
-    """The first test that fails under -x in the copy at ``tree``, "time
-    limit" for a run that passes ``TIME_LIMIT``, or None if all pass."""
+    """The first test that fails under -x in the copy at ``tree``, or the
+    test module that errors while it is collected (``-rfE`` reports both),
+    "time limit" for a run that passes ``TIME_LIMIT``, or None if all pass."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
                "--deselect", DRIFT_TEST, *tests]
     try:
         run = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,

@@ -279,12 +279,18 @@ def d_next(d_prev: FieldElement, a_kj: FieldElement, a_kk: FieldElement,
 def _walk_coordinate(a: int, c: int, sign: int, p: int) -> Iterator[int]:
     """The one recursion step, on the ints of one coordinate of d_0, d_1, ...:
     A_kk's coordinate is ``a`` and A_kj's is ``c``.  Reduced mod p when
-    p > 0; never ends."""
-    d = 0
-    while True:     # c = A_kj + m * A_kk at step m
-        d = sign * (d - c) % p if p else sign * (d - c)
-        yield d
-        c += a
+    p > 0; never ends.
+
+    Step m draws c_m = A_kj + m * A_kk from ``itertools.count`` and sets
+    d_m = d_{m-1} - c_m for an even row, c_m - d_{m-1} for an odd one: the
+    parity picks the loop once, so no step multiplies by the sign."""
+    d, cs = 0, itertools.count(c, a)        # c_m for m = 0, 1, ...
+    if sign > 0:
+        for c in cs:
+            yield (d := (d - c) % p if p else d - c)
+    else:
+        for c in cs:
+            yield (d := (c - d) % p if p else c - d)
 
 
 def _scale(kk: tuple, kj: tuple) -> int:
@@ -293,20 +299,21 @@ def _scale(kk: tuple, kj: tuple) -> int:
     return math.lcm(*(x.denominator for x in kk + kj))
 
 
-def _walk(parity: Parity, p: int, kk: tuple, kj: tuple) -> Iterator[tuple[int, ...]]:
-    """L * d_0, L * d_1, ... as int coordinate tuples, without building
-    field elements; L is ``_scale``, 1 at p > 0.
+def _walk(parity: Parity, p: int, kk: tuple, kj: tuple) -> list[Iterator[int]]:
+    """L * d_0, L * d_1, ... as one int stream per coordinate, without
+    building field elements; L is ``_scale``, 1 at p > 0.  Zipped, the
+    streams give the int coordinate tuples of the steps.
 
     The recursion only adds and scales by the integer m, and GF(p) acts
     coordinate-wise in the power basis, so each coordinate walks on its own.
     At p = 0 the walk runs on L * A_kj and L * A_kk, so every step is the
     int L * d_m, which vanishes exactly when d_m does.  So a step is zero
-    exactly when it equals the zero tuple of its length, at every
-    characteristic.  The iterator never ends.
+    exactly when each stream holds 0 there, at every characteristic.  The
+    streams never end.
     """
     sign, scale = parity.sign, _scale(kk, kj)
-    return zip(*(_walk_coordinate(int(a * scale), int(c * scale), sign, p)
-                 for a, c in zip(kk, kj)))
+    return [_walk_coordinate(int(a * scale), int(c * scale), sign, p)
+            for a, c in zip(kk, kj)]
 
 
 def _last_step(p: int) -> int:
@@ -325,8 +332,10 @@ def _missed_zero(parity: Parity, p: int, kk: tuple, kj: tuple) -> ConsistencyErr
 
 def _first_zero(parity: Parity, p: int, kk: tuple, kj: tuple,
                 scan_cap: int = DEFAULT_SCAN_CAP) -> int | None:
-    """The first m >= 0 with d_m = 0 on ``_walk``, one triple at a time: the
-    first step equal to the zero tuple, one tuple comparison per step.
+    """The first m >= 0 with d_m = 0 on ``_walk``, one triple at a time: at
+    degree 1 the first 0 of the one stream, one int comparison per step,
+    and above it the first zero tuple of the zipped streams, one tuple
+    comparison per step.
 
     In characteristic p > 0 the walk stops at ``_last_step`` and a miss
     raises ``_missed_zero``; ``scan_cap`` is not read.  In characteristic 0
@@ -335,9 +344,10 @@ def _first_zero(parity: Parity, p: int, kk: tuple, kj: tuple,
     ``_row_walk``, which settles a whole row from one table.
     """
     last = _last_step(p) if p else scan_cap
-    steps = itertools.islice(_walk(parity, p, kk, kj), last + 1)
+    walk = _walk(parity, p, kk, kj)
+    steps, zero = (walk[0], 0) if len(walk) == 1 else (zip(*walk), (0,) * len(walk))
     try:
-        return operator.indexOf(steps, (0,) * len(kk))
+        return operator.indexOf(itertools.islice(steps, last + 1), zero)
     except ValueError:
         if p:
             raise _missed_zero(parity, p, kk, kj) from None
@@ -349,7 +359,7 @@ def _zero_table(parity: Parity, p: int) -> tuple[dict[int, int], int | None, int
     """(first, stop, flat): where d_m = alpha_m * A_kj + beta_m * A_kk first
     vanishes at p > 0, for ``parity``.
 
-    (alpha_m, beta_m) are the two coordinates of one ``_walk``, up to
+    (alpha_m, beta_m) are the two streams of one ``_walk``, zipped, up to
     ``_last_step(p)``, with A_kk = (0, 1) and A_kj = (1, 0): its coordinate
     0 walks (A_kj, A_kk) = (1, 0), and its coordinate 1 walks (0, 1).  They
     depend on p and the parity only.  ``stop`` is the first m with alpha_m =
@@ -361,7 +371,7 @@ def _zero_table(parity: Parity, p: int) -> tuple[dict[int, int], int | None, int
     sweeps every row of one parity in turn, so the table is built once per
     field and parity, with one modular inverse per step.
     """
-    steps = list(itertools.islice(_walk(parity, p, (0, 1), (1, 0)), _last_step(p) + 1))
+    steps = list(itertools.islice(zip(*_walk(parity, p, (0, 1), (1, 0))), _last_step(p) + 1))
     stop = next((m for m, step in enumerate(steps) if step == (0, 0)), None)
     flat = next((m for m, (alpha, _) in enumerate(steps) if not alpha), None)
     first: dict[int, int] = {}
@@ -408,7 +418,7 @@ def d_sequence(datum: CartanDatum, k: int, j: int, last: int) -> DSequence:
     if last < -1:
         raise ValueError("last index must be >= -1")
     spec = datum.spec
-    walk = itertools.islice(_walk(parity, spec.characteristic, kk, kj), last + 1)
+    walk = itertools.islice(zip(*_walk(parity, spec.characteristic, kk, kj)), last + 1)
     if not spec.characteristic:
         scale, fraction = _scale(kk, kj), _fraction()
         walk = ((fraction(d, scale),) for d, in walk)

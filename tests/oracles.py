@@ -7,8 +7,9 @@ contragredient Lie superalgebra instead of the paper's recursion;
 ``relation_values`` evaluates it on power-basis coordinates, and ``b_in_g``
 adds the f_j bracket and reads B_kj in g(A) itself off the two.
 ``fraction_walk`` walks the recursion over Q on ``Fraction``s, with no
-denominators cleared, as ``cartan`` once did.  Trial division decides
-irreducibility by brute force, independently of
+denominators cleared, as ``cartan`` once did, and ``residue_walk`` walks one
+int coordinate with the step that ``cartan._walk_coordinate`` once took.
+Trial division decides irreducibility by brute force, independently of
 ``field.check_irreducible``'s gcd test.  ``sweep_pairs`` enumerates the
 rank-2 configurations that the exhaustive tests walk.  ``build_parser``
 builds argparse's parser from the CLI's flag table, which ``cli._parse``
@@ -235,6 +236,18 @@ def fraction_walk(a_kj: Fraction, a_kk: Fraction, parity: Parity) -> Iterator[Fr
         d = sign * (d - c)
         yield d
         c += a_kk
+
+
+def residue_walk(a: int, c: int, sign: int, p: int) -> Iterator[int]:
+    """One int coordinate of d_0, d_1, ..., A_kk's coordinate being ``a``
+    and A_kj's ``c``: d_m = sign * (d_{m-1} - c) from d_{-1} = 0, with c
+    growing by ``a`` per step, unreduced, and d reduced mod p when p > 0.
+    The iterator never ends."""
+    d = 0
+    while True:     # c = A_kj + m * A_kk at step m
+        d = sign * (d - c) % p if p else sign * (d - c)
+        yield d
+        c += a
 
 
 def irreducible_by_trial_division(f, p: int) -> bool:

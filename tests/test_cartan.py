@@ -40,6 +40,7 @@ from oracles import (
     fraction_walk,
     relation_scalar,
     relation_values,
+    residue_walk,
     sweep_pairs,
 )
 
@@ -881,7 +882,7 @@ def test_integer_walk_over_q_matches_the_fraction_walk(pair, parity, cap):
     kk, kj = datum.entry(1, 1).coeffs, datum.entry(1, 2).coeffs
     assert _first_zero(parity, 0, kk, kj, cap) == zero
     assert [d.rational for d in d_sequence(datum, 1, 2, cap).values[1:]] == expected
-    steps = itertools.islice(_walk(parity, 0, kk, kj), cap + 1)
+    steps = itertools.islice(zip(*_walk(parity, 0, kk, kj)), cap + 1)
     assert all(type(c) is int for step in steps for c in step)
 
 
@@ -900,7 +901,7 @@ def test_first_zero_waits_for_every_coordinate_to_vanish():
     # over GF(3^2) = GF(3)[t]/(t^2 + 1), the even row A_kk = 0, A_kj = t walks
     # d_m = -(m + 1) * t, whose coordinate 0 vanishes at every step
     zero, t = GF9.zero().coeffs, GF9.element([0, 1]).coeffs
-    steps = list(itertools.islice(_walk(Parity.EVEN, 3, zero, t), 3))
+    steps = list(itertools.islice(zip(*_walk(Parity.EVEN, 3, zero, t)), 3))
     assert steps == [(0, 2), (0, 1), (0, 0)]
     assert _first_zero(Parity.EVEN, 3, zero, t) == 2
     assert _first_zero(Parity.ODD, 3, zero, t) == 1
@@ -931,10 +932,58 @@ def walk_triples(draw):
 @given(triple=walk_triples(), cap=st.integers(0, 300))
 def test_first_zero_is_the_first_step_with_no_nonzero_coordinate(triple, cap):
     parity, p, kk, kj = triple
-    steps = itertools.islice(_walk(parity, p, kk, kj), 2 * p if p else cap + 1)
+    steps = itertools.islice(zip(*_walk(parity, p, kk, kj)), 2 * p if p else cap + 1)
     zero = next((m for m, step in enumerate(steps) if not any(step)), None)
     assert zero is not None or not p
     assert _first_zero(parity, p, kk, kj, cap) == zero
+
+
+# --- the walk at large residues, against the step it replaced ----------------
+
+def _residue_steps(parity, p, kk, kj, n):
+    """The first n steps of ``residue_walk`` on each coordinate, as tuples."""
+    walks = (residue_walk(a, c, parity.sign, p) for a, c in zip(kk, kj))
+    return list(itertools.islice(zip(*walks), n))
+
+
+@pytest.mark.parametrize("p,top", [(1000003, 2**30), (2**61 - 1, 2**62)])
+@pytest.mark.parametrize("parity", Parity)
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_matches_the_residue_oracle_past_one_digit(p, top, parity, seed):
+    # A_kk within 1000 of p, so c = A_kj + m * A_kk passes ``top`` (2^30 is
+    # one CPython digit) well before the last step compared
+    rng, n = random.Random(seed), 3000
+    kk, kj = (p - 1 - rng.randrange(1000),), (rng.randrange(p),)
+    assert kj[0] + (n // 2) * kk[0] > top
+    assert (list(itertools.islice(zip(*_walk(parity, p, kk, kj)), n))
+            == _residue_steps(parity, p, kk, kj, n))
+
+
+@pytest.mark.parametrize("parity", Parity)
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_matches_the_residue_oracle_over_an_extension(parity, seed):
+    spec, rng, n = field_for(1009, 2), random.Random(seed), 3000
+    kk, kj = (spec.element([rng.randrange(1009) for _ in range(2)]).coeffs for _ in range(2))
+    assert (list(itertools.islice(zip(*_walk(parity, 1009, kk, kj)), n))
+            == _residue_steps(parity, 1009, kk, kj, n))
+
+
+@pytest.mark.parametrize("p,degree", [(1000003, 1), (2**61 - 1, 1), (1009, 2)])
+@pytest.mark.parametrize("parity", Parity)
+def test_first_zero_matches_the_residue_oracle_at_large_residues(p, degree, parity):
+    # A_kj = c * A_kk with c chosen so that the bound, -2c (even) or
+    # 2 * (-c) (odd), is below 10^4; over GF(1009^2) also an independent A_kj
+    rng, n = random.Random(p), 10**4
+    pairs = []
+    for _ in range(5):
+        kk, m = tuple(p - 1 - rng.randrange(1000) for _ in range(degree)), rng.randrange(n)
+        c = -m * pow(2, -1, p) % p if parity is Parity.EVEN else -(m // 2) % p
+        pairs.append((kk, tuple(c * b % p for b in kk)))
+        if degree > 1:
+            pairs.append((kk, tuple(rng.randrange(p) for _ in range(degree))))
+    for kk, kj in pairs:
+        zero = _residue_steps(parity, p, kk, kj, n).index((0,) * degree)
+        assert _first_zero(parity, p, kk, kj) == zero
 
 
 # --- the row walk against the per-triple walk ---------------------------------

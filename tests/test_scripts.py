@@ -63,11 +63,12 @@ def test_layer_times_prints_each_section_on_small_inputs():
             for line in layer_times.selfcheck_lines([2], [1])] == [True]
     walks = list(layer_times.walk_lines(11, 5, 2))
     assert [line.split(":")[0] for line in walks] == [
-        "GF(11), even, A_kk = A_kj = 1", "GF(5^2), odd, A_kk = 1, A_kj = t",
-        "Q, even, A_kk = 2, A_kj = 1, cap 10^2"]
-    # B = p - 2 = 9, 2p - 1 = 9, and no zero up to the cap
+        "GF(11), even, A_kk = A_kj = 1", "GF(11), odd, A_kk = 777777, A_kj = 5",
+        "GF(5^2), odd, A_kk = 1, A_kj = t", "Q, even, A_kk = 2, A_kj = 1, cap 10^2"]
+    # B = p - 2 = 9; 777777 = 0 mod 11, and an odd row with A_kk = 0 has B = 1;
+    # 2p - 1 = 9; and no zero up to the cap
     assert [re.fullmatch(rf"[^:]+: (\d+) steps, \d+ ns per step", line).group(1)
-            for line in walks] == ["10", "10", "101"]
+            for line in walks] == ["10", "2", "10", "101"]
     documents = list(layer_times.document_lines(4))
     assert [line.split(":")[0] for line in documents] == [
         "GF(9)", "GF(9) table", "GF(125)", "GF(125) table", "GF(p ~ 100)",

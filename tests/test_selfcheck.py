@@ -153,9 +153,9 @@ def test_check_field_sweeps_in_the_order_of_the_fields_elements(count_calls):
 
 
 def test_a_walk_that_misses_its_zero_raises(monkeypatch):
-    # no step of the faulty walk vanishes; _first_zero decides that the zero
-    # guaranteed by m = 2p - 1 is missing
-    monkeypatch.setattr(cartan, "_walk", lambda parity, p, kk, kj: itertools.repeat((1,)))
+    # no step of the faulty walk, one stream per coordinate, vanishes;
+    # _first_zero decides that the zero guaranteed by m = 2p - 1 is missing
+    monkeypatch.setattr(cartan, "_walk", lambda parity, p, kk, kj: [itertools.repeat(1)])
     datum = cartan.pair_datum(FieldSpec(3), 2, 1, cartan.Parity.ODD)
     with pytest.raises(ConsistencyError,
                        match=r"up to m = 5 at \(i_k, A_kk, A_kj\) = \(od, \[2\], \[1\]\)"):
