@@ -11,9 +11,10 @@ where a datum's entries become coordinate tuples, and the checks of
 the sweep, record a mismatch, compare the two routes and bound the sweep;
 the square-and-multiply of ``field.py`` with the powers and Ben-Or's test
 that use it, its coercion of a Fraction, and the checks of ``FieldSpec``
-and ``FieldElement``; the entry memo, the rational entries and the
-renderer's text memo of ``cartanfile.py``; the rows that ``cli.py`` writes
-for ``table``; and the checks of ``reflection.py``'s ``RootVector``.
+and ``FieldElement``; the entry memo, the row loop, the strict check, the
+rational entries and the renderer's flat lists of ``cartanfile.py``; the
+rows that ``cli.py`` writes for ``table``; and the checks of
+``reflection.py``'s ``RootVector``.
 Each runs in its own temporary copy of the repository: first the test files
 that ``FIRST_TESTS`` names for the mutated file under ``-x``, and, if those
 pass, the whole suite under ``-x``.  A mutant is killed when a test fails (or the run passes its time
@@ -136,6 +137,14 @@ MUTANTS = [
     # one entry, _row_ints for a row
     Mutant("pair-reads-the-column-diagonal", CARTAN,
            "datum.entries[k - 1][k - 1].coeffs", "datum.entries[j - 1][j - 1].coeffs"),
+    Mutant("pair-reads-a-jk", CARTAN,
+           "datum.entry(k, j).coeffs", "datum.entry(j, k).coeffs"),
+    Mutant("pair-reads-the-column-parity", CARTAN,
+           "return datum.parities[k - 1], ", "return datum.parities[j - 1], "),
+    Mutant("entry-index-check-skips-j", CARTAN,
+           "if not 1 <= k <= n or not 1 <= j <= n:", "if not 1 <= k <= n:"),
+    Mutant("row-ints-reads-the-row-above", CARTAN,
+           "datum.entries[k - 1]))", "datum.entries[k - 2]))"),
     Mutant("row-ints-reads-the-first-diagonal", CARTAN,
            "kk = kjs.pop(k - 1)", "kk = kjs[0]; del kjs[k - 1]"),
     Mutant("b-row-keeps-the-diagonal", CARTAN,
@@ -241,6 +250,20 @@ MUTANTS = [
     # same answers, but a document of int lists must build no repr
     Mutant("int-list-keys-as-repr", CARTANFILE,
            "key = tuple", "key = repr"),
+    # cartanfile: the row loop, which parses each missing value in column
+    # order and names a bad one by its place, and the strict check
+    Mutant("row-loop-numbers-rows-from-0", CARTANFILE,
+           "enumerate(matrix, 1)", "enumerate(matrix)"),
+    Mutant("row-loop-numbers-columns-from-0", CARTANFILE,
+           "enumerate(zip(keys, row), 1)", "enumerate(zip(keys, row))"),
+    Mutant("row-loop-reparses-every-cell", CARTANFILE,
+           "if cell not in memo:", "if True:"),
+    Mutant("row-loop-keys-on-the-raw-row", CARTANFILE,
+           "keys = row if key is None else list(map(key, row))", "keys = row"),
+    Mutant("strict-check-off", CARTANFILE,
+           "if strict and ", "if False and "),
+    Mutant("strict-check-reads-the-padding", CARTANFILE,
+           "[:len(coords)]", "[:len(coords) + 1]"),
     Mutant("rational-integer-string-halved", CARTANFILE,
            "int(den or 1)", "int(den or 2)"),
     Mutant("rational-numerator-abs", CARTANFILE,
@@ -255,6 +278,12 @@ MUTANTS = [
            '("," + inner).join(map(', '(",\\n" + "  " * (depth - 1)).join(map('),
     Mutant("render-miss-without-the-update", CARTANFILE,
            "texts.update(zip(value, items))", "zip(value, items)"),
+    Mutant("render-flat-branch-unguarded", CARTANFILE,
+           "if set(map(type, value)) <= _FLAT:", "if True:"),
+    Mutant("render-miss-drops-a-character", CARTANFILE,
+           "[1:-1].split(", "[2:-1].split("),
+    Mutant("render-miss-opens-without-a-newline", CARTANFILE,
+           'out += ("[", inner, ("," + inner).join(items))', 'out += ("[", ("," + inner).join(items))'),
     # cli: the table report's "inf" and its diagonal null
     Mutant("table-drops-inf", CLI,
            "if None in row:", "if False:"),
