@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time three layers of the package in process, best of 3, with no gate.
+"""Time the layers of the package, with no gate.
 
 * ``selfcheck``: microseconds per case of the sweep that ``selfcheck
   --primes 2,3,5,7 --degrees 1,2,3`` runs (274,554 cases); both routes
@@ -17,23 +17,36 @@
   ``cartan_doc`` generates with seed 1; then nanoseconds per scalar of
   ``render_document`` on that table report, and on the reflect report
   (``cmd_reflect``, k = 1) of the GF(p ~ 100) one.
+* The ``wide_matrix`` phase split: milliseconds of read, parse, compute and
+  render per document kind, summed over that kind's requests in one cycle
+  of the benchmark's seed-1 ``wide_matrix`` workload, each request taken
+  through the steps of ``cli.main``.  Each figure is the median over 5
+  child processes, each of which times one cycle after one untimed one.
+
+The first three sections run in this process, best of 3 each.
 
     PYTHONPATH=src python3 scripts/layer_times.py
 
-Takes no flags, and prints one line per measurement.
+Takes no flags, and prints one line per measurement.  The phase split
+runs this script as its child with ``--phase-child``.
 """
 
 import json
+import os
 import random
+import statistics
+import subprocess
 from fractions import Fraction
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import rootstrings
 from rootstrings.cartan import Parity, _first_zero
-from rootstrings.cartanfile import parse_cartan, render_document
-from rootstrings.cli import cmd_reflect, cmd_table
+from rootstrings.cartanfile import field_doc, parse_cartan, render_document
+from rootstrings.cli import _parse, cmd_reflect, cmd_table
 from rootstrings.selfcheck import run_selfcheck
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -113,10 +126,73 @@ def document_lines(rank: int):
             yield render_line(f"{name} reflect", cmd_reflect(datum, SimpleNamespace(k=1)))
 
 
+PHASES = ("read", "parse", "compute", "render")
+#: The flag with which the phase split runs this script as its child.
+CHILD_FLAG = "--phase-child"
+
+
+def time_phases(requests) -> dict[str, list[float]]:
+    """Seconds of each of ``PHASES`` per document kind, summed over
+    ``requests``, a list of (kind, argv), each taken through the steps of
+    ``cli.main``: read the input file, parse it, build the report, render it."""
+    totals: dict[str, list[float]] = {}
+    for kind, argv in requests:
+        args = _parse(argv)
+        start = time.perf_counter()
+        with open(args.input, encoding="utf-8") as handle:
+            text = handle.read()
+        read = time.perf_counter()
+        datum = parse_cartan(text, strict=args.strict)
+        parsed = time.perf_counter()
+        doc = {"command": args.command, "field": field_doc(datum.spec),
+               **args.handler(datum, args)}
+        computed = time.perf_counter()
+        render_document(doc)
+        rendered = time.perf_counter()
+        sums = totals.setdefault(kind, [0.0] * len(PHASES))
+        for i, took in enumerate((read - start, parsed - read, computed - parsed,
+                                  rendered - computed)):
+            sums[i] += took
+    return totals
+
+
+def phase_child() -> None:
+    """Read the (kind, argv) list from stdin, run it once untimed, then print
+    ``time_phases`` of a second run as JSON."""
+    requests = json.load(sys.stdin)
+    time_phases(requests)
+    print(json.dumps(time_phases(requests)))
+
+
+def phase_lines(seed: int = 1, processes: int = 5):
+    """The ``wide_matrix`` phase split of ``seed``'s cycle, one line per
+    document kind and one for the whole cycle, each figure the median over
+    ``processes`` child processes."""
+    workloads = load_workloads()
+    env = {**os.environ, "PYTHONPATH": str(Path(rootstrings.__file__).resolve().parent.parent)}
+    with tempfile.TemporaryDirectory(prefix="wide-matrix-") as scratch:
+        cycle = workloads.WideMatrix(seed, Path(scratch), None).cycle
+        requests = json.dumps([(req.label.split()[1], req.call) for req in cycle])
+        runs = [json.loads(subprocess.run(
+            [sys.executable, __file__, CHILD_FLAG], input=requests, env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout) for _ in range(processes)]
+    for kind, name in (*KINDS, (None, "wide_matrix cycle")):
+        count = len(cycle) if kind is None else sum(req.label.split()[1] == kind for req in cycle)
+        figures = [statistics.median(sum(run[k][i] for k in run if kind in (None, k)) for run in runs)
+                   for i in range(len(PHASES))]
+        yield (f"{name}, seed {seed}, {count} requests: "
+               + ", ".join(f"{phase} {ms * 1e3:.1f} ms" for phase, ms in zip(PHASES, figures))
+               + f"; median of {processes} processes")
+
+
 def main() -> None:
+    if sys.argv[1:] == [CHILD_FLAG]:
+        phase_child()
+        return
     for lines in (selfcheck_lines([2, 3, 5, 7], [1, 2, 3]),
                   walk_lines(1000003, 100003, 6),
-                  document_lines(100)):
+                  document_lines(100),
+                  phase_lines()):
         for line in lines:
             print(line, flush=True)
 

@@ -136,15 +136,15 @@ MUTANTS = [
     # the two places where a datum's entries become coordinates: _pair for
     # one entry, _row_ints for a row
     Mutant("pair-reads-the-column-diagonal", CARTAN,
-           "datum.entries[k - 1][k - 1].coeffs", "datum.entries[j - 1][j - 1].coeffs"),
+           "datum.coords[k - 1][k - 1]", "datum.coords[j - 1][j - 1]"),
     Mutant("pair-reads-a-jk", CARTAN,
-           "datum.entry(k, j).coeffs", "datum.entry(j, k).coeffs"),
+           "datum._coords_at(k, j)", "datum._coords_at(j, k)"),
     Mutant("pair-reads-the-column-parity", CARTAN,
            "return datum.parities[k - 1], ", "return datum.parities[j - 1], "),
     Mutant("entry-index-check-skips-j", CARTAN,
            "if not 1 <= k <= n or not 1 <= j <= n:", "if not 1 <= k <= n:"),
     Mutant("row-ints-reads-the-row-above", CARTAN,
-           "datum.entries[k - 1]))", "datum.entries[k - 2]))"),
+           "list(datum.coords[k - 1])", "list(datum.coords[k - 2])"),
     Mutant("row-ints-reads-the-first-diagonal", CARTAN,
            "kk = kjs.pop(k - 1)", "kk = kjs[0]; del kjs[k - 1]"),
     Mutant("b-row-keeps-the-diagonal", CARTAN,
@@ -263,32 +263,42 @@ MUTANTS = [
     Mutant("strict-check-off", CARTANFILE,
            "if strict and ", "if False and "),
     Mutant("strict-check-reads-the-padding", CARTANFILE,
-           "[:len(coords)]", "[:len(coords) + 1]"),
+           "[:len(given)]", "[:len(given) + 1]"),
     Mutant("rational-integer-string-halved", CARTANFILE,
            "int(den or 1)", "int(den or 2)"),
     Mutant("rational-numerator-abs", CARTANFILE,
            "int(num), ", "abs(int(num)), "),
-    # cartanfile: the renderer's text memo, one per document, of scalars
-    # that are equal only when their texts are
-    Mutant("render-memo-admits-bool", CARTANFILE,
-           "_FLAT = {int, str, type(None)}", "_FLAT = {int, str, bool, type(None)}"),
+    # cartanfile: the renderer's text memo, one per document, of the flat
+    # lists that a report handler vouches for, and its one C-encoder pass
+    # over a list of distinct scalars
+    Mutant("render-memo-for-every-list", CARTANFILE,
+           "if kind is Scalars:", "if isinstance(value, list):"),
+    Mutant("render-distinct-on-the-recursive-path", CARTANFILE,
+           "elif kind is DistinctScalars:", "elif False:"),
+    Mutant("render-distinct-one-step-out", CARTANFILE,
+           'separators=("," + inner, ": ")', 'separators=(",\\n", ": ")'),
     Mutant("render-memo-shared-across-documents", CARTANFILE,
            "_render(doc, 1, out, {})", "_render(doc, 1, out, _render.__dict__)"),
     Mutant("render-join-one-step-out", CARTANFILE,
            '("," + inner).join(map(', '(",\\n" + "  " * (depth - 1)).join(map('),
     Mutant("render-miss-without-the-update", CARTANFILE,
            "texts.update(zip(value, items))", "zip(value, items)"),
-    Mutant("render-flat-branch-unguarded", CARTANFILE,
-           "if set(map(type, value)) <= _FLAT:", "if True:"),
     Mutant("render-miss-drops-a-character", CARTANFILE,
            "[1:-1].split(", "[2:-1].split("),
     Mutant("render-miss-opens-without-a-newline", CARTANFILE,
            'out += ("[", inner, ("," + inner).join(items))', 'out += ("[", ("," + inner).join(items))'),
-    # cli: the table report's "inf" and its diagonal null
+    # cli: the table report's "inf" and its diagonal null, and the flat
+    # lists that the handlers vouch for
     Mutant("table-drops-inf", CLI,
            "if None in row:", "if False:"),
     Mutant("table-diagonal-one-column-right", CLI,
            "row.insert(k - 1, None)", "row.insert(k, None)"),
+    Mutant("table-row-unvouched", CLI,
+           "table.append(Scalars(row))", "table.append(row)"),
+    Mutant("reflect-columns-unvouched", CLI,
+           "[Scalars(v.coords) for v in result.sigma]", "[v.coords for v in result.sigma]"),
+    Mutant("dseq-values-through-the-memo", CLI,
+           "DistinctScalars(values) if", "Scalars(values) if"),
     # field: a Fraction enters the rationals as it is
     Mutant("element-rebuilds-a-fraction", FIELD,
            "(value if type(value) is fraction else fraction(value),)", "(fraction(value),)"),

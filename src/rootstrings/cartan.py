@@ -33,8 +33,9 @@ Two independent routes compute the first zero here:
 Below the public functions every route takes one entry form: the
 characteristic p and each entry as its coordinate tuple, laid out like
 ``FieldElement.coeffs`` (power-basis ints mod p over GF(p^k), one Fraction
-over Q).  Only ``_pair``, for one entry, and ``_row_ints``, for a row, read
-a datum's elements; ``selfcheck`` builds its tuples without them.
+over Q).  A datum holds its matrix in that form, and builds field elements
+only on request; ``_pair``, for one entry, and ``_row_ints``, for a row,
+read its tuples as they are, and ``selfcheck`` builds its own.
 
 Both routes answer in plain ints, with None for an infinite bound; only
 ``_shared_bound``, called by ``b_recursive``, ``b_closed`` and ``b_row``,
@@ -176,15 +177,19 @@ def _shared_bound(value: int | None) -> BValue:
 class CartanDatum(Frozen):
     """A Cartan matrix together with the parities of its Chevalley generators.
 
-    ``entries[i][j]`` is A_{i+1, j+1}; all indices in the public operations
-    are 1-based, matching the usual numbering alpha_1, ..., alpha_n of the
-    simple roots.  The document parser builds every entry with
-    ``spec.element``, and the n x n tuple of tuples and the tuple of n
-    parities itself, so it builds its datum with ``_trusted``, which skips
-    the per-entry checks.
+    The datum holds the matrix as coordinate tuples: ``coords[i][j]`` is
+    the ``FieldElement.coeffs`` of A_{i+1, j+1}, power-basis residues over
+    GF(p^k) and one Fraction over Q, the one entry form that the routes
+    read.  ``entries`` and ``entry`` build field elements from them on
+    request, anew at each call.  All indices in the public operations are
+    1-based, matching the usual numbering alpha_1, ..., alpha_n of the simple
+    roots.  The public constructor takes field elements and checks them; the
+    document parser builds every coordinate tuple with ``spec._coords``, and
+    the n x n tuple of tuples and the tuple of n parities itself, so it
+    builds its datum with ``_trusted``, which skips the per-entry checks.
     """
 
-    __slots__ = __match_args__ = ("spec", "entries", "parities")
+    __slots__ = __match_args__ = ("spec", "coords", "parities")
 
     def __init__(self, spec: FieldSpec, entries, parities) -> None:
         entries, parities = tuple(tuple(row) for row in entries), tuple(parities)
@@ -201,7 +206,7 @@ class CartanDatum(Frozen):
                     raise ValueError("all entries must share the datum's field")
         if any(not isinstance(q, Parity) for q in parities):
             raise TypeError("parities must be Parity values")
-        self._fill(spec, entries, parities)
+        self._fill(spec, tuple(tuple(e.coeffs for e in row) for row in entries), parities)
 
     @classmethod
     def build(cls, spec: FieldSpec, rows, parities) -> "CartanDatum":
@@ -215,12 +220,23 @@ class CartanDatum(Frozen):
     def n(self) -> int:
         return len(self.parities)
 
+    @property
+    def entries(self) -> tuple[tuple[FieldElement, ...], ...]:
+        """The matrix as field elements, built from ``coords`` at each
+        access: ``entries[i][j]`` is A_{i+1, j+1}."""
+        spec = self.spec
+        return tuple(tuple(FieldElement._trusted(spec, c) for c in row) for row in self.coords)
+
     def entry(self, k: int, j: int) -> FieldElement:
         """A_kj with 1-based indices; IndexError outside [1, n]."""
+        return FieldElement._trusted(self.spec, self._coords_at(k, j))
+
+    def _coords_at(self, k: int, j: int) -> tuple:
+        """The coordinate tuple of A_kj, 1-based; IndexError outside [1, n]."""
         n = self.n
         if not 1 <= k <= n or not 1 <= j <= n:
             raise IndexError(f"indices must lie in [1, {n}], got k={k}, j={j}")
-        return self.entries[k - 1][j - 1]
+        return self.coords[k - 1][j - 1]
 
     def parity(self, k: int) -> Parity:
         """i_k with a 1-based index; IndexError outside [1, n]."""
@@ -259,12 +275,13 @@ def pair_datum(spec: FieldSpec, a_kk, a_kj, parity: Parity) -> CartanDatum:
 
 
 def _pair(datum: CartanDatum, k: int, j: int) -> tuple[Parity, tuple, tuple]:
-    """(i_k, A_kk, A_kj) for k != j, the two entries as coordinate tuples;
-    the datum checks that k and j lie in [1, n] before k = j is refused."""
-    kj = datum.entry(k, j).coeffs
+    """(i_k, A_kk, A_kj) for k != j, the two entries as the datum's
+    coordinate tuples; the datum checks that k and j lie in [1, n] before
+    k = j is refused."""
+    kj = datum._coords_at(k, j)
     if k == j:
         raise ValueError("k and j must differ")
-    return datum.parities[k - 1], datum.entries[k - 1][k - 1].coeffs, kj
+    return datum.parities[k - 1], datum.coords[k - 1][k - 1], kj
 
 
 def d_next(d_prev: FieldElement, a_kj: FieldElement, a_kk: FieldElement,
@@ -546,7 +563,7 @@ def _row_ints(datum: CartanDatum, k: int) -> list[int | None]:
     ``b_row`` and ``table`` both read a row from here.
     """
     parity = datum.parity(k)        # IndexError outside [1, n]
-    kjs = list(map(operator.attrgetter("coeffs"), datum.entries[k - 1]))
+    kjs = list(datum.coords[k - 1])
     kk = kjs.pop(k - 1)
     return _row_ladder(parity, datum.spec.characteristic, kk, kjs)
 

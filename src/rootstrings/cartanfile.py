@@ -19,15 +19,20 @@ Reports are rendered as canonical JSON -- sorted keys, two-space indent,
 trailing newline -- so identical inputs always produce byte-identical
 output.  The text is byte-identical to ``json.dumps(indent=2,
 sort_keys=True)`` plus a newline; ``render_document`` writes the framing
-itself, since ``json`` never uses its C encoder when it indents.  A report
-holds few distinct scalars, so each distinct one is encoded once per
-document, by the C encoder, into a text memo that writes every flat list of
-scalars (a table row, a basis-matrix row) as one join.  A list whose values
-are all distinct costs a C-encoder pass, a split and a dict entry per value:
-the 300,002 values of ``dseq --max-m 300000`` render in 83-97 ms, against
-30-37 ms for the C encoder alone (CPython 3.11, a 2-core x86_64 host).
-Infinite bounds serialize as the string "inf", absent (diagonal) bounds as
-null.
+itself, since ``json`` never uses its C encoder when it indents.  The
+CLI's report handlers know the types of the flat lists of scalars they
+build, and mark each with its kind, so the renderer checks no list's types.
+A ``Scalars`` list (a table row, a basis-matrix row) holds ints, strs and
+None of exactly those types; a report holds few distinct scalars, so each
+distinct one is encoded once per document, by the C encoder, into a text
+memo that writes the list as one join.  A ``DistinctScalars`` list, the
+values of ``dseq``, seldom repeats, so it skips the memo and is written by
+one C-encoder pass: the 300,002 values of ``dseq --max-m 300000`` render in
+22-35 ms over GF(3) and 29-38 ms over Q, against 45-52 and 111-117 ms
+through the memo (CPython 3.11, a 2-core x86_64 host, one session).  Any
+other list is written item by item, so a document from outside the package
+never reaches the memo.  Infinite bounds serialize as the string "inf",
+absent (diagonal) bounds as null.
 """
 
 from __future__ import annotations
@@ -58,8 +63,8 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
 
     Raises CartanFileError with a distinct ``code`` per failure mode; JSON
     syntax errors carry the line and column.  Each distinct entry is parsed
-    once per document, and the datum is built without re-checking entries
-    that ``FieldSpec.element`` has just built.
+    once per document into the coordinate tuple that the datum holds, and
+    no field element is built.
     """
     try:
         raw = json.loads(text)
@@ -121,18 +126,18 @@ def parse_cartan(text: str, *, strict: bool = False) -> CartanDatum:
     else:
         key = repr
     memo: dict = {}
-    entries = []
+    coords = []
     for r, row in enumerate(matrix, 1):
         keys = row if key is None else list(map(key, row))
         try:
-            entries.append(tuple(map(memo.__getitem__, keys)))
+            coords.append(tuple(map(memo.__getitem__, keys)))
         except KeyError:
             for c, (cell, value) in enumerate(zip(keys, row), 1):
                 if cell not in memo:
                     memo[cell] = _parse_entry(spec, value, strict, r, c)
-            entries.append(tuple(map(memo.__getitem__, keys)))
-    # every entry came from spec.element, so the datum skips re-checking them
-    return CartanDatum._trusted(spec, tuple(entries), tuple(parsed_parities))
+            coords.append(tuple(map(memo.__getitem__, keys)))
+    # every tuple came from spec._coords, so the datum skips re-checking them
+    return CartanDatum._trusted(spec, tuple(coords), tuple(parsed_parities))
 
 
 def _parse_field(characteristic, extension) -> FieldSpec:
@@ -154,17 +159,17 @@ def _parse_field(characteristic, extension) -> FieldSpec:
         raise CartanFileError(exc.code, str(exc)) from exc
 
 
-def _parse_entry(spec: FieldSpec, value, strict: bool, row: int, col: int) -> FieldElement:
-    # The file format adds rational strings at characteristic 0, lists only as
-    # the 1..k coordinates of an extension-field element, and strict mode;
-    # FieldSpec.element decides everything else.  The entry's place is
-    # formatted only in an error.
+def _parse_entry(spec: FieldSpec, value, strict: bool, row: int, col: int) -> tuple:
+    # The entry's coordinate tuple.  The file format adds rational strings at
+    # characteristic 0, lists only as the 1..k coordinates of an
+    # extension-field element, and strict mode; FieldSpec._coords decides
+    # everything else.  The entry's place is formatted only in an error.
     p, k = spec.characteristic, spec.degree
     rational = p == 0 and isinstance(value, str) and _RATIONAL.fullmatch(value)
     if rational:
         # Fraction(str) would also read decimals and exponents, and the cost
         # of an exponent grows with it: "1e5000000" takes seconds.  The one
-        # Fraction built here is the one that FieldSpec.element keeps
+        # Fraction built here is the one that FieldSpec._coords keeps
         num, den = rational.groups()
         try:
             value = _fraction()(int(num), int(den or 1))
@@ -175,15 +180,15 @@ def _parse_entry(spec: FieldSpec, value, strict: bool, row: int, col: int) -> Fi
         raise CartanFileError(
             "bad-entry", f"entry ({row}, {col}): cannot parse {value!r} as an element of {spec}")
     try:
-        element = spec.element(value)
+        coords = spec._coords(value)
     except (TypeError, ValueError) as exc:
         raise CartanFileError("bad-entry", f"entry ({row}, {col}): {exc}") from None
     # a residue is reduced exactly when reduction leaves it as it was
-    coords = value if isinstance(value, list) else [value]
-    if strict and list(element.coeffs[:len(coords)]) != coords:
+    given = value if isinstance(value, list) else [value]
+    if strict and list(coords[:len(given)]) != given:
         raise CartanFileError(
             "unreduced-entry", f"entry ({row}, {col}): {value} is not reduced mod {p}")
-    return element
+    return coords
 
 
 def serialize_cartan(datum: CartanDatum) -> str:
@@ -209,12 +214,20 @@ def render_document(doc: dict) -> str:
     return "".join(out)
 
 
-#: A list whose elements all have one of these exact types is written from
-#: the text memo; any other element (a container, a float, a bool, an int
-#: subclass) sends it down the recursive path, which ends in json.dumps on one
-#: scalar.  No two scalars of these types are equal unless their texts are,
-#: which is why bool is left out: True == 1 would share 1's key.
-_FLAT = {int, str, type(None)}
+class Scalars(list):
+    """A flat list that a report handler vouches for: each value has the
+    exact type int, str or NoneType, so no two values are equal unless
+    their texts are.  ``_render`` writes it from the document's text memo
+    without looking at the values' types.  Any other list takes the
+    recursive path, so a document handed to ``render_document`` from
+    outside the package never reaches the memo."""
+
+
+class DistinctScalars(list):
+    """A flat list of scalars that seldom repeat, such as a d-sequence:
+    ``_render`` writes it with one pass of the C encoder and no memo."""
+
+
 #: The C encoder with one scalar per line: ensure_ascii escapes every newline
 #: inside a string, so splitting its text on "\n" gives the items' texts.
 _SCALARS = json.JSONEncoder(separators=("\n", ": "))
@@ -223,7 +236,7 @@ _SCALARS = json.JSONEncoder(separators=("\n", ": "))
 def _render(value, depth: int, out: list, texts: dict) -> None:
     # appends the text of ``value`` to ``out``; its items sit at ``depth``
     # two-space steps, its closing bracket one step out.  ``texts`` maps each
-    # flat scalar met so far in this document to its JSON text
+    # vouched scalar met so far in this document to its JSON text
     if not isinstance(value, (dict, list, tuple)):
         out.append(json.dumps(value))
         return
@@ -239,13 +252,16 @@ def _render(value, depth: int, out: list, texts: dict) -> None:
             sep = "," + inner
         out.append("\n" + "  " * (depth - 1) + "}")
         return
-    if set(map(type, value)) <= _FLAT:
+    kind = type(value)
+    if kind is Scalars:
         try:
             out += ("[", inner, ("," + inner).join(map(texts.__getitem__, value)))
         except KeyError:    # a scalar new to this document: encode the whole list once
             items = _SCALARS.encode(value)[1:-1].split("\n")
             texts.update(zip(value, items))
             out += ("[", inner, ("," + inner).join(items))
+    elif kind is DistinctScalars:
+        out += ("[", inner, json.dumps(value, separators=("," + inner, ": "))[1:-1])
     else:
         sep = "[" + inner
         for item in value:

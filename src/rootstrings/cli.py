@@ -33,6 +33,8 @@ from .cartan import (DEFAULT_SCAN_CAP, ConsistencyError, _row_ints, b_closed, b_
                      d_sequence)
 from .cartanfile import (
     CartanFileError,
+    DistinctScalars,
+    Scalars,
     encode_bvalue,
     encode_entry,
     field_doc,
@@ -98,14 +100,23 @@ def cmd_bkj(datum, args) -> dict:
     }
 
 
+# The dseq, table and reflect handlers mark each flat list they build as
+# cartanfile.Scalars or DistinctScalars, vouching for its values: ints, strs
+# and None, of exactly those types, since the routes answer in ints and the
+# labels are strs.  So the renderer never checks a list's types.
+
 def cmd_dseq(datum, args) -> dict:
+    # the values seldom repeat; over GF(p^k), k > 1, each is a list of
+    # residues, which do
     seq = d_sequence(datum, args.k, args.j, args.max_m)
+    values = map(encode_entry, seq.values)
     return {
         "k": args.k,
         "j": args.j,
         "parity": datum.parity(args.k).value,
         "first_index": -1,
-        "values": [encode_entry(d) for d in seq.values],
+        "values": (DistinctScalars(values) if datum.spec.degree == 1
+                   else list(map(Scalars, values))),
     }
 
 
@@ -118,8 +129,8 @@ def cmd_table(datum, args) -> dict:
         if None in row:
             row = ["inf" if b is None else b for b in row]
         row.insert(k - 1, None)
-        table.append(row)
-    return {"parities": [q.value for q in datum.parities], "table": table}
+        table.append(Scalars(row))
+    return {"parities": Scalars(q.value for q in datum.parities), "table": table}
 
 
 def cmd_reflect(datum, args) -> dict:
@@ -127,9 +138,9 @@ def cmd_reflect(datum, args) -> dict:
     determinant = basis_determinant(result.basis_matrix)
     return {
         "k": args.k,
-        "b_row": [encode_bvalue(b) for b in result.b_row],
-        "sigma": [v.coords for v in result.sigma],
-        "basis_matrix": result.basis_matrix,
+        "b_row": Scalars(map(encode_bvalue, result.b_row)),
+        "sigma": [Scalars(v.coords) for v in result.sigma],
+        "basis_matrix": list(map(Scalars, result.basis_matrix)),
         "determinant": determinant,
         "unimodular": determinant == -1,
     }

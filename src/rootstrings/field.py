@@ -241,21 +241,28 @@ class FieldSpec(Frozen):
                 raise FieldMismatchError(
                     f"element of {value.spec} cannot enter {self}")
             return value
+        return FieldElement._trusted(self, self._coords(value))
+
+    def _coords(self, value) -> tuple:
+        """The coordinate tuple that ``element(value)`` holds, for a raw
+        value: checked, reduced mod p and zero-padded, or one exact Fraction
+        at p = 0.  Input documents are parsed into these tuples, and no
+        element is built."""
         if isinstance(value, bool):
             raise TypeError("booleans are not field entries")
         if self.characteristic == 0:
             fraction = _fraction()
             if not isinstance(value, (int, fraction)):
                 raise TypeError(f"cannot coerce {value!r} into the rationals")
-            return _reduced(self, (value if type(value) is fraction else fraction(value),))
+            return (value if type(value) is fraction else fraction(value),)
         if isinstance(value, int):
-            return _reduced(self, (value,))
+            return _residues(self, (value,))
         if isinstance(value, (list, tuple)):
             if len(value) > self.degree:
                 raise ValueError(f"coefficient list longer than degree {self.degree}")
             if not all(_is_int(c) for c in value):
                 raise TypeError("coefficient lists must contain integers")
-            return _reduced(self, value)
+            return _residues(self, value)
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def zero(self) -> "FieldElement":
@@ -415,12 +422,16 @@ class FieldElement(Frozen):
         return " + ".join(terms) if terms else "0"
 
 
-def _reduced(spec: FieldSpec, coeffs: Sequence) -> FieldElement:
-    """The element of ``spec`` with power-basis coordinates ``coeffs`` (low
-    degree first, at most ``spec.degree`` of them): reduced mod p, or kept
-    exact at p = 0, then zero-padded to the degree.  Every ``FieldSpec.element``
-    result and every arithmetic result is built here, unchecked: a reduced,
-    padded tuple is valid by construction."""
+def _residues(spec: FieldSpec, coeffs: Sequence) -> tuple:
+    """The power-basis coordinates ``coeffs`` (low degree first, at most
+    ``spec.degree`` of them) reduced mod p, or kept exact at p = 0, then
+    zero-padded to the degree: a valid coordinate tuple by construction."""
     p = spec.characteristic
     coeffs = tuple(c % p for c in coeffs) if p else tuple(coeffs)
-    return FieldElement._trusted(spec, coeffs + (0,) * (spec.degree - len(coeffs)))
+    return coeffs + (0,) * (spec.degree - len(coeffs))
+
+
+def _reduced(spec: FieldSpec, coeffs: Sequence) -> FieldElement:
+    """The element of ``spec`` with coordinates ``_residues(spec, coeffs)``,
+    built unchecked; every arithmetic result is built here."""
+    return FieldElement._trusted(spec, _residues(spec, coeffs))

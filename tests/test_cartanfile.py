@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from rootstrings.cartan import INFINITY, BValue, CartanDatum, Parity
 from rootstrings.cartanfile import (
     CartanFileError,
+    DistinctScalars,
+    Scalars,
     _parse_entry,
     encode_bvalue,
     encode_entry,
@@ -279,16 +281,55 @@ def test_equal_rational_strings_parse_alike():
     assert datum.entry(1, 1) == datum.entry(1, 2) == datum.entry(2, 1) == half
 
 
-def test_parse_builds_each_distinct_entry_once(elements_built):
+def test_parse_builds_no_element(elements_built):
     rng = random.Random(100)
     n = 100
     matrix = [[[rng.randrange(3), rng.randrange(3)] for _ in range(n)] for _ in range(n)]
     text = doc(extension=GF9_EXTENSION, matrix=matrix, parities=["ev"] * n)
     datum = parse_cartan(text)
-    # all nine elements of GF(9) occur, and each must be built
-    assert 9 <= len(elements_built) <= 9 + 3
+    # the datum holds coordinate tuples, and elements are built on request
+    assert elements_built == []
     assert all(datum.entry(r + 1, c + 1) == GF9.element(value)
                for r, row in enumerate(matrix) for c, value in enumerate(row))
+
+
+@st.composite
+def raw_documents(draw, spec):
+    """A rank-1..4 matrix and parities over ``spec``: unreduced ints, at
+    degree > 1 short and unreduced coefficient lists too, and over Q ints
+    and "n/d" strings."""
+    p, k = spec.characteristic, spec.degree
+    if p == 0:
+        value = st.integers(-9, 9) | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 6))
+    elif k > 1:
+        value = st.integers(-3 * p, 3 * p) | st.lists(st.integers(-3 * p, 3 * p), min_size=1,
+                                                      max_size=k)
+    else:
+        value = st.integers(-3 * p, 3 * p)
+    n = draw(st.integers(1, 4))
+    matrix = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=n, max_size=n))
+    return matrix, draw(st.lists(st.sampled_from(["ev", "od"]), min_size=n, max_size=n))
+
+
+@pytest.mark.parametrize(
+    "spec", [FieldSpec(7), FieldSpec(113), GF9, FieldSpec(5, 3, (3, 3, 0, 1)), Q], ids=str)
+@given(data=st.data())
+def test_parsed_entries_equal_the_built_datum(spec, data):
+    # the datum holds coordinate tuples; the elements that entries and entry
+    # build from them on request are those that CartanDatum.build coerces
+    matrix, parities = data.draw(raw_documents(spec))
+    document = {"characteristic": spec.characteristic, "matrix": matrix, "parities": parities}
+    if spec.degree > 1:
+        document["extension"] = {"degree": spec.degree, "modulus": list(spec.modulus)}
+    datum = parse_cartan(json.dumps(document))
+    rows = [[Fraction(v) if isinstance(v, str) else v for v in row] for row in matrix]
+    built = CartanDatum.build(spec, rows, parities)
+    assert datum == built
+    assert datum.entries == built.entries
+    assert datum.coords == tuple(tuple(e.coeffs for e in row) for row in built.entries)
+    n = len(matrix)
+    assert ([datum.entry(k, j) for k in range(1, n + 1) for j in range(1, n + 1)]
+            == [spec.element(rows[k][j]) for k in range(n) for j in range(n)])
 
 
 # --- rows memoised by value ---------------------------------------------------------
@@ -469,8 +510,8 @@ def test_only_a_document_of_mixed_kinds_is_keyed_on_repr(monkeypatch, matrix, re
 
 
 def test_a_rational_string_builds_one_fraction(monkeypatch):
-    # the Fraction read from "n/d" is the one the element keeps: one per
-    # distinct string, and none again in FieldSpec.element
+    # the Fraction read from "n/d" is the one the datum keeps: one per
+    # distinct string, and none again in FieldSpec._coords
     built = []
     original = Fraction.__new__
 
@@ -488,8 +529,8 @@ def test_a_rational_string_builds_one_fraction(monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["wide_char0.json", "wide_prime.json", "extension.json"])
 def test_parse_builds_no_datum_twice(fixtures_dir, monkeypatch, fixture):
-    # every entry comes from spec.element, so the datum's own per-entry
-    # checks are not run again
+    # every coordinate tuple comes from spec._coords, so the datum's own
+    # per-entry checks are not run again
     text = (fixtures_dir / fixture).read_text()
     calls = []
     original = CartanDatum.__init__
@@ -594,16 +635,59 @@ def test_render_document_keeps_equal_scalars_of_other_types_apart():
 
 
 def test_render_document_encodes_each_distinct_scalar_once_per_document(monkeypatch):
-    # a list with a scalar not yet in the memo is encoded whole; a list of
-    # known scalars is not encoded at all; and the next document starts over
+    # a vouched list with a scalar not yet in the memo is encoded whole; a
+    # vouched list of known scalars is not encoded at all; a plain list never
+    # reaches the memo; and the next document starts over
     encoded = []
     scalars = cartanfile._SCALARS
     monkeypatch.setattr(cartanfile, "_SCALARS", SimpleNamespace(
         encode=lambda value: encoded.append(list(value)) or scalars.encode(value)))
-    doc = {"a": [[1, 2], [2, 1]], "b": [2, None, 1, "inf"], "c": [[None, 2], ["inf", 1]]}
+    doc = {"a": [Scalars([1, 2]), Scalars([2, 1])], "b": Scalars([2, None, 1, "inf"]),
+           "c": [Scalars([None, 2]), Scalars(["inf", 1])], "d": [3, 4], "e": Scalars([4, 3])}
     for _ in range(2):
         assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert encoded == [[1, 2], [2, None, 1, "inf"]] * 2
+    assert encoded == [[1, 2], [2, None, 1, "inf"], [4, 3]] * 2
+
+
+def test_render_document_writes_distinct_scalars_in_one_encoder_pass(monkeypatch):
+    # a list vouched as distinct is one json.dumps call and takes no memo;
+    # the same values in a plain list are one call per value
+    calls = []
+    monkeypatch.setattr(cartanfile, "json", SimpleNamespace(
+        dumps=lambda value, **kwargs: calls.append(value) or json.dumps(value, **kwargs)))
+    monkeypatch.setattr(cartanfile, "_SCALARS", None)
+    values = [0, "-1/2", None, 10 ** 30, "\u2028,\n"]
+    for doc, count in (({"v": DistinctScalars(values), "w": {"x": DistinctScalars([1])}}, 2),
+                       ({"v": values, "w": {"x": [1]}}, 6)):
+        calls.clear()
+        assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert len(calls) == count
+
+
+class Int(int):
+    """An int subclass, equal to its int; json writes it as the int."""
+
+    def __repr__(self):
+        return f"Int({int(self)})"
+
+
+# Flat lists whose scalars are equal across types, True == 1 == 1.0 == Int(1)
+# and False == 0 == 0.0 == -0.0, but are written differently (except Int).
+mixed_flat_lists = (
+    st.lists(st.sampled_from([0, 1, -1, 2 ** 64, True, False, 1.0, 0.0, -0.0, 0.5, None,
+                              "", "1", "true", "null", Int(0), Int(1)]), max_size=6)
+    | st.sampled_from([[True, 1, 1.0], [1, True, Int(1)], [0, False, 0.0, None], [Int(1), 1]]))
+
+
+@given(st.dictionaries(st.sampled_from(["a", "b", "c"]), st.recursive(
+    mixed_flat_lists,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.sampled_from(["a", "b"]), children, max_size=3)),
+    max_leaves=12), max_size=3))
+def test_render_document_keeps_the_json_contract_on_mixed_flat_lists(doc):
+    # the report handlers vouch for their flat lists; a document from
+    # outside vouches for none, so no memo may write True or 1.0 as 1
+    assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # A small pool, so that equal scalars (and the bools and floats equal to some

@@ -24,4 +24,4 @@ def test_readme_library_example_returns_what_its_comments_show():
         else:
             exec(code, namespace)
     assert shown == ["BValue(5)", "BValue(5)",
-                     "(RootVector(coords=(-1, 0)), RootVector(coords=(2, 1)))"]
+                     "(RootVector(coords=(-1, 0)), RootVector(coords=(2, 1)))", "(0, 1)", "'t'"]

@@ -77,3 +77,9 @@ def test_layer_times_prints_each_section_on_small_inputs():
         assert re.fullmatch(
             rf"[^:]+: (json\.loads \d+ ns, parse_cartan \d+ ns \({number}x\), table compute "
             rf"\d+ ns per entry|render_document \d+ ns per scalar)", line), line
+    # the wide_matrix phase split, in one child process here
+    phases = [re.fullmatch(rf"(.+), seed 1, (\d+) requests: read {number} ms, parse {number} ms, "
+                           rf"compute {number} ms, render {number} ms; median of 1 processes", line)
+              for line in layer_times.phase_lines(processes=1)]
+    assert [(m.group(1), int(m.group(2))) for m in phases] == [
+        ("GF(9)", 4), ("GF(125)", 4), ("GF(p ~ 100)", 5), ("Q", 4), ("wide_matrix cycle", 17)]

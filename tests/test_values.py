@@ -65,8 +65,7 @@ REPRS = {
     "FieldElement": "FieldElement(spec=FieldSpec(characteristic=3, degree=2, "
                     "modulus=(2, 2, 1)), coeffs=(1, 2))",
     "BValue": "BValue(3)",
-    "CartanDatum": f"CartanDatum(spec={GF3_REPR}, entries=(({_element(2)}, {_element(1)}), "
-                   f"({_element(0)}, {_element(2)})), "
+    "CartanDatum": f"CartanDatum(spec={GF3_REPR}, coords=(((2,), (1,)), ((0,), (2,))), "
                    "parities=(<Parity.EVEN: 'ev'>, <Parity.ODD: 'od'>))",
     "DSequence": f"DSequence(k=1, j=2, values=({_element(0)}, {_element(2)}, "
                  f"{_element(2)}, {_element(0)}))",
@@ -80,7 +79,7 @@ MATCH_ARGS = {
     "FieldSpec": ("characteristic", "degree", "modulus"),
     "FieldElement": ("spec", "coeffs"),
     "BValue": ("value",),
-    "CartanDatum": ("spec", "entries", "parities"),
+    "CartanDatum": ("spec", "coords", "parities"),
     "DSequence": ("k", "j", "values"),
     "RootVector": ("coords",),
     "ReflectionResult": ("k", "b_row", "sigma", "basis_matrix"),
