@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation run over the two routes to a bound, the field's powers, the
-document parser, the report renderer, the table report and the value types'
-checks: show that the tests notice a wrong branch, a wrong step, a wrong
+document parser, the report renderer and its list builders, and the value
+types' checks: show that the tests notice a wrong branch, a wrong step, a wrong
 entry, a wrong text or a value that should have been refused.
 
 Each mutant is a named one-line text substitution in one source file: the
@@ -12,9 +12,9 @@ the sweep, record a mismatch, compare the two routes and bound the sweep;
 the square-and-multiply of ``field.py`` with the powers and Ben-Or's test
 that use it, its coercion of a Fraction, and the checks of ``FieldSpec``
 and ``FieldElement``; the entry memo, the row loop, the strict check, the
-rational entries and the renderer's flat lists of ``cartanfile.py``; the
-rows that ``cli.py`` writes for ``table``; and the checks of
-``reflection.py``'s ``RootVector``.
+rational entries, the renderer's flat lists and the builders that mark
+them, of ``cartanfile.py``; the bound row of ``cli.py``'s ``reflect``; and
+the checks of ``reflection.py``'s ``RootVector``.
 Each runs in its own temporary copy of the repository: first the test files
 that ``FIRST_TESTS`` names for the mutated file under ``-x``, and, if those
 pass, the whole suite under ``-x``.  A mutant is killed when a test fails (or the run passes its time
@@ -269,14 +269,13 @@ MUTANTS = [
     Mutant("rational-numerator-abs", CARTANFILE,
            "int(num), ", "abs(int(num)), "),
     # cartanfile: the renderer's text memo, one per document, of the flat
-    # lists that a report handler vouches for, and its one C-encoder pass
-    # over a list of distinct scalars
+    # lists that the list builders mark, and the builders themselves: the
+    # table report's "inf" and its diagonal null, and the marks
     Mutant("render-memo-for-every-list", CARTANFILE,
-           "if kind is Scalars:", "if isinstance(value, list):"),
-    Mutant("render-distinct-on-the-recursive-path", CARTANFILE,
-           "elif kind is DistinctScalars:", "elif False:"),
-    Mutant("render-distinct-one-step-out", CARTANFILE,
-           'separators=("," + inner, ": ")', 'separators=(",\\n", ": ")'),
+           "if type(value) is Scalars:", "if isinstance(value, list):"),
+    Mutant("render-memo-keeps-non-ascii", CARTANFILE,
+           'json.JSONEncoder(separators=("\\n", ": "))',
+           'json.JSONEncoder(separators=("\\n", ": "), ensure_ascii=False)'),
     Mutant("render-memo-shared-across-documents", CARTANFILE,
            "_render(doc, 1, out, {})", "_render(doc, 1, out, _render.__dict__)"),
     Mutant("render-join-one-step-out", CARTANFILE,
@@ -287,18 +286,21 @@ MUTANTS = [
            "[1:-1].split(", "[2:-1].split("),
     Mutant("render-miss-opens-without-a-newline", CARTANFILE,
            'out += ("[", inner, ("," + inner).join(items))', 'out += ("[", ("," + inner).join(items))'),
-    # cli: the table report's "inf" and its diagonal null, and the flat
-    # lists that the handlers vouch for
-    Mutant("table-drops-inf", CLI,
-           "if None in row:", "if False:"),
-    Mutant("table-diagonal-one-column-right", CLI,
+    Mutant("bound-row-drops-inf", CARTANFILE,
+           "if None in bounds else", "if False else"),
+    Mutant("bound-row-diagonal-one-column-right", CARTANFILE,
            "row.insert(k - 1, None)", "row.insert(k, None)"),
-    Mutant("table-row-unvouched", CLI,
-           "table.append(Scalars(row))", "table.append(row)"),
-    Mutant("reflect-columns-unvouched", CLI,
-           "[Scalars(v.coords) for v in result.sigma]", "[v.coords for v in result.sigma]"),
-    Mutant("dseq-values-through-the-memo", CLI,
-           "DistinctScalars(values) if", "Scalars(values) if"),
+    Mutant("bound-row-unmarked", CARTANFILE,
+           'row = Scalars(["inf"', 'row = list(["inf"'),
+    Mutant("int-rows-unmarked", CARTANFILE,
+           "list(map(Scalars, rows))", "list(map(list, rows))"),
+    Mutant("entry-list-unmarked-at-degree-1", CARTANFILE,
+           "return Scalars(c for c, in coords)", "return list(c for c, in coords)"),
+    Mutant("parity-labels-unmarked", CARTANFILE,
+           "return Scalars(q.value for q in parities)", "return [q.value for q in parities]"),
+    # cli: reflect's b_row, whose diagonal the builder puts back at k
+    Mutant("reflect-b-row-diagonal-at-1", CLI,
+           "if b is not None], args.k)", "if b is not None], 1)"),
     # field: a Fraction enters the rationals as it is
     Mutant("element-rebuilds-a-fraction", FIELD,
            "(value if type(value) is fraction else fraction(value),)", "(fraction(value),)"),

@@ -222,8 +222,9 @@ class CartanDatum(Frozen):
 
     @property
     def entries(self) -> tuple[tuple[FieldElement, ...], ...]:
-        """The matrix as field elements, built from ``coords`` at each
-        access: ``entries[i][j]`` is A_{i+1, j+1}."""
+        """The matrix as field elements: ``entries[i][j]`` is A_{i+1, j+1}.
+        Each access builds all n^2 elements from ``coords`` anew, so read
+        one entry with ``entry``, or take ``entries`` once before a loop."""
         spec = self.spec
         return tuple(tuple(FieldElement._trusted(spec, c) for c in row) for row in self.coords)
 

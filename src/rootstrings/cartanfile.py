@@ -20,19 +20,18 @@ trailing newline -- so identical inputs always produce byte-identical
 output.  The text is byte-identical to ``json.dumps(indent=2,
 sort_keys=True)`` plus a newline; ``render_document`` writes the framing
 itself, since ``json`` never uses its C encoder when it indents.  The
-CLI's report handlers know the types of the flat lists of scalars they
-build, and mark each with its kind, so the renderer checks no list's types.
-A ``Scalars`` list (a table row, a basis-matrix row) holds ints, strs and
-None of exactly those types; a report holds few distinct scalars, so each
-distinct one is encoded once per document, by the C encoder, into a text
-memo that writes the list as one join.  A ``DistinctScalars`` list, the
-values of ``dseq``, seldom repeats, so it skips the memo and is written by
-one C-encoder pass: the 300,002 values of ``dseq --max-m 300000`` render in
-22-35 ms over GF(3) and 29-38 ms over Q, against 45-52 and 111-117 ms
-through the memo (CPython 3.11, a 2-core x86_64 host, one session).  Any
-other list is written item by item, so a document from outside the package
-never reaches the memo.  Infinite bounds serialize as the string "inf",
-absent (diagonal) bounds as null.
+package's reports build every flat list of scalars (a table row, a
+basis-matrix row, the values of ``dseq``, a serialized matrix row) through
+the list builders below, which return it as a ``Scalars`` list, so the
+renderer checks no list's types.  A report holds few distinct scalars, so
+each distinct scalar of a ``Scalars`` list is encoded once per document, by
+the C encoder, into a text memo that writes the list as one join.  A list
+whose values are all distinct costs a C-encoder pass, a split and a dict
+entry per value: the 300,002 values of ``dseq --max-m 300000`` over Q
+render in 129-195 ms (median 138 over 5 processes), against about 36 ms for
+the C encoder alone (CPython 3.11, a 2-core x86_64 host).  Any other list is written item by item, so a document from
+outside the package never reaches the memo.  Infinite bounds serialize as
+the string "inf", absent (diagonal) bounds as null.
 """
 
 from __future__ import annotations
@@ -197,8 +196,8 @@ def serialize_cartan(datum: CartanDatum) -> str:
     doc: dict = {"characteristic": spec.characteristic}
     if spec.degree > 1:
         doc["extension"] = {"degree": spec.degree, "modulus": list(spec.modulus)}
-    doc["matrix"] = [[encode_entry(e) for e in row] for row in datum.entries]
-    doc["parities"] = [q.value for q in datum.parities]
+    doc["matrix"] = [entry_list(spec, row) for row in datum.coords]
+    doc["parities"] = parity_labels(datum.parities)
     return render_document(doc)
 
 
@@ -215,17 +214,42 @@ def render_document(doc: dict) -> str:
 
 
 class Scalars(list):
-    """A flat list that a report handler vouches for: each value has the
-    exact type int, str or NoneType, so no two values are equal unless
-    their texts are.  ``_render`` writes it from the document's text memo
-    without looking at the values' types.  Any other list takes the
-    recursive path, so a document handed to ``render_document`` from
-    outside the package never reaches the memo."""
+    """A flat list whose values each have the exact type int, str or
+    NoneType, so no two values are equal unless their texts are.
+    ``_render`` writes it from the document's text memo without looking at
+    the values' types, so only the list builders below make one, from the
+    ints of the routes and the labels of the file format.  Any other list
+    takes the recursive path, so a document handed to ``render_document``
+    from outside the package never reaches the memo."""
 
 
-class DistinctScalars(list):
-    """A flat list of scalars that seldom repeat, such as a d-sequence:
-    ``_render`` writes it with one pass of the C encoder and no memo."""
+def bound_row(bounds: list, k: int) -> Scalars:
+    """Row k of a bound report: ``bounds`` holds the bounds B_kj, j != k, as
+    the ladder answers them, ints and None for an infinite bound, written
+    "inf"; the diagonal is null."""
+    row = Scalars(["inf" if b is None else b for b in bounds] if None in bounds else bounds)
+    row.insert(k - 1, None)
+    return row
+
+
+def int_rows(rows) -> list:
+    """Rows of ints, such as a basis matrix or root vectors' coordinates."""
+    return list(map(Scalars, rows))
+
+
+def parity_labels(parities) -> Scalars:
+    return Scalars(q.value for q in parities)
+
+
+def entry_list(spec: FieldSpec, coords) -> list:
+    """The entries with these coordinate tuples, encoded as ``encode_entry``
+    does: one flat list at degree 1, a list of coefficient lists above."""
+    if spec.degree > 1:
+        return int_rows(coords)
+    if spec.characteristic:
+        return Scalars(c for c, in coords)
+    return Scalars(int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+                   for q, in coords)
 
 
 #: The C encoder with one scalar per line: ensure_ascii escapes every newline
@@ -236,7 +260,7 @@ _SCALARS = json.JSONEncoder(separators=("\n", ": "))
 def _render(value, depth: int, out: list, texts: dict) -> None:
     # appends the text of ``value`` to ``out``; its items sit at ``depth``
     # two-space steps, its closing bracket one step out.  ``texts`` maps each
-    # vouched scalar met so far in this document to its JSON text
+    # Scalars value met so far in this document to its JSON text
     if not isinstance(value, (dict, list, tuple)):
         out.append(json.dumps(value))
         return
@@ -252,16 +276,13 @@ def _render(value, depth: int, out: list, texts: dict) -> None:
             sep = "," + inner
         out.append("\n" + "  " * (depth - 1) + "}")
         return
-    kind = type(value)
-    if kind is Scalars:
+    if type(value) is Scalars:
         try:
             out += ("[", inner, ("," + inner).join(map(texts.__getitem__, value)))
         except KeyError:    # a scalar new to this document: encode the whole list once
             items = _SCALARS.encode(value)[1:-1].split("\n")
             texts.update(zip(value, items))
             out += ("[", inner, ("," + inner).join(items))
-    elif kind is DistinctScalars:
-        out += ("[", inner, json.dumps(value, separators=("," + inner, ": "))[1:-1])
     else:
         sep = "[" + inner
         for item in value:
@@ -273,13 +294,7 @@ def _render(value, depth: int, out: list, texts: dict) -> None:
 
 def encode_entry(element: FieldElement) -> int | str | list[int]:
     """JSON encoding of one field element, matching the input conventions."""
-    spec = element.spec
-    if spec.characteristic == 0:
-        q = element.rational
-        return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    if spec.degree == 1:
-        return element.coeffs[0]
-    return list(element.coeffs)
+    return entry_list(element.spec, (element.coeffs,))[0]
 
 
 def encode_bvalue(b: BValue | None) -> int | str | None:

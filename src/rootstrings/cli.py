@@ -33,11 +33,12 @@ from .cartan import (DEFAULT_SCAN_CAP, ConsistencyError, _row_ints, b_closed, b_
                      d_sequence)
 from .cartanfile import (
     CartanFileError,
-    DistinctScalars,
-    Scalars,
+    bound_row,
     encode_bvalue,
-    encode_entry,
+    entry_list,
     field_doc,
+    int_rows,
+    parity_labels,
     parse_cartan,
     render_document,
 )
@@ -100,37 +101,22 @@ def cmd_bkj(datum, args) -> dict:
     }
 
 
-# The dseq, table and reflect handlers mark each flat list they build as
-# cartanfile.Scalars or DistinctScalars, vouching for its values: ints, strs
-# and None, of exactly those types, since the routes answer in ints and the
-# labels are strs.  So the renderer never checks a list's types.
-
 def cmd_dseq(datum, args) -> dict:
-    # the values seldom repeat; over GF(p^k), k > 1, each is a list of
-    # residues, which do
     seq = d_sequence(datum, args.k, args.j, args.max_m)
-    values = map(encode_entry, seq.values)
     return {
         "k": args.k,
         "j": args.j,
         "parity": datum.parity(args.k).value,
         "first_index": -1,
-        "values": (DistinctScalars(values) if datum.spec.degree == 1
-                   else list(map(Scalars, values))),
+        "values": entry_list(datum.spec, (d.coeffs for d in seq.values)),
     }
 
 
 def cmd_table(datum, args) -> dict:
     # each row as the ladder answers it, in ints, so no bound becomes a
     # BValue; only p = 0 has infinite bounds, the None that becomes "inf"
-    table = []
-    for k in range(1, datum.n + 1):
-        row = _row_ints(datum, k)
-        if None in row:
-            row = ["inf" if b is None else b for b in row]
-        row.insert(k - 1, None)
-        table.append(Scalars(row))
-    return {"parities": Scalars(q.value for q in datum.parities), "table": table}
+    table = [bound_row(_row_ints(datum, k), k) for k in range(1, datum.n + 1)]
+    return {"parities": parity_labels(datum.parities), "table": table}
 
 
 def cmd_reflect(datum, args) -> dict:
@@ -138,9 +124,10 @@ def cmd_reflect(datum, args) -> dict:
     determinant = basis_determinant(result.basis_matrix)
     return {
         "k": args.k,
-        "b_row": Scalars(map(encode_bvalue, result.b_row)),
-        "sigma": [Scalars(v.coords) for v in result.sigma],
-        "basis_matrix": list(map(Scalars, result.basis_matrix)),
+        # every bound is finite, or reflect has raised
+        "b_row": bound_row([b.value for b in result.b_row if b is not None], args.k),
+        "sigma": int_rows(v.coords for v in result.sigma),
+        "basis_matrix": int_rows(result.basis_matrix),
         "determinant": determinant,
         "unimodular": determinant == -1,
     }

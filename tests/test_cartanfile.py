@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from rootstrings.cartan import INFINITY, BValue, CartanDatum, Parity
 from rootstrings.cartanfile import (
     CartanFileError,
-    DistinctScalars,
     Scalars,
     _parse_entry,
+    bound_row,
     encode_bvalue,
     encode_entry,
     field_doc,
@@ -579,6 +579,25 @@ def test_serialized_form_is_canonical():
     assert json.loads(text)["extension"] == {"degree": 2, "modulus": [1, 0, 1]}
 
 
+@pytest.mark.parametrize("name", ["prime.json", "extension.json", "char0.json"])
+def test_serialize_marks_its_flat_lists_and_builds_no_element(
+        fixtures_dir, monkeypatch, elements_built, name):
+    # the matrix rows (or, over GF(p^k), their coefficient lists) and the
+    # parities reach the renderer as Scalars, encoded from the datum's
+    # coordinate tuples, not from field elements
+    datum = parse_cartan((fixtures_dir / name).read_text())
+    docs = []
+    monkeypatch.setattr(cartanfile, "render_document", docs.append)
+    serialize_cartan(datum)
+    [doc] = docs
+    lists = [doc["parities"], *doc["matrix"]]
+    if datum.spec.degree > 1:
+        lists = [doc["parities"], *(c for row in doc["matrix"] for c in row)]
+    for flat in lists:
+        assert type(flat) is Scalars and set(map(type, flat)) <= {int, str}
+    assert elements_built == []
+
+
 def test_encode_entry_formats():
     assert encode_entry(GF3.element(2)) == 2
     assert encode_entry(GF9.element([0, 1])) == [0, 1]
@@ -592,6 +611,13 @@ def test_encode_bvalue():
     assert encode_bvalue(None) is None
 
 
+def test_bound_row_writes_inf_and_the_diagonal_null():
+    for bounds, k, row in (([3, None, 0], 2, [3, None, "inf", 0]), ([1, 2], 3, [1, 2, None]),
+                           ([], 1, [None]), ([None], 1, [None, "inf"])):
+        assert type(bound_row(bounds, k)) is Scalars and bound_row(bounds, k) == row
+    assert bound_row(bounds := [4, None], 1) == [None, 4, "inf"] and bounds == [4, None]
+
+
 def test_field_doc():
     assert field_doc(GF3) == {"characteristic": 3, "degree": 1}
     assert field_doc(GF9) == {"characteristic": 3, "degree": 2, "modulus": [1, 0, 1]}
@@ -600,6 +626,18 @@ def test_field_doc():
 
 def test_render_document_is_stable():
     assert render_document({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+
+def marked(value):
+    """``value`` with every list or tuple of exact ints, strs and None made
+    a ``Scalars`` list, as the package's reports hand them to the renderer."""
+    if isinstance(value, dict):
+        return {key: marked(item) for key, item in value.items()}
+    if not isinstance(value, (list, tuple)):
+        return value
+    if set(map(type, value)) <= {int, str, type(None)}:
+        return Scalars(value)
+    return type(value)(map(marked, value))
 
 
 # Strings the encoders escape: quotes, backslashes, control characters,
@@ -612,31 +650,50 @@ json_scalars = (st.none() | st.booleans() | st.integers()
                 | st.integers(-(2 ** 200), 2 ** 200) | json_text)
 
 
-@given(st.dictionaries(json_text, st.recursive(
+json_documents = st.dictionaries(json_text, st.recursive(
     json_scalars,
     lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
                       | st.dictionaries(json_text, children, max_size=3)),
-    max_leaves=20), max_size=4))
+    max_leaves=20), max_size=4)
+
+
+# Each contract test below runs on the document as given, whose lists take
+# the recursive path, and again with its flat lists of exact ints, strs and
+# None marked, so that those take the text memo; both must give json's own
+# indented text byte for byte.
+
+@given(json_documents)
 def test_render_document_matches_json_dumps(doc):
-    # flat scalar lists take the text memo, everything else the recursive
-    # path; both must give json's own indented text byte for byte
     assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@given(json_documents)
+def test_render_document_matches_json_dumps_on_marked_lists(doc):
+    assert render_document(marked(doc)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# True == 1 and 1.0 == 1, and a memo keyed on the scalar would write them as
+# 1; the same ints sit at two depths, so each join needs its own separator;
+# and the strings hold the separators the memo writes and splits on, a
+# quote, and a line separator that ensure_ascii escapes
+EQUAL_SCALARS_OF_OTHER_TYPES = {
+    "a": [1, 0, None, "inf"], "b": [True, False, 1, 0], "c": [1.0, 1],
+    "d": [[1, 2], [2, 1]], "e": [1, 2], "f": [",", "\n", "\u2028", '"', "a,\nb", 1]}
 
 
 def test_render_document_keeps_equal_scalars_of_other_types_apart():
-    # True == 1 and 1.0 == 1, and a memo keyed on the scalar would write them
-    # as 1; the same ints sit at two depths, so each join needs its own
-    # separator; and the strings hold the separators the memo writes and
-    # splits on, a quote, and a line separator that ensure_ascii escapes
-    doc = {"a": [1, 0, None, "inf"], "b": [True, False, 1, 0], "c": [1.0, 1],
-           "d": [[1, 2], [2, 1]], "e": [1, 2],
-           "f": [",", "\n", "\u2028", '"', "a,\nb", 1]}
+    doc = EQUAL_SCALARS_OF_OTHER_TYPES
     assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_render_document_keeps_equal_scalars_of_other_types_apart_on_marked_lists():
+    doc = EQUAL_SCALARS_OF_OTHER_TYPES
+    assert render_document(marked(doc)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_render_document_encodes_each_distinct_scalar_once_per_document(monkeypatch):
-    # a vouched list with a scalar not yet in the memo is encoded whole; a
-    # vouched list of known scalars is not encoded at all; a plain list never
+    # a marked list with a scalar not yet in the memo is encoded whole; a
+    # marked list of known scalars is not encoded at all; a plain list never
     # reaches the memo; and the next document starts over
     encoded = []
     scalars = cartanfile._SCALARS
@@ -647,21 +704,6 @@ def test_render_document_encodes_each_distinct_scalar_once_per_document(monkeypa
     for _ in range(2):
         assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert encoded == [[1, 2], [2, None, 1, "inf"], [4, 3]] * 2
-
-
-def test_render_document_writes_distinct_scalars_in_one_encoder_pass(monkeypatch):
-    # a list vouched as distinct is one json.dumps call and takes no memo;
-    # the same values in a plain list are one call per value
-    calls = []
-    monkeypatch.setattr(cartanfile, "json", SimpleNamespace(
-        dumps=lambda value, **kwargs: calls.append(value) or json.dumps(value, **kwargs)))
-    monkeypatch.setattr(cartanfile, "_SCALARS", None)
-    values = [0, "-1/2", None, 10 ** 30, "\u2028,\n"]
-    for doc, count in (({"v": DistinctScalars(values), "w": {"x": DistinctScalars([1])}}, 2),
-                       ({"v": values, "w": {"x": [1]}}, 6)):
-        calls.clear()
-        assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        assert len(calls) == count
 
 
 class Int(int):
@@ -685,8 +727,8 @@ mixed_flat_lists = (
                       | st.dictionaries(st.sampled_from(["a", "b"]), children, max_size=3)),
     max_leaves=12), max_size=3))
 def test_render_document_keeps_the_json_contract_on_mixed_flat_lists(doc):
-    # the report handlers vouch for their flat lists; a document from
-    # outside vouches for none, so no memo may write True or 1.0 as 1
+    # the package's reports mark their flat lists; a document from outside
+    # marks none, so no memo may write True or 1.0 as 1
     assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -696,13 +738,21 @@ pooled_scalars = st.sampled_from(
     [0, 1, 2, -1, 10 ** 30, None, True, False, 1.0, 0.5, "inf", "1/2", "", ",", "\n", "\u2028", '"'])
 
 
-@given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), st.recursive(
+pooled_documents = st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), st.recursive(
     pooled_scalars,
     lambda children: (st.lists(children, max_size=6) | st.lists(children, max_size=6).map(tuple)
                       | st.dictionaries(st.sampled_from(["a", "b", "c"]), children, max_size=3)),
-    max_leaves=30), max_size=4))
+    max_leaves=30), max_size=4)
+
+
+@given(pooled_documents)
 def test_render_document_matches_json_dumps_on_repeated_scalars(doc):
     assert render_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@given(pooled_documents)
+def test_render_document_matches_json_dumps_on_repeated_marked_scalars(doc):
+    assert render_document(marked(doc)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # --- randomized round trips --------------------------------------------------------

@@ -19,8 +19,8 @@ import rootstrings.cartanfile
 import rootstrings.cli
 import rootstrings.selfcheck
 from rootstrings.cartan import BValue, b_table
-from rootstrings.cartanfile import (DistinctScalars, Scalars, encode_bvalue, field_doc,
-                                    parse_cartan, render_document)
+from rootstrings.cartanfile import (Scalars, encode_bvalue, field_doc, parse_cartan,
+                                    render_document)
 from rootstrings.field import PRIMALITY_LIMIT
 
 from conftest import FIXTURES, GOLDEN, GOLDEN_CASES, bench_workloads, with_fixture_paths
@@ -46,16 +46,13 @@ def flat_lists(value):
     case for case in GOLDEN_CASES if case[1][0] in ("dseq", "table", "reflect")])
 def test_report_handlers_vouch_for_their_flat_lists(golden_name, argv):
     # the renderer writes a Scalars list from its text memo, trusting it to
-    # hold only exact ints, strs and None, and a DistinctScalars list in one
-    # C-encoder pass: every flat list of these reports is one of the two,
-    # and holds only those types
+    # hold only exact ints, strs and None: every flat list of these reports
+    # is one, and holds only those types
     args = rootstrings.cli._parse(with_fixture_paths(argv))
-    datum = rootstrings.cli._load_datum(args)
-    distinct = args.command == "dseq" and datum.spec.degree == 1
-    lists = list(flat_lists(args.handler(datum, args)))
+    lists = list(flat_lists(args.handler(rootstrings.cli._load_datum(args), args)))
     assert lists
     for flat in lists:
-        assert type(flat) is (DistinctScalars if distinct else Scalars), golden_name
+        assert type(flat) is Scalars, golden_name
         assert set(map(type, flat)) <= {int, str, type(None)}, golden_name
 
 
